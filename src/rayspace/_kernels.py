@@ -1,10 +1,8 @@
 """Integer-scaled distance kernels backing the brute-force oracle.
 
 Coordinates arrive pre-scaled to int64 (a common denominator clears all
-fractions), so max-min Hausdorff sweeps and pairwise adjacency runs are tight
-integer loops.  Both a numba-JIT path and a vectorized numpy path exist and
-produce identical results; the JIT path is preferred when numba imports and
-``RAYSPACE_DISABLE_NUMBA`` is unset.
+fractions), so max-min Hausdorff sweeps and pairwise adjacency are exact
+vectorized numpy integer arithmetic.
 
 Point tables: ``pe``/``pc`` are parallel arrays of element index and scaled
 coordinate.  Element tables: ``end_vertex[e, 0]`` is the vertex at coord 0,
@@ -15,137 +13,16 @@ distance matrix.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 BIG = np.int64(2**62)
 
-_DISABLE = os.environ.get("RAYSPACE_DISABLE_NUMBA", "").strip() not in ("", "0")
-
-try:
-    if _DISABLE:
-        raise ImportError("numba disabled by RAYSPACE_DISABLE_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # no-op decorator so both paths can be defined
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
 
 def backend() -> str:
-    return "numba" if HAVE_NUMBA else "numpy"
+    return "numpy"
 
 
-# ---- shared scalar core (compiled under numba, plain Python otherwise) -----
-
-
-@njit(cache=True)
-def _pt_dist(e1, c1, e2, c2, end_vertex, elem_len, dvert):
-    best = BIG
-    if e1 == e2:
-        d = c1 - c2
-        if d < 0:
-            d = -d
-        best = d
-    for k1 in range(2):
-        v1 = end_vertex[e1, k1]
-        if v1 < 0:
-            continue
-        x1 = c1 if k1 == 0 else elem_len[e1] - c1
-        for k2 in range(2):
-            v2 = end_vertex[e2, k2]
-            if v2 < 0:
-                continue
-            x2 = c2 if k2 == 0 else elem_len[e2] - c2
-            d = x1 + dvert[v1, v2] + x2
-            if d < best:
-                best = d
-    return best
-
-
-@njit(cache=True)
-def _directed_scalar(ae, ac, be, bc, end_vertex, elem_len, dvert):
-    worst = np.int64(0)
-    for i in range(ae.shape[0]):
-        nearest = BIG
-        for j in range(be.shape[0]):
-            d = _pt_dist(ae[i], ac[i], be[j], bc[j], end_vertex, elem_len, dvert)
-            if d < nearest:
-                nearest = d
-        if nearest > worst:
-            worst = nearest
-    return worst
-
-
-@njit(cache=True)
-def _distance_matrix_scalar(pe, pc, end_vertex, elem_len, dvert):
-    n = pe.shape[0]
-    out = np.empty((n, n), dtype=np.int64)
-    for i in range(n):
-        out[i, i] = 0
-        for j in range(i + 1, n):
-            d = _pt_dist(pe[i], pc[i], pe[j], pc[j], end_vertex, elem_len, dvert)
-            out[i, j] = d
-            out[j, i] = d
-    return out
-
-
-@njit(cache=True)
-def _component_labels_scalar(masks, dmat, thr):
-    n, u = masks.shape
-    mv = np.empty((n, u), dtype=np.int64)
-    for s in range(n):
-        for x in range(u):
-            best = BIG
-            for w in range(u):
-                if masks[s, w] and dmat[x, w] < best:
-                    best = dmat[x, w]
-            mv[s, x] = best
-    parent = np.arange(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            ri = i
-            while parent[ri] != ri:
-                ri = parent[ri]
-            rj = j
-            while parent[rj] != rj:
-                rj = parent[rj]
-            if ri == rj:
-                continue
-            dij = np.int64(0)
-            for x in range(u):
-                if masks[i, x] and mv[j, x] > dij:
-                    dij = mv[j, x]
-            if dij > thr:
-                continue
-            dji = np.int64(0)
-            for x in range(u):
-                if masks[j, x] and mv[i, x] > dji:
-                    dji = mv[i, x]
-            if dji <= thr:
-                parent[rj] = ri
-    labels = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        r = i
-        while parent[r] != r:
-            r = parent[r]
-        labels[i] = r
-    return labels
-
-
-# ---- vectorized numpy path --------------------------------------------------
-
-
-def _vertex_costs_numpy(pe, pc, end_vertex, elem_len, dvert):
+def _vertex_costs(pe, pc, end_vertex, elem_len, dvert):
     """cv[i, v] = cheapest way from point i to vertex v (through an endpoint)."""
     ev0 = end_vertex[pe, 0]
     cv = pc[:, None] + dvert[ev0]
@@ -157,8 +34,9 @@ def _vertex_costs_numpy(pe, pc, end_vertex, elem_len, dvert):
     return cv
 
 
-def _cross_distances_numpy(ae, ac, be, bc, end_vertex, elem_len, dvert):
-    cv = _vertex_costs_numpy(ae, ac, end_vertex, elem_len, dvert)
+def _cross_distances(ae, ac, be, bc, end_vertex, elem_len, dvert):
+    """d[i, j] = scaled point distance from point i of A to point j of B."""
+    cv = _vertex_costs(ae, ac, end_vertex, elem_len, dvert)
     ev0 = end_vertex[be, 0]
     d = cv[:, ev0] + bc[None, :]
     ev1 = end_vertex[be, 1]
@@ -172,14 +50,28 @@ def _cross_distances_numpy(ae, ac, be, bc, end_vertex, elem_len, dvert):
         d = np.where(same, np.minimum(d, direct), d)
     return d
 
-def _directed_numpy(ae, ac, be, bc, end_vertex, elem_len, dvert):
-    d = _cross_distances_numpy(ae, ac, be, bc, end_vertex, elem_len, dvert)
-    return np.int64(d.min(axis=1).max())
+
+def directed_maxmin(ae, ac, be, bc, end_vertex, elem_len, dvert) -> int:
+    """max over A of min over B of the scaled point distance."""
+    if ae.shape[0] == 0 or be.shape[0] == 0:
+        raise ValueError("empty point set")
+    d = _cross_distances(ae, ac, be, bc, end_vertex, elem_len, dvert)
+    return int(d.min(axis=1).max())
 
 
-def _component_labels_numpy(masks, dmat, thr):
-    n, _u = masks.shape
-    mv = np.empty((n, _u), dtype=np.int64)
+def distance_matrix(pe, pc, end_vertex, elem_len, dvert) -> np.ndarray:
+    """All-pairs scaled distances among a point universe."""
+    return _cross_distances(pe, pc, pe, pc, end_vertex, elem_len, dvert)
+
+
+def component_labels(masks, dmat, thr) -> np.ndarray:
+    """Union-find labels over sets (bool masks into a shared point universe)
+    linked whenever their symmetric max-min distance is <= thr."""
+    n, u = masks.shape
+    if n == 0:
+        return np.empty(0, dtype=np.int64)
+    thr = np.int64(thr)
+    mv = np.empty((n, u), dtype=np.int64)
     for s in range(n):
         mv[s] = dmat[:, masks[s]].min(axis=1)
     parent = list(range(n))
@@ -199,53 +91,4 @@ def _component_labels_numpy(masks, dmat, thr):
             ri, rj = find(int(i)), find(j)
             if ri != rj:
                 parent[rj] = ri
-    labels = np.array([find(i) for i in range(n)], dtype=np.int64)
-    return labels
-
-
-# ---- dispatchers -------------------------------------------------------------
-
-
-def directed_maxmin(ae, ac, be, bc, end_vertex, elem_len, dvert) -> int:
-    """max over A of min over B of the scaled point distance."""
-    if ae.shape[0] == 0 or be.shape[0] == 0:
-        raise ValueError("empty point set")
-    if HAVE_NUMBA:
-        return int(_directed_scalar(ae, ac, be, bc, end_vertex, elem_len, dvert))
-    return int(_directed_numpy(ae, ac, be, bc, end_vertex, elem_len, dvert))
-
-
-def distance_matrix(pe, pc, end_vertex, elem_len, dvert) -> np.ndarray:
-    """All-pairs scaled distances among a point universe."""
-    if HAVE_NUMBA:
-        return _distance_matrix_scalar(pe, pc, end_vertex, elem_len, dvert)
-    return _cross_distances_numpy(pe, pc, pe, pc, end_vertex, elem_len, dvert)
-
-
-def component_labels(masks, dmat, thr) -> np.ndarray:
-    """Union-find labels over sets (bool masks into a shared point universe)
-    linked whenever their symmetric max-min distance is <= thr."""
-    if masks.shape[0] == 0:
-        return np.empty(0, dtype=np.int64)
-    if HAVE_NUMBA:
-        return _component_labels_scalar(masks, dmat, np.int64(thr))
-    return _component_labels_numpy(masks, dmat, np.int64(thr))
-
-
-# explicit handles for the backend benchmark
-NUMPY_IMPLS = {
-    "directed": _directed_numpy,
-    "distance_matrix": lambda pe, pc, ev, el, dv: _cross_distances_numpy(
-        pe, pc, pe, pc, ev, el, dv
-    ),
-    "component_labels": _component_labels_numpy,
-}
-NUMBA_IMPLS = (
-    {
-        "directed": _directed_scalar,
-        "distance_matrix": _distance_matrix_scalar,
-        "component_labels": _component_labels_scalar,
-    }
-    if HAVE_NUMBA
-    else None
-)
+    return np.array([find(i) for i in range(n)], dtype=np.int64)

@@ -35,4 +35,4 @@ class PreconditionError(RayspaceError):
 
 
 class CapExceededError(RayspaceError):
-    """A brute-force enumeration exceeded its hard size cap."""
+    """A brute-force enumeration or a wedge model exceeded its hard size cap."""

@@ -14,7 +14,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from .errors import InvalidGraphError, ParseError, PreconditionError
+from .errors import InvalidGraphError, ParseError, PreconditionError, RayspaceError
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
@@ -251,7 +251,8 @@ def point_distance(g: RayGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
             cand = c_p + g.vertex_distance(w_p, w_q) + c_q
             if best is None or cand < best:
                 best = cand
-    assert best is not None
+    if best is None:
+        raise RayspaceError(f"no route between {p} and {q}")
     return best
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
-from .errors import PreconditionError
+from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph
 from .sets import ClosedSubset
 
@@ -63,7 +63,8 @@ def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
             cand = d0 + ep.tail
             if best is None or cand < best:
                 best = cand
-    assert best is not None
+    if best is None:
+        raise RayspaceError(f"vertex {v} has no distance to an empty set")
     return best
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import PreconditionError
+from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph
 from .metric import INF, ExtendedDistance
 from .sets import (
@@ -82,14 +82,17 @@ def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
         v0 = el.u
 
     incident: dict[str, list] = {v: [] for v in g.vertices}
-    for e in g.edges:
+    for e in sorted(g.edges, key=lambda e: e.id):
         incident[e.u].append(e)
         if not e.is_loop:
             incident[e.v].append(e)
     used: set[str] = set()
 
-    def visit(v: str):
-        for e in sorted(incident[v], key=lambda e: e.id):
+    # explicit DFS stack of (vertex, its unexplored edges, leg walking back out)
+    stack = [(v0, iter(incident[v0]), None)]
+    while stack:
+        v, edges, back = stack[-1]
+        for e in edges:
             if e.id in used:
                 continue
             used.add(e.id)
@@ -98,10 +101,12 @@ def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
             else:
                 fwd, other = (e.length, Fraction(0)), e.u
             legs.append((e.id, fwd[0], fwd[1]))
-            visit(other)
-            legs.append((e.id, fwd[1], fwd[0]))
-
-    visit(v0)
+            stack.append((other, iter(incident[other]), (e.id, fwd[1], fwd[0])))
+            break
+        else:
+            stack.pop()
+            if back is not None:
+                legs.append(back)
     return Walk(tuple(legs))
 
 
@@ -162,7 +167,8 @@ class StageF1:
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
         if not self.moving:
-            assert self.base is not None
+            if self.base is None:
+                raise RayspaceError("F1 stage has neither a base nor moving pieces")
             return self.base
         intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
         for rid, a, b in self.moving:
@@ -282,9 +288,11 @@ class HyperPath:
     stages: tuple
 
     def __post_init__(self):
-        assert self.stages, "a path needs at least one stage"
-        for s, s_next in zip(self.stages, self.stages[1:]):
-            assert s.at(1) == s_next.at(0), "stage endpoints must chain"
+        if not self.stages:
+            raise PreconditionError("a path needs at least one stage")
+        for i, (s, s_next) in enumerate(zip(self.stages, self.stages[1:]), start=1):
+            if s.at(1) != s_next.at(0):
+                raise PreconditionError(f"stage {i} does not end where stage {i + 1} starts")
 
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
@@ -340,7 +348,8 @@ def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
     for eid, ep in a1.pieces:
         if g.is_ray(eid) and g.ray_index[eid] not in delta:
             moving.extend((eid, a, b) for a, b in ep.intervals)
-            assert ep.tail is None
+            if ep.tail is not None:
+                raise RayspaceError(f"F0 left a tail on {eid}, outside the direction set")
             continue
         if ep.intervals:
             keep_intervals[eid] = list(ep.intervals)

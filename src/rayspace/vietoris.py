@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ParseError, PreconditionError
+from .errors import ParseError, PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, point_distance
 from .metric import dist_point_to_set, distance_profile
 from .paths import HyperPath
@@ -90,7 +90,10 @@ def _ball_intervals(
             _sublevel_segment(xs[k], vals[k], xs[k + 1], vals[k + 1], radius, ivs)
         if g.element_length(eid) is None and vals[-1] < radius:
             # distance to a point target grows with slope 1 far out on a ray
-            assert prof.final_slope == 1
+            if prof.final_slope != 1:
+                raise RayspaceError(
+                    f"distance to a point grows with slope {prof.final_slope} on {eid}"
+                )
             ivs.append((xs[-1], False, xs[-1] + (radius - vals[-1]), True))
         merged = _merge_open(ivs)
         if merged:

@@ -13,7 +13,14 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ParseError, PreconditionError
+from .errors import CapExceededError, ParseError, PreconditionError
+
+# Hard limits on user-driven model size: parenthesis nesting of a wedge
+# expression, and product pieces built by one wedge (locus components of the
+# two sides multiplied; nested rays double them at every level).
+MAX_WEDGE_DEPTH = 64
+MAX_LOCUS_PRODUCT = 4096
+
 
 @dataclass(frozen=True)
 class Cell:
@@ -143,11 +150,18 @@ def wedge(m1: HModel, m2: HModel) -> HModel:
     containment locus is the whole product layer, marked at (p, p).  A locus
     component that fills its piece entirely is absorbed into the slice
     (identified, not kept as a second copy) so iterated wedges report the
-    classical piece inventories (cube plus fins, etc.).
+    classical piece inventories (cube plus fins, etc.).  Raises
+    ``CapExceededError`` beyond ``MAX_LOCUS_PRODUCT`` product pieces.
     """
     if not m1.containment or not m2.containment:
         raise PreconditionError("wedge needs containment loci on both models")
     c1s, c2s = m1.containment, m2.containment
+    estimate = len(c1s) * len(c2s)
+    if estimate > MAX_LOCUS_PRODUCT:
+        raise CapExceededError(
+            f"wedge would build {estimate} product pieces (cap {MAX_LOCUS_PRODUCT}); "
+            "use a smaller wedge expression"
+        )
     m1_star, m2_star = m1.marker_component, m2.marker_component
 
     def relabel(m: HModel, tag: str):
@@ -253,6 +267,11 @@ _WEDGE_TOKENS = ("∨", "v")
 def parse_wedge_expr(text: str) -> HModel:
     """Parse ``interval | circle | ray | (expr ∨ expr)`` and build the model."""
     toks = _tokenize(text)
+    depth = 0
+    for tok in toks:
+        depth += (tok == "(") - (tok == ")")
+        if depth > MAX_WEDGE_DEPTH:
+            raise ParseError(f"wedge expression nests deeper than {MAX_WEDGE_DEPTH} levels")
     model, rest = _parse_expr(toks)
     if rest:
         raise ParseError(f"trailing tokens {rest!r} in wedge expression")

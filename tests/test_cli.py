@@ -146,6 +146,24 @@ def test_exit_codes(graph_file, tmp_path, capsys):
     assert 'error kind=cap' in err
 
 
+def test_wedge_nesting_depth_cap(capsys):
+    expr = "interval"
+    for _ in range(1200):
+        expr = f"({expr} v interval)"
+    assert run(["wedge", "--expr", expr]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=parse") and "deeper than" in err
+
+
+def test_wedge_locus_product_cap(capsys):
+    expr = "ray"
+    for _ in range(14):
+        expr = f"({expr} v ray)"
+    assert run(["wedge", "--expr", expr]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=cap") and "8192 product pieces" in err
+
+
 def test_deterministic_output(graph_file, capsys):
     gf = graph_file("G_LINE")
     args = ["oracle", "--graph", gf, "--step", "1/2", "--trunc", "1", "--delta", "3/5", "-n", "1"]

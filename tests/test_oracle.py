@@ -16,13 +16,9 @@ from rayspace import (
     oracle_hausdorff,
     parse_set,
 )
-from rayspace._kernels import (
-    HAVE_NUMBA,
-    NUMBA_IMPLS,
-    NUMPY_IMPLS,
-    distance_matrix,
-)
-from rayspace.oracle import _sample_set, _scaled_graph, _scaled_points
+from rayspace._kernels import component_labels, directed_maxmin, distance_matrix
+from rayspace.graph import GraphPoint, point_distance
+from rayspace.oracle import _directed_exact, _sample_set, _scaled_graph, _scaled_points
 
 from conftest import random_subset
 
@@ -136,12 +132,10 @@ def test_component_partition_refines_by_direction(graphs):
     assert res.count == sum(res.group_counts.values())
 
 
-@pytest.mark.skipif(not HAVE_NUMBA, reason="numba backend unavailable")
-def test_backends_agree(graphs):
+def test_kernels_match_exact_reference(graphs):
     g = graphs["G_NOOSE"]
-    sg = _scaled_graph(g, [2])
+    h = F(1, 2)
     rng = random.Random(99)
-    args = (sg.end_vertex, sg.elem_len, sg.dvert)
     for _ in range(10):
         A = random_subset(g, rng, span=F(2))
         B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(2))
@@ -149,36 +143,64 @@ def test_backends_agree(graphs):
         for S in (A, B):
             if S.tail_on("R1") is not None:
                 caps["R1"] = max(caps.get("R1", F(2)), S.tail_on("R1"))
-        pa = _sample_set(g, A, F(1, 2), caps)
-        pb = _sample_set(g, B, F(1, 2), caps)
+        pa = _sample_set(g, A, h, caps)
+        pb = _sample_set(g, B, h, caps)
+        sg = _scaled_graph(g, [h.denominator] + [c.denominator for _, c in pa + pb])
         ae, ac = _scaled_points(sg, pa)
         be, bc = _scaled_points(sg, pb)
-        assert NUMBA_IMPLS["directed"](ae, ac, be, bc, *args) == NUMPY_IMPLS["directed"](
-            ae, ac, be, bc, *args
-        )
+        d = directed_maxmin(ae, ac, be, bc, sg.end_vertex, sg.elem_len, sg.dvert)
+        assert F(d, sg.scale) == _directed_exact(g, pa, pb)
 
+    sg = _scaled_graph(g, [h.denominator])
+    args = (sg.end_vertex, sg.elem_len, sg.dvert)
     universe = [("E1", F(k, 2)) for k in range(3)] + [("R1", F(k, 2)) for k in range(5)]
+    pts = [GraphPoint(eid, c) for eid, c in universe]
     pe, pc = _scaled_points(sg, universe)
     dmat = distance_matrix(pe, pc, *args)
-    assert np.array_equal(dmat, NUMPY_IMPLS["distance_matrix"](pe, pc, *args))
-    sets = enumerate_sets(g, F(1, 2), F(2), 2, 1)
+    assert dmat.dtype == np.int64
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert dmat[i, j] == point_distance(g, p, q) * sg.scale
+
+    sets = enumerate_sets(g, h, F(2), 2, 1)
     masks = np.zeros((len(sets), len(universe)), dtype=bool)
     pos = {pt: i for i, pt in enumerate(universe)}
     for i, S in enumerate(sets):
-        for pt in _sample_set(g, S, F(1, 2), {"R1": F(2)}):
+        for pt in _sample_set(g, S, h, {"R1": F(2)}):
             masks[i, pos[pt]] = True
-    thr = np.int64(int(F(3, 5) * sg.scale))
-    la = NUMBA_IMPLS["component_labels"](masks, dmat, thr)
-    lb = NUMPY_IMPLS["component_labels"](masks, dmat, thr)
 
-    def normalize(labels):
-        first = {}
-        out = []
-        for x in labels:
-            out.append(first.setdefault(int(x), len(first)))
-        return out
+    # reference: plain BFS over pairs at exact symmetric max-min distance <= delta
+    exact = [[point_distance(g, p, q) for q in pts] for p in pts]
+    members = [np.nonzero(row)[0].tolist() for row in masks]
 
-    assert normalize(la) == normalize(lb)
+    def directed(a, b):
+        return max(min(exact[x][y] for y in b) for x in a)
+
+    sym = [[max(directed(a, b), directed(b, a)) for b in members] for a in members]
+    counts = []
+    for delta in (F(0), F(3, 5)):  # 0 merges only sets with equal grid samples
+        labels = component_labels(masks, dmat, int(delta * sg.scale))
+        assert labels.dtype == np.int64
+        seen, reference = set(), set()
+        for s in range(len(sets)):
+            if s in seen:
+                continue
+            seen.add(s)
+            queue, comp = [s], {s}
+            while queue:
+                i = queue.pop()
+                for j in range(len(sets)):
+                    if j not in seen and sym[i][j] <= delta:
+                        seen.add(j)
+                        comp.add(j)
+                        queue.append(j)
+            reference.add(frozenset(comp))
+        found = {}
+        for i, lab in enumerate(labels):
+            found.setdefault(int(lab), set()).add(i)
+        assert {frozenset(c) for c in found.values()} == reference
+        counts.append(len(reference))
+    assert counts[0] > counts[1] == 1
 
 
 def test_representative_of_each_class_connects_to_canonical(graphs):

@@ -16,6 +16,7 @@ from rayspace import (
     in_cn,
     is_subset,
     lipschitz_bound,
+    parse_graph,
     parse_set,
     path_to_canonical,
     same_component_hausdorff,
@@ -169,6 +170,30 @@ def test_walk_covers_all_edges(graphs):
         for e in g.edges:
             assert seen[e.id] == (0, e.length)
         assert walk.total_length == 2 * sum(e.length for e in g.edges)
+
+
+def test_covering_walk_on_long_path_graph():
+    # 1500 edges in a row: deeper than the interpreter's recursion limit
+    n = 1500
+    g = parse_graph(
+        "vertex " + " ".join(f"v{i}" for i in range(n + 1)) + "\n"
+        + "\n".join(f"edge E{i} v{i} v{i + 1}" for i in range(n))
+    )
+    P = path_to_canonical(g, parse_set("E0:{0}", g), 1)
+    legs = P.stages[2].walk.legs
+    assert len(legs) == 3000
+    assert legs[0] == ("E0", 0, 1) and legs[-1] == ("E0", 1, 0)
+    assert legs[n - 1] == (f"E{n - 1}", 0, 1) and legs[n] == (f"E{n - 1}", 1, 0)
+
+
+def test_hyperpath_rejects_unchained_stages(graphs):
+    g = graphs["G_R"]
+    f0 = StageF0(g, parse_set("R1:{0}", g), ())
+    f1 = StageF0(g, parse_set("R1:{1}", g), ())
+    with pytest.raises(PreconditionError, match="stage 1"):
+        HyperPath(g, (f0, f1))
+    with pytest.raises(PreconditionError):
+        HyperPath(g, ())
 
 
 def test_path_membership_and_monotone_components(graphs):
