@@ -2,7 +2,9 @@
 
 All numeric input and output is exact rational text (``p/q`` or ``inf``).
 Errors print a single machine-parsable record to stderr and exit with a
-class code: 1 usage, 2 parse, 3 precondition, 4 resource cap.
+class code: 1 usage, 2 parse, 3 precondition, 4 resource cap, 5 internal
+error (any other exception, including a bare ``RayspaceError`` from a failed
+invariant check; its message names the exception type and where it arose).
 """
 
 from __future__ import annotations
@@ -10,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,6 +30,10 @@ from .paths import (
 from .sets import component_count, parse_set
 from .vietoris import continuity_witness, member_basic, member_lower, member_upper, parse_region, union_regions
 from .wedge import model_report, parse_wedge_expr
+
+
+# Hard limit on --samples: one path evaluation and one output line per sample.
+MAX_PATH_SAMPLES = 10_000
 
 
 class _UsageError(Exception):
@@ -78,6 +85,11 @@ def _fmt_dirs(ds: frozenset[int]) -> str:
 def _emit_path(P: HyperPath, out: str, samples: int) -> None:
     if samples < 1:
         raise PreconditionError("--samples must be at least 1")
+    if samples > MAX_PATH_SAMPLES:
+        raise CapExceededError(
+            f"--samples {samples} would evaluate {samples + 1} path values; "
+            f"the cap is {MAX_PATH_SAMPLES}"
+        )
     lines = ["t\tset"]
     for j in range(samples + 1):
         t = Fraction(j, samples)
@@ -284,6 +296,10 @@ def run(argv: list[str] | None = None) -> int:
         return _error("precondition", 3, str(exc))
     except CapExceededError as exc:
         return _error("cap", 4, str(exc))
+    except Exception as exc:  # the one-line error contract holds for bugs too
+        frame = traceback.extract_tb(exc.__traceback__)[-1]
+        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        return _error("internal", 5, f"{type(exc).__name__} at {where}: {exc}")
 
 
 def main() -> None:

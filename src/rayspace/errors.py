@@ -2,7 +2,9 @@
 
 The CLI maps these onto exit-code classes: parse problems (bad input text
 or an invalid graph description) exit 2, violated preconditions exit 3,
-resource caps exit 4.
+resource caps exit 4.  A bare ``RayspaceError`` marks a failed internal
+invariant; the CLI reports it, like any other unexpected exception, as an
+internal error with exit 5.
 """
 
 from __future__ import annotations

@@ -8,6 +8,8 @@ graph is immutable after construction and safe to share between threads.
 
 from __future__ import annotations
 
+import heapq
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -174,34 +176,34 @@ class RayGraph:
 
     @cached_property
     def vertex_distances(self) -> dict[tuple[str, str], Fraction]:
-        """All-pairs shortest path distances between vertices (exact)."""
-        verts = self.vertices
-        big = None  # None stands for "not yet reachable" during relaxation
-        dist: dict[tuple[str, str], Fraction | None] = {
-            (a, b): (Fraction(0) if a == b else big) for a in verts for b in verts
-        }
+        """All-pairs shortest path distances between vertices (exact).
+
+        Dijkstra from each vertex over integer lengths scaled by the lcm of the
+        edge-length denominators; loops never shorten a path and are skipped.
+        """
+        scale = math.lcm(*(e.length.denominator for e in self.edges))
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for e in self.edges:
-            if e.is_loop:
-                continue
-            for a, b in ((e.u, e.v), (e.v, e.u)):
-                cur = dist[(a, b)]
-                if cur is None or e.length < cur:
-                    dist[(a, b)] = e.length
-        for k in verts:
-            for i in verts:
-                dik = dist[(i, k)]
-                if dik is None:
+            if not e.is_loop:
+                w = e.length.numerator * (scale // e.length.denominator)
+                adj[index[e.u]].append((w, index[e.v]))
+                adj[index[e.v]].append((w, index[e.u]))
+        table: dict[tuple[str, str], Fraction] = {}
+        for a in self.vertices:
+            dist = [None] * len(self.vertices)
+            heap = [(0, index[a])]
+            while heap:
+                d, i = heapq.heappop(heap)
+                if dist[i] is not None:
                     continue
-                for j in verts:
-                    dkj = dist[(k, j)]
-                    if dkj is None:
-                        continue
-                    cand = dik + dkj
-                    cur = dist[(i, j)]
-                    if cur is None or cand < cur:
-                        dist[(i, j)] = cand
-        # connectivity was validated up front, so nothing is unreachable
-        return {k: v for k, v in dist.items() if v is not None}
+                dist[i] = d
+                for w, j in adj[i]:
+                    if dist[j] is None:
+                        heapq.heappush(heap, (d + w, j))
+            # connectivity was validated up front, so every vertex is reached
+            table.update(((a, b), Fraction(d, scale)) for b, d in zip(self.vertices, dist))
+        return table
 
     def vertex_distance(self, a: str, b: str) -> Fraction:
         try:

@@ -1,17 +1,24 @@
 """Exact extended-valued Hausdorff distance between closed subsets.
 
-Distances to a target set restricted to one element are piecewise-linear
-with slopes in {-1, 0, +1}; the directed Hausdorff sup is taken over the
-breakpoints of that lower envelope, so every finite answer is an exact
-rational.  Infinity (a plain ``float('inf')``) appears exactly when one set
-is unbounded on a ray where the other is not.
+On one element of length L, d(x, B) is the least of x + d(end0, B), of
+L - x + d(end1, B) and of the distance from x to B's own pieces there: a
+1-D L1 distance transform, piecewise-linear with slopes in {-1, 0, +1}.
+Its breakpoints lie among O(c) candidates for c pieces: 0 and L, B's piece
+ends and the midpoints of the gaps between them, (a - d0)/2 for each piece
+start a, (L + d1 + b)/2 for each piece end b, and (L + d1 - d0)/2 where the
+two end lines cross.  They are sorted once and each is evaluated by one
+bisect into B's pieces, so an element costs O(c log c).  The directed sup
+walks A's sorted spans and the envelope's breakpoints together once.  Every
+finite answer is an exact rational; infinity (a plain ``float('inf')``)
+appears exactly when one set is unbounded on a ray where the other is not.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Union
+from typing import Union
 
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph
@@ -23,26 +30,6 @@ ExtendedDistance = Union[Fraction, float]
 
 def is_infinite(d: ExtendedDistance) -> bool:
     return d == INF
-
-
-# ---- candidate functions -------------------------------------------------
-# A candidate is (eval, breakpoints): a convex PL function of the element
-# coordinate bounding the distance to the target set from above; their
-# pointwise min is the exact restricted distance.
-
-_Candidate = tuple[Callable[[Fraction], Fraction], tuple[Fraction, ...]]
-
-
-def _line(slope: int, const: Fraction) -> _Candidate:
-    return (lambda x, s=slope, c=const: s * x + c, ())
-
-
-def _vee(a: Fraction, b: Fraction) -> _Candidate:
-    return (lambda x, a=a, b=b: max(a - x, x - b, Fraction(0)), (a, b))
-
-
-def _tail_vee(s: Fraction) -> _Candidate:
-    return (lambda x, s=s: max(s - x, Fraction(0)), (s,))
 
 
 def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
@@ -68,29 +55,58 @@ def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
     return best
 
 
-def _element_candidates(
-    g: RayGraph, eid: str, B: ClosedSubset, vcache: dict[str, Fraction]
-) -> list[_Candidate]:
-    def dv(v: str) -> Fraction:
-        if v not in vcache:
-            vcache[v] = _vertex_to_set(g, v, B)
-        return vcache[v]
+class _ElementDistance:
+    """x -> d((eid, x), B) on one element: the least of the line x + d0 out
+    through the first end, the line L - x + d1 out through the far end (edges
+    only) and the 1-D distance from x to B's own pieces on the element."""
 
-    end0, end1 = g.element_end_vertices(eid)
-    length = g.element_length(eid)
-    cands = [_line(1, dv(end0))]
-    if end1 is not None:
-        cands.append(_line(-1, length + dv(end1)))
-    ep = B.by_element.get(eid)
-    if ep is not None:
-        for a, b in ep.intervals:
-            cands.append(_vee(a, b))
-        if ep.tail is not None:
-            cands.append(_tail_vee(ep.tail))
-    return cands
+    def __init__(self, g: RayGraph, eid: str, B: ClosedSubset, vcache: dict[str, Fraction]):
+        end0, end1 = g.element_end_vertices(eid)
+        for v in (end0, end1):
+            if v is not None and v not in vcache:
+                vcache[v] = _vertex_to_set(g, v, B)
+        self.length = g.element_length(eid)
+        self.d0, self.d1 = vcache[end0], vcache.get(end1)  # d1 is None on rays
+        spans = list(B.intervals_on(eid))
+        if B.tail_on(eid) is not None:
+            spans.append((B.tail_on(eid), None))  # None: B's unbounded tail
+        self.starts, self.ends = [a for a, _ in spans], [b for _, b in spans]
 
+    def __call__(self, x: Fraction) -> Fraction:
+        best = x + self.d0
+        if self.d1 is not None:
+            best = min(best, self.length - x + self.d1)
+        i = bisect_right(self.starts, x)
+        if i:
+            b = self.ends[i - 1]
+            if b is None or x <= b:
+                return Fraction(0)
+            best = min(best, x - b)
+        if i < len(self.starts):
+            best = min(best, self.starts[i] - x)
+        return best
 
-# ---- PL lower envelopes ----------------------------------------------------
+    def breakpoints(self) -> list[Fraction]:
+        """Sorted abscissas containing every breakpoint of the envelope.
+
+        Every candidate has slope -1, 0 or +1, so a breakpoint is a piece end,
+        a gap midpoint or a crossing of an end line with a piece's nearest arm.
+        """
+        length, d0, d1 = self.length, self.d0, self.d1
+        xs = {Fraction(0)}
+        if length is not None:
+            xs.update((length, (length + d1 - d0) / 2))
+        prev = None
+        for a, b in zip(self.starts, self.ends):
+            xs.update((a, (a - d0) / 2))
+            if prev is not None:
+                xs.add((prev + a) / 2)
+            if b is not None:
+                xs.add(b)
+                if length is not None:
+                    xs.add((length + d1 + b) / 2)
+            prev = b
+        return sorted(x for x in xs if x >= 0 and (length is None or x <= length))
 
 
 @dataclass(frozen=True)
@@ -121,65 +137,50 @@ class DistanceProfile:
         v1, v2 = vals[lo], vals[hi]
         return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
 
-    def sup_on(self, a: Fraction, b: Fraction) -> Fraction:
-        """Max of the profile over the closed interval [a, b]."""
-        best = max(self.eval(a), self.eval(b))
-        for x in self.xs:
-            if a < x < b:
-                best = max(best, self.eval(x))
-        return best
-
     def min_value(self) -> Fraction:
         return min(self.vals)
-
-
-def _pairwise_crossings(
-    cands: list[_Candidate], x1: Fraction, x2: Fraction | None
-) -> list[Fraction]:
-    """Crossing abscissas of candidate pairs inside (x1, x2); x2=None means unbounded."""
-    probe = x2 if x2 is not None else x1 + 1
-    out = []
-    vals1 = [f(x1) for f, _ in cands]
-    vals2 = [f(probe) for f, _ in cands]
-    for i in range(len(cands)):
-        for j in range(i + 1, len(cands)):
-            m_i = (vals2[i] - vals1[i]) / (probe - x1)
-            m_j = (vals2[j] - vals1[j]) / (probe - x1)
-            if m_i == m_j:
-                continue
-            x = x1 + (vals1[j] - vals1[i]) / (m_i - m_j)
-            if x1 < x and (x2 is None or x < x2):
-                out.append(x)
-    return out
 
 
 def distance_profile(
     g: RayGraph, eid: str, B: ClosedSubset, _vcache: dict[str, Fraction] | None = None
 ) -> DistanceProfile:
     """Build the exact lower envelope of coord -> d(., B) on one element."""
-    vcache = _vcache if _vcache is not None else {}
-    cands = _element_candidates(g, eid, B, vcache)
-    length = g.element_length(eid)
-    xs = {Fraction(0)}
-    if length is not None:
-        xs.add(length)
-    for _, bps in cands:
-        xs.update(bp for bp in bps if bp >= 0 and (length is None or bp <= length))
-    xs = sorted(xs)
-    extra: list[Fraction] = []
-    for k in range(len(xs) - 1):
-        extra.extend(_pairwise_crossings(cands, xs[k], xs[k + 1]))
-    if length is None:
-        extra.extend(_pairwise_crossings(cands, xs[-1], None))
-    all_xs = sorted(set(xs) | set(extra))
-    vals = [min(f(x) for f, _ in cands) for x in all_xs]
-    if length is None:
-        probe = all_xs[-1] + 1
-        slope = min(f(probe) for f, _ in cands) - vals[-1]
-        final_slope = 1 if slope > 0 else 0
-    else:
-        final_slope = 0
-    return DistanceProfile(eid, tuple(all_xs), tuple(vals), final_slope)
+    f = _ElementDistance(g, eid, B, _vcache if _vcache is not None else {})
+    xs = f.breakpoints()
+    # far out on a ray the distance is 0 inside B's tail and grows with slope 1 otherwise
+    final_slope = 1 if f.length is None and (not f.ends or f.ends[-1] is not None) else 0
+    return DistanceProfile(eid, tuple(xs), tuple(f(x) for x in xs), final_slope)
+
+
+def _sup_on_spans(prof: DistanceProfile, spans: list[tuple[Fraction, Fraction]]) -> Fraction:
+    """Max of the profile over sorted disjoint closed spans, in one walk over its breakpoints.
+
+    Between consecutive breakpoints the profile is linear with slope -1, 0 or
+    +1, so a span end's value follows from its left neighbour and the sign of
+    the step to its right one.
+    """
+    xs, vals = prof.xs, prof.vals
+    n = len(xs)
+
+    def value_at(k: int, x: Fraction) -> Fraction:  # xs[k - 1] <= x, and x <= xs[k] if k < n
+        if k < n and xs[k] == x:
+            return vals[k]
+        v1, step = vals[k - 1], x - xs[k - 1]
+        if k == n:
+            return v1 + prof.final_slope * step
+        return v1 + step if vals[k] > v1 else v1 - step if vals[k] < v1 else v1
+
+    best = Fraction(0)
+    k = 0
+    for a, b in spans:
+        while k < n and xs[k] < a:
+            k += 1
+        best = max(best, value_at(k, a))
+        while k < n and xs[k] <= b:
+            best = max(best, vals[k])
+            k += 1
+        best = max(best, value_at(k, b))
+    return best
 
 
 # ---- the metric ------------------------------------------------------------
@@ -188,9 +189,7 @@ def distance_profile(
 def dist_point_to_set(g: RayGraph, p: GraphPoint, B: ClosedSubset) -> Fraction:
     """Exact distance from a point to a nonempty closed subset (always attained)."""
     g.validate_point(p)
-    vcache: dict[str, Fraction] = {}
-    cands = _element_candidates(g, p.element, B, vcache)
-    return min(f(p.coord) for f, _ in cands)
+    return _ElementDistance(g, p.element, B, {})(p.coord)
 
 
 def directed_hausdorff(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> ExtendedDistance:
@@ -203,13 +202,10 @@ def directed_hausdorff(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> Extende
     best = Fraction(0)
     vcache: dict[str, Fraction] = {}
     for eid, ep in A.pieces:
-        prof = distance_profile(g, eid, B, vcache)
-        for a, b in ep.intervals:
-            best = max(best, prof.sup_on(a, b))
-        if ep.tail is not None:
-            b_tail = B.tail_on(eid)
-            hi = max(ep.tail, b_tail)
-            best = max(best, prof.sup_on(ep.tail, hi))
+        spans = list(ep.intervals)
+        if ep.tail is not None:  # B's tail covers A's beyond max(tail starts)
+            spans.append((ep.tail, max(ep.tail, B.tail_on(eid))))
+        best = max(best, _sup_on_spans(distance_profile(g, eid, B, vcache), spans))
     return best
 
 

@@ -13,11 +13,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import ParseError, PreconditionError, RayspaceError
+from .errors import CapExceededError, ParseError, PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, point_distance
 from .metric import dist_point_to_set, distance_profile
 from .paths import HyperPath
 from .sets import ClosedSubset
+
+# Hard limit on the sample offsets one round of a continuity witness checks
+# (about delta / resolution, largest in the first round).
+MAX_WITNESS_SAMPLES = 100_000
 
 # A derived interval: (lo, lo_open, hi, hi_open); hi None means unbounded.
 DerivedInterval = tuple[Fraction, bool, Fraction | None, bool]
@@ -202,7 +206,8 @@ def continuity_witness(
     Starting from the largest delta that reaches an end of [0, 1], halve
     until every sampled t with |t - t0| <= delta (step = resolution) keeps
     the path value inside the basic open; report failure when delta would
-    drop below the resolution.
+    drop below the resolution.  Raises ``CapExceededError`` when a round
+    would check more than ``MAX_WITNESS_SAMPLES`` offsets.
     """
     t0 = Fraction(t0)
     resolution = Fraction(resolution)
@@ -224,6 +229,11 @@ def continuity_witness(
     last_bad: Fraction | None = None
     while delta >= resolution:
         steps = int(delta / resolution)
+        if steps + 1 > MAX_WITNESS_SAMPLES:
+            raise CapExceededError(
+                f"continuity witness would check about {steps + 1} sample offsets "
+                f"(delta {delta}, resolution {resolution}); the cap is {MAX_WITNESS_SAMPLES}"
+            )
         offsets = [delta] + [k * resolution for k in range(steps, 0, -1)]
         bad = None
         for off in offsets:  # outermost first: failures live near the ends

@@ -1,8 +1,10 @@
 import json
+import time
 
 import pytest
 
-from rayspace.cli import run
+from rayspace import RayspaceError, cli
+from rayspace.cli import MAX_PATH_SAMPLES, run
 
 from conftest import GRAPH_TEXTS
 
@@ -194,3 +196,37 @@ def test_vietoris_witness_failure_output(graph_file, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "witness=failure" in out and "first_bad_t=" in out
+
+
+def test_vietoris_witness_sample_cap(graph_file, capsys):
+    gf = graph_file("G_LINE")
+    start = time.perf_counter()
+    code = run(["vietoris", "--graph", gf, "--a", "R1:{0}", "--open", "all",
+                "--witness", "1/2", "--res", "1/1000000000"])
+    assert code == 4
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=cap") and "about 500000001 sample offsets" in err
+
+
+def test_emit_path_samples_cap(graph_file, capsys, tmp_path):
+    gf = graph_file("G_LINE")
+    dump = tmp_path / "p.tsv"
+    code = run(["path", "--graph", gf, "--a", "R1:{0}", "-n", "1",
+                "--emit-path", str(dump), "--samples", str(MAX_PATH_SAMPLES + 1)])
+    assert code == 4
+    assert capsys.readouterr().err.startswith("error kind=cap")
+    assert not dump.exists()
+
+
+@pytest.mark.parametrize("exc", [RayspaceError("stage invariant broken"), ZeroDivisionError("boom")])
+def test_internal_errors_exit_5(monkeypatch, capsys, exc):
+    def broken(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "wedge", broken)
+    assert run(["wedge", "--expr", "ray"]) == 5
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f'error kind=internal msg="{type(exc).__name__} at test_cli.py:')
+    assert err[0].endswith(f'{exc}"')

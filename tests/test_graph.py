@@ -119,3 +119,43 @@ def test_point_metric_axioms_on_random_triples(graphs):
             assert dpq >= 0
             assert (dpq == 0) == (g.normalize_point(p) == g.normalize_point(q))
             assert dpq <= point_distance(g, p, r) + point_distance(g, r, q)
+
+
+def _floyd_warshall(g):
+    """Reference vertex table: the O(V^3) Fraction Floyd-Warshall relaxation."""
+    verts = g.vertices
+    dist = {(a, b): (F(0) if a == b else None) for a in verts for b in verts}
+    for e in g.edges:
+        for a, b in ((e.u, e.v), (e.v, e.u)):
+            if a != b and (dist[(a, b)] is None or e.length < dist[(a, b)]):
+                dist[(a, b)] = e.length
+    for k in verts:
+        for i in verts:
+            if dist[(i, k)] is None:
+                continue
+            for j in verts:
+                if dist[(k, j)] is not None:
+                    cand = dist[(i, k)] + dist[(k, j)]
+                    if dist[(i, j)] is None or cand < dist[(i, j)]:
+                        dist[(i, j)] = cand
+    return dist
+
+
+def test_vertex_tables_match_floyd_warshall_on_seeded_rings():
+    rng = random.Random(4099)
+    for n in (1, 2, 3, 5, 8, 13, 21, 30):
+        lines = ["vertex " + " ".join(f"v{i}" for i in range(n))]
+        for i in range(n):
+            length = F(rng.randint(1, 24), rng.choice((1, 2, 3, 4, 7)))
+            lines.append(f"edge e{i} v{i} v{(i + 1) % n} length {length}")  # n = 1: a loop
+        for j in range(n // 2 + 1):
+            a, b = rng.randrange(n), rng.randrange(n)  # a == b makes a loop
+            chord = F(rng.randint(1, 60), rng.choice((1, 3, 5)))
+            lines.append(f"edge c{j} v{a} v{b} length {chord}")
+            k = rng.randrange(n)  # a parallel copy of a ring edge, sometimes shorter
+            lines.append(f"edge p{j} v{k} v{(k + 1) % n} length {F(rng.randint(1, 30), 4)}")
+        lines.append(f"ray R1 v{rng.randrange(n)}")
+        g = parse_graph("\n".join(lines))
+        table = vertex_distance_table(g)
+        assert table == _floyd_warshall(g)
+        assert list(table) == [(a, b) for a in g.vertices for b in g.vertices]

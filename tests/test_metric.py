@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 from rayspace import (
     INF,
+    ClosedSubset,
     GraphPoint,
     direction_set,
     directed_hausdorff,
@@ -12,10 +13,13 @@ from rayspace import (
     is_infinite,
     is_subset,
     oracle_hausdorff,
+    parse_graph,
     parse_set,
     point_distance,
     union,
 )
+
+from rayspace.metric import DistanceProfile
 
 from conftest import random_subset
 
@@ -145,3 +149,120 @@ def test_oracle_agreement_on_bounded_pairs(graphs):
             exact = hausdorff(g, A, B)
             approx = oracle_hausdorff(g, A, B, h, F(4))
             assert abs(approx - exact) <= h
+
+
+# ---- reference: the pairwise-crossing envelope -----------------------------
+# Every candidate (the two end lines and one vee per piece of B) is a closure,
+# and every pair of candidates is intersected on every segment between the
+# candidates' own breakpoints: O(c^3) per element, but independent of the
+# O(c) candidate set in metric.py.  Vertex-to-set distances come from
+# point_distance.
+
+
+def _ref_vertex_to_set(g, v, B):
+    p = GraphPoint(*g.vertex_representations(v)[0])
+    ends = [(eid, c) for eid, ep in B.pieces for iv in ep.intervals for c in iv]
+    ends += [(eid, ep.tail) for eid, ep in B.pieces if ep.tail is not None]
+    return min(point_distance(g, p, GraphPoint(eid, c)) for eid, c in ends)
+
+
+def _ref_profile(g, eid, B) -> DistanceProfile:
+    end0, end1 = g.element_end_vertices(eid)
+    length = g.element_length(eid)
+    d0 = _ref_vertex_to_set(g, end0, B)
+    cands = [(lambda x: x + d0, ())]
+    if end1 is not None:
+        d1 = _ref_vertex_to_set(g, end1, B)
+        cands.append((lambda x: length - x + d1, ()))
+    ep = B.by_element.get(eid)
+    for a, b in ep.intervals if ep is not None else ():
+        cands.append((lambda x, a=a, b=b: max(a - x, x - b, F(0)), (a, b)))
+    if ep is not None and ep.tail is not None:
+        cands.append((lambda x, s=ep.tail: max(s - x, F(0)), (ep.tail,)))
+
+    def envelope(x):
+        return min(f(x) for f, _ in cands)
+
+    xs = sorted({F(0)} | ({length} if length is not None else set())
+                | {bp for _, bps in cands for bp in bps})
+    segments = list(zip(xs, xs[1:])) + ([(xs[-1], None)] if length is None else [])
+    crossings = set()
+    for x1, x2 in segments:
+        probe = x2 if x2 is not None else x1 + 1
+        lines = [(f(x1), (f(probe) - f(x1)) / (probe - x1)) for f, _ in cands]
+        for i, (v_i, m_i) in enumerate(lines):
+            for v_j, m_j in lines[i + 1:]:
+                if m_i != m_j:
+                    x = x1 + (v_j - v_i) / (m_i - m_j)
+                    if x1 < x and (x2 is None or x < x2):
+                        crossings.add(x)
+    all_xs = sorted(set(xs) | crossings)
+    vals = [envelope(x) for x in all_xs]
+    final_slope = 0
+    if length is None and envelope(all_xs[-1] + 1) > vals[-1]:
+        final_slope = 1
+    return DistanceProfile(eid, tuple(all_xs), tuple(vals), final_slope)
+
+
+def _ref_directed(g, A, B):
+    """sup of the reference profile at span ends and interior breakpoints."""
+    if any(ep.tail is not None and B.tail_on(eid) is None for eid, ep in A.pieces):
+        return INF
+    best = F(0)
+    for eid, ep in A.pieces:
+        prof = _ref_profile(g, eid, B)
+        spans = list(ep.intervals)
+        if ep.tail is not None:
+            spans.append((ep.tail, max(ep.tail, B.tail_on(eid))))
+        for a, b in spans:
+            inner = [v for x, v in zip(prof.xs, prof.vals) if a < x < b]
+            best = max([best, prof.eval(a), prof.eval(b), *inner])
+    return best
+
+
+def test_profile_matches_pairwise_reference(graphs):
+    rng = random.Random(31337)
+    for g in graphs.values():
+        for max_pieces in (1, 2, 3, 4):
+            for _ in range(6):
+                B = random_subset(g, rng, max_pieces=max_pieces)
+                for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
+                    prof, ref = distance_profile(g, eid, B), _ref_profile(g, eid, B)
+                    assert prof.final_slope == ref.final_slope
+                    far = max(prof.xs[-1], ref.xs[-1]) + 2
+                    for x in set(prof.xs) | set(ref.xs) | {far}:
+                        if g.element_length(eid) is None or x <= g.element_length(eid):
+                            assert prof.eval(x) == ref.eval(x), (eid, B, x)
+
+
+def test_directed_hausdorff_matches_pairwise_reference(graphs):
+    rng = random.Random(27182)
+    for g in graphs.values():
+        for max_pieces in (1, 2, 3, 4):
+            for _ in range(8):
+                A = random_subset(g, rng, max_pieces=max_pieces)
+                B = random_subset(g, rng, max_pieces=max_pieces)
+                assert directed_hausdorff(g, A, B) == _ref_directed(g, A, B), (A, B)
+
+
+def _interleaved_set(g, rng, m):
+    """m short intervals alternating between E1 and E2, plus a tail on R1."""
+    pos = {"E1": F(0), "E2": F(0)}
+    intervals = {"E1": [], "E2": []}
+    for i in range(m):
+        eid = "E1" if i % 2 == 0 else "E2"
+        a = pos[eid] + F(rng.randint(1, 40), rng.choice((1, 2, 3, 4)))
+        pos[eid] = b = a + F(rng.randint(1, 20), rng.choice((1, 2, 4)))
+        intervals[eid].append((a, b))
+    tail = F(rng.randint(0, 20), rng.choice((1, 2)))
+    return ClosedSubset.from_pieces(g, intervals, {"R1": tail})
+
+
+def test_directed_hausdorff_matches_reference_on_32_piece_sets():
+    g = parse_graph("vertex u v; edge E1 u v length 1000; edge E2 u v length 999; "
+                    "ray R1 u; ray R2 v")
+    rng = random.Random(1618)
+    for _ in range(2):
+        A, B = _interleaved_set(g, rng, 32), _interleaved_set(g, rng, 32)
+        assert directed_hausdorff(g, A, B) == _ref_directed(g, A, B)
+        assert directed_hausdorff(g, B, A) == _ref_directed(g, B, A)
