@@ -67,9 +67,9 @@ class _ElementDistance:
                 vcache[v] = _vertex_to_set(g, v, B)
         self.length = g.element_length(eid)
         self.d0, self.d1 = vcache[end0], vcache.get(end1)  # d1 is None on rays
-        spans = list(B.intervals_on(eid))
-        if B.tail_on(eid) is not None:
-            spans.append((B.tail_on(eid), None))  # None: B's unbounded tail
+        spans, tail = list(B.intervals_on(eid)), B.tail_on(eid)
+        if tail is not None:
+            spans.append((tail, None))  # None: B's unbounded tail
         self.starts, self.ends = [a for a, _ in spans], [b for _, b in spans]
 
     def __call__(self, x: Fraction) -> Fraction:
