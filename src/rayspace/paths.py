@@ -3,15 +3,21 @@ of a direction class, and the Vietoris growth path out to the whole space.
 
 A path is a sequence of stages, each mapping a local parameter in [0, 1] to a
 canonical closed subset; the composite path gives every stage an equal share
-of the global [0, 1].  Stage values chain exactly (checked at construction),
-and evaluation anywhere is exact rational arithmetic.
+of the global [0, 1].  Every stage has the one shape of :class:`Stage`: a
+fixed base united with the set a sweep builds at local time t.  The builders
+F0 (grow tails to their vertex), F1 (retract stray ray pieces), F2 (sweep the
+rayless core along a covering walk) and GAMMA (grow the missing rays via
+t/(1-t)) choose the sweep, its description and its Lipschitz bound.  Stage
+values chain exactly (checked at construction), and evaluation anywhere is
+exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from typing import Callable
 
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph
@@ -23,7 +29,6 @@ from .sets import (
     in_cn,
     touched_vertices,
     union,
-    whole_space,
 )
 
 
@@ -127,154 +132,111 @@ def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
 
 
 # ---- stages ----------------------------------------------------------------
+#
+# Sweeps return ``(intervals, tails)`` for ``ClosedSubset.from_pieces``.  They
+# live at module level, so stages compare, hash and pickle structurally.
+
+
+def _grow_tails(t: Fraction, grows) -> tuple[dict, dict]:
+    """F0: each ray's tail start slides from a to (1 - t) a."""
+    return {}, {rid: (1 - t) * a for rid, a in grows}
+
+
+def _retract_pieces(t: Fraction, moving) -> tuple[dict, dict]:
+    """F1: each ray piece [a, b] shrinks and slides to (1 - t) [a, b]."""
+    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
+    for rid, a, b in moving:
+        intervals.setdefault(rid, []).append(((1 - t) * a, (1 - t) * b))
+    return intervals, {}
+
+
+def _sweep_walk(t: Fraction, walk: Walk) -> tuple[dict, dict]:
+    """F2: what the covering walk has swept after the share t of its length."""
+    return walk.image_up_to(t * walk.total_length), {}
+
+
+def _grow_rays(t: Fraction, rays) -> tuple[dict, dict]:
+    """GAMMA: the missing rays grow as [0, t/(1-t)] and are whole at t = 1."""
+    if t == 1:
+        return {}, {rid: Fraction(0) for rid in rays}
+    return {rid: [(Fraction(0), t / (1 - t))] for rid in rays}, {}
 
 
 @dataclass(frozen=True)
-class StageF0:
-    """Grow each unbounded tail down to its attachment vertex."""
+class Stage:
+    """One path stage: ``base`` united with ``from_pieces(*sweep(t, *args))``.
 
+    With no sweep the stage is constant at ``base``; ``base`` is None when
+    everything moves.  ``backwards`` runs the local time from 1 down to 0.
+    """
+
+    kind: str
     graph: RayGraph
-    base: ClosedSubset
-    grows: tuple[tuple[str, Fraction], ...]  # (ray id, original tail start)
-    kind: str = field(default="F0", init=False)
+    base: ClosedSubset | None
+    desc: str
+    lipschitz_bound: ExtendedDistance
+    sweep: Callable[..., tuple[dict, dict]] | None = None
+    args: tuple = ()
+    backwards: bool = False
 
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
-        if not self.grows:
-            return self.base
-        tails = {rid: (1 - t) * a for rid, a in self.grows}
-        return union(self.base, ClosedSubset.from_pieces(self.graph, tails=tails))
-
-    @property
-    def lipschitz_bound(self) -> ExtendedDistance:
-        return max((a for _, a in self.grows), default=Fraction(0))
-
-    def describe(self) -> str:
-        if not self.grows:
-            return "F0 (no tails to grow)"
-        return "F0 grow tails: " + ", ".join(f"{rid} from {a}" for rid, a in self.grows)
-
-
-@dataclass(frozen=True)
-class StageF1:
-    """Shrink and slide bounded pieces on rays outside the direction set."""
-
-    graph: RayGraph
-    base: ClosedSubset | None  # the non-moving part; None when everything moves
-    moving: tuple[tuple[str, Fraction, Fraction], ...]
-    kind: str = field(default="F1", init=False)
-
-    def at(self, t) -> ClosedSubset:
-        t = _check_t(t)
-        if not self.moving:
+        if self.backwards:
+            t = 1 - t
+        if self.sweep is None:
             if self.base is None:
-                raise RayspaceError("F1 stage has neither a base nor moving pieces")
+                raise RayspaceError(f"{self.kind} stage has neither a base nor a sweep")
             return self.base
-        intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-        for rid, a, b in self.moving:
-            intervals.setdefault(rid, []).append(((1 - t) * a, (1 - t) * b))
-        moved = ClosedSubset.from_pieces(self.graph, intervals)
+        moved = ClosedSubset.from_pieces(self.graph, *self.sweep(t, *self.args))
         return moved if self.base is None else union(self.base, moved)
 
-    @property
-    def lipschitz_bound(self) -> ExtendedDistance:
-        return max((max(a, b) for _, a, b in self.moving), default=Fraction(0))
-
     def describe(self) -> str:
-        if not self.moving:
-            return "F1 (no ray pieces to retract)"
-        return "F1 retract ray pieces: " + ", ".join(
-            f"{rid}:[{a},{b}]" for rid, a, b in self.moving
+        return self.desc
+
+    def reversed(self) -> "Stage":
+        return replace(
+            self,
+            kind=self.kind + "~",
+            desc="reversed " + self.desc,
+            backwards=not self.backwards,
         )
 
 
-@dataclass(frozen=True)
-class StageF2:
+def F0(g: RayGraph, A: ClosedSubset, grows: tuple[tuple[str, Fraction], ...]) -> Stage:
+    """Grow each unbounded tail (ray id, tail start) down to its attachment vertex."""
+    if not grows:
+        return Stage("F0", g, A, "F0 (no tails to grow)", Fraction(0))
+    desc = "F0 grow tails: " + ", ".join(f"{rid} from {a}" for rid, a in grows)
+    return Stage("F0", g, A, desc, max(a for _, a in grows), _grow_tails, (grows,))
+
+
+def F1(
+    g: RayGraph, base: ClosedSubset | None, moving: tuple[tuple[str, Fraction, Fraction], ...]
+) -> Stage:
+    """Shrink and slide bounded pieces on rays outside the direction set."""
+    if not moving:
+        return Stage("F1", g, base, "F1 (no ray pieces to retract)", Fraction(0))
+    desc = "F1 retract ray pieces: " + ", ".join(f"{rid}:[{a},{b}]" for rid, a, b in moving)
+    bound = max(max(a, b) for _, a, b in moving)
+    return Stage("F1", g, base, desc, bound, _retract_pieces, (moving,))
+
+
+def F2(g: RayGraph, base: ClosedSubset, walk: Walk) -> Stage:
     """Grow along a covering walk until the whole rayless subgraph is included."""
-
-    graph: RayGraph
-    base: ClosedSubset
-    walk: Walk
-    kind: str = field(default="F2", init=False)
-
-    def at(self, t) -> ClosedSubset:
-        t = _check_t(t)
-        if not self.walk.legs:
-            return self.base
-        swept = self.walk.image_up_to(t * self.walk.total_length)
-        return union(self.base, ClosedSubset.from_pieces(self.graph, swept))
-
-    @property
-    def lipschitz_bound(self) -> ExtendedDistance:
-        return self.walk.total_length
-
-    def describe(self) -> str:
-        return f"F2 covering walk of length {self.walk.total_length} ({len(self.walk.legs)} legs)"
+    desc = f"F2 covering walk of length {walk.total_length} ({len(walk.legs)} legs)"
+    sweep = _sweep_walk if walk.legs else None
+    return Stage("F2", g, base, desc, walk.total_length, sweep, (walk,))
 
 
-@dataclass(frozen=True)
-class StageGamma:
+def GAMMA(g: RayGraph, delta: frozenset[int]) -> Stage:
     """Vietoris growth from the canonical element out to the whole space."""
-
-    graph: RayGraph
-    delta: frozenset[int]
-    kind: str = field(default="GAMMA", init=False)
-
-    @cached_property
-    def _start(self) -> ClosedSubset:
-        return canonical_element(self.graph, self.delta)
-
-    @cached_property
-    def _missing_rays(self) -> tuple[str, ...]:
-        return tuple(
-            r.id for i, r in self.graph.ray_by_index.items() if i not in self.delta
-        )
-
-    def at(self, t) -> ClosedSubset:
-        t = _check_t(t)
-        if not self._missing_rays:
-            return self._start
-        if t == 1:
-            return whole_space(self.graph)
-        reach = t / (1 - t)
-        grown = {rid: [(Fraction(0), reach)] for rid in self._missing_rays}
-        return union(self._start, ClosedSubset.from_pieces(self.graph, grown))
-
-    @property
-    def lipschitz_bound(self) -> ExtendedDistance:
-        # constant when the direction set is already full; otherwise the
-        # growth is Hausdorff-discontinuous at t=1
-        return Fraction(0) if not self._missing_rays else INF
-
-    def describe(self) -> str:
-        if not self._missing_rays:
-            return "GAMMA (direction set full; constant)"
-        return "GAMMA grow rays " + ", ".join(self._missing_rays) + " via t/(1-t)"
-
-
-@dataclass(frozen=True)
-class ReversedStage:
-    """Time-reversal wrapper; used to run a constructed path backwards."""
-
-    inner: object
-
-    def at(self, t) -> ClosedSubset:
-        return self.inner.at(1 - _check_t(t))
-
-    @property
-    def kind(self) -> str:
-        return self.inner.kind + "~"
-
-    @property
-    def graph(self) -> RayGraph:
-        return self.inner.graph
-
-    @property
-    def lipschitz_bound(self) -> ExtendedDistance:
-        return self.inner.lipschitz_bound
-
-    def describe(self) -> str:
-        return "reversed " + self.inner.describe()
+    start = canonical_element(g, delta)
+    missing = tuple(r.id for i, r in g.ray_by_index.items() if i not in delta)
+    if not missing:
+        return Stage("GAMMA", g, start, "GAMMA (direction set full; constant)", Fraction(0))
+    # the growth is Hausdorff-discontinuous at t = 1
+    desc = "GAMMA grow rays " + ", ".join(missing) + " via t/(1-t)"
+    return Stage("GAMMA", g, start, desc, INF, _grow_rays, (missing,))
 
 
 # ---- composite paths -------------------------------------------------------
@@ -285,7 +247,7 @@ class HyperPath:
     """A piecewise path [0,1] -> C_n(X); stages share the parameter equally."""
 
     graph: RayGraph
-    stages: tuple
+    stages: tuple[Stage, ...]
 
     def __post_init__(self):
         if not self.stages:
@@ -307,12 +269,12 @@ class HyperPath:
     def end(self) -> ClosedSubset:
         return self.stages[-1].at(1)
 
-    def stage_spans(self) -> list[tuple[Fraction, Fraction, object]]:
+    def stage_spans(self) -> list[tuple[Fraction, Fraction, Stage]]:
         k = len(self.stages)
         return [(Fraction(i, k), Fraction(i + 1, k), s) for i, s in enumerate(self.stages)]
 
     def reversed(self) -> "HyperPath":
-        return HyperPath(self.graph, tuple(ReversedStage(s) for s in reversed(self.stages)))
+        return HyperPath(self.graph, tuple(s.reversed() for s in reversed(self.stages)))
 
 
 def eval_path(P: HyperPath, t) -> ClosedSubset:
@@ -320,7 +282,7 @@ def eval_path(P: HyperPath, t) -> ClosedSubset:
     return P.at(t)
 
 
-def lipschitz_bound(P: HyperPath | object) -> ExtendedDistance:
+def lipschitz_bound(P: HyperPath | Stage) -> ExtendedDistance:
     """Worst per-stage Lipschitz constant (stage-local parametrization)."""
     stages = P.stages if isinstance(P, HyperPath) else (P,)
     bounds = [s.lipschitz_bound for s in stages]
@@ -338,7 +300,7 @@ def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
         for eid, ep in A.pieces
         if ep.tail is not None and ep.tail > 0
     )
-    f0 = StageF0(g, A, grows)
+    f0 = F0(g, A, grows)
     a1 = f0.at(1)
 
     delta = direction_set(g, A)
@@ -360,27 +322,27 @@ def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
         if keep_intervals or keep_tails
         else None
     )
-    f1 = StageF1(g, base1, tuple(moving))
+    f1 = F1(g, base1, tuple(moving))
     a2 = f1.at(1)
 
     if g.edges:
         walk = covering_walk(g, _least_core_point(g, a2))
     else:
         walk = Walk(())
-    f2 = StageF2(g, a2, walk)
+    f2 = F2(g, a2, walk)
     return HyperPath(g, (f0, f1, f2))
 
 
 def vietoris_path(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
     """Composite path A -> canonical element -> whole space (Vietoris-continuous)."""
     p = path_to_canonical(g, A, n)
-    gamma = StageGamma(g, direction_set(g, A))
+    gamma = GAMMA(g, direction_set(g, A))
     return HyperPath(g, p.stages + (gamma,))
 
 
 def gamma_path(g: RayGraph, delta: frozenset[int] | set[int]) -> HyperPath:
     """Just the growth stage from a canonical element out to the whole space."""
-    return HyperPath(g, (StageGamma(g, frozenset(delta)),))
+    return HyperPath(g, (GAMMA(g, frozenset(delta)),))
 
 
 @dataclass(frozen=True)
@@ -393,7 +355,7 @@ class ClassifyResult:
 
 
 def same_component_hausdorff(
-    g: RayGraph, A: ClosedSubset, B: ClosedSubset, n: int, with_path: bool = True
+    g: RayGraph, A: ClosedSubset, B: ClosedSubset, n: int
 ) -> ClassifyResult:
     """Decide whether A and B lie in one path-component of (C_n(X), d_H).
 
@@ -401,21 +363,14 @@ def same_component_hausdorff(
     A -> canonical element -> B.  Otherwise the least differing ray index
     witnesses the obstruction.
     """
+    if not in_cn(g, A, n) or not in_cn(g, B, n):
+        raise PreconditionError(f"set has more than {n} components")
     da = direction_set(g, A)
     db = direction_set(g, B)
     if da != db:
-        if not in_cn(g, A, n) or not in_cn(g, B, n):
-            raise PreconditionError(f"set has more than {n} components")
         return ClassifyResult(False, da, db, witness_ray=min(da ^ db))
-    if not with_path:
-        if not in_cn(g, A, n) or not in_cn(g, B, n):
-            raise PreconditionError(f"set has more than {n} components")
-        return ClassifyResult(True, da, db)
     if A == B:
-        constant = HyperPath(g, (StageF0(g, A, ()),))
-        if not in_cn(g, A, n):
-            raise PreconditionError(f"set has more than {n} components")
-        return ClassifyResult(True, da, db, path=constant)
+        return ClassifyResult(True, da, db, path=HyperPath(g, (F0(g, A, ()),)))
     pa = path_to_canonical(g, A, n)
     pb = path_to_canonical(g, B, n)
     path = HyperPath(g, pa.stages + pb.reversed().stages)

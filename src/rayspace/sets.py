@@ -28,9 +28,6 @@ class ElementPieces:
     intervals: tuple[Interval, ...]
     tail: Fraction | None = None  # tail start; rays only
 
-    def is_empty(self) -> bool:
-        return not self.intervals and self.tail is None
-
 
 @dataclass(frozen=True)
 class ClosedSubset:
@@ -81,9 +78,6 @@ class ClosedSubset:
     def tail_on(self, eid: str) -> Fraction | None:
         ep = self.by_element.get(eid)
         return ep.tail if ep else None
-
-    def is_bounded(self) -> bool:
-        return all(ep.tail is None for _, ep in self.pieces)
 
     def sort_key(self):
         return tuple(

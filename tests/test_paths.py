@@ -23,7 +23,7 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
-from rayspace.paths import StageF0, covering_walk, HyperPath
+from rayspace.paths import F0, covering_walk, HyperPath
 from rayspace.graph import GraphPoint
 
 from conftest import random_subset
@@ -118,6 +118,24 @@ def test_same_component_examples(graphs):
     assert lipschitz_bound(res3.path) == 0
 
 
+def test_same_component_rejects_too_many_components(graphs):
+    g = graphs["G_LINE"]
+    two = parse_set("R1:{1} R1:{2}", g)  # two components, so not in C_1
+    one = parse_set("R1:{1}", g)
+    mismatch = parse_set("R2:[0,inf)", g)
+    cases = [
+        (two, mismatch),  # direction sets differ
+        (mismatch, two),
+        (two, two),  # A == B
+        (two, one),  # the general path
+        (one, two),
+    ]
+    for A, B in cases:
+        with pytest.raises(PreconditionError, match="set has more than 1 components"):
+            same_component_hausdorff(g, A, B, 1)
+    assert same_component_hausdorff(g, two, one, 2).same_component
+
+
 def test_component_count_formula(graphs):
     assert component_count_formula(graphs["G_I"], 1) == 1
     assert component_count_formula(graphs["G_LINE"], 5) == 4
@@ -136,7 +154,7 @@ def test_lipschitz_bound_examples(graphs):
     g = graphs["G_R"]
     P = path_to_canonical(g, parse_set("R1:[2,inf)", g), 1)
     assert P.stages[0].lipschitz_bound == 2
-    constant = HyperPath(g, (StageF0(g, whole_space(g), ()),))
+    constant = HyperPath(g, (F0(g, whole_space(g), ()),))
     assert lipschitz_bound(constant) == 0
     assert lipschitz_bound(gamma_path(g, frozenset())) == INF
     assert lipschitz_bound(gamma_path(g, frozenset({1}))) == 0  # full: constant
@@ -148,7 +166,7 @@ def test_walk_length_six_lipschitz(graphs):
     A = parse_set("E1:{0}", g)
     P = path_to_canonical(g, A, 1)
     f2 = P.stages[2]
-    assert f2.walk.total_length == 6
+    assert f2.lipschitz_bound == 6
     rng = random.Random(33)
     for _ in range(100):
         s = F(rng.randint(0, 60), 60)
@@ -180,7 +198,8 @@ def test_covering_walk_on_long_path_graph():
         + "\n".join(f"edge E{i} v{i} v{i + 1}" for i in range(n))
     )
     P = path_to_canonical(g, parse_set("E0:{0}", g), 1)
-    legs = P.stages[2].walk.legs
+    assert P.stages[2].lipschitz_bound == 2 * n
+    legs = covering_walk(g, GraphPoint("E0", F(0))).legs
     assert len(legs) == 3000
     assert legs[0] == ("E0", 0, 1) and legs[-1] == ("E0", 1, 0)
     assert legs[n - 1] == (f"E{n - 1}", 0, 1) and legs[n] == (f"E{n - 1}", 1, 0)
@@ -188,8 +207,8 @@ def test_covering_walk_on_long_path_graph():
 
 def test_hyperpath_rejects_unchained_stages(graphs):
     g = graphs["G_R"]
-    f0 = StageF0(g, parse_set("R1:{0}", g), ())
-    f1 = StageF0(g, parse_set("R1:{1}", g), ())
+    f0 = F0(g, parse_set("R1:{0}", g), ())
+    f1 = F0(g, parse_set("R1:{1}", g), ())
     with pytest.raises(PreconditionError, match="stage 1"):
         HyperPath(g, (f0, f1))
     with pytest.raises(PreconditionError):

@@ -20,7 +20,7 @@ from rayspace import (
     union_regions,
     whole_space,
 )
-from rayspace.paths import HyperPath, StageF0
+from rayspace.paths import F0, HyperPath
 
 from conftest import random_point, random_subset
 
@@ -152,7 +152,7 @@ def test_witness_bounded_ball(graphs):
 def test_witness_constant_path(graphs):
     g = graphs["G_R"]
     X = whole_space(g)
-    P = HyperPath(g, (StageF0(g, X, ()),))
+    P = HyperPath(g, (F0(g, X, ()),))
     res = continuity_witness(P, F(0), [OpenRegion(g, (), all_space=True)], F(1, 100))
     assert res.ok and res.delta == 1
 
