@@ -27,7 +27,6 @@ from .metric import (
     ExtendedDistance,
     directed_hausdorff,
     dist_point_to_set,
-    distance_profile,
     hausdorff,
     is_infinite,
 )

@@ -137,9 +137,6 @@ class DistanceProfile:
         v1, v2 = vals[lo], vals[hi]
         return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
 
-    def min_value(self) -> Fraction:
-        return min(self.vals)
-
 
 def distance_profile(
     g: RayGraph, eid: str, B: ClosedSubset, _vcache: dict[str, Fraction] | None = None

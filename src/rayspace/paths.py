@@ -273,9 +273,6 @@ class HyperPath:
         k = len(self.stages)
         return [(Fraction(i, k), Fraction(i + 1, k), s) for i, s in enumerate(self.stages)]
 
-    def reversed(self) -> "HyperPath":
-        return HyperPath(self.graph, tuple(s.reversed() for s in reversed(self.stages)))
-
 
 def eval_path(P: HyperPath, t) -> ClosedSubset:
     """Value of the path at rational t in [0, 1]."""
@@ -291,8 +288,8 @@ def lipschitz_bound(P: HyperPath | Stage) -> ExtendedDistance:
     return max(bounds, default=Fraction(0))
 
 
-def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
-    """The three-stage path from A to the canonical element of its direction class."""
+def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stage, Stage]:
+    """F0, F1 and F2 from A to the canonical element of its direction class."""
     if not in_cn(g, A, n):
         raise PreconditionError(f"set has more than {n} components")
     grows = tuple(
@@ -329,15 +326,18 @@ def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
         walk = covering_walk(g, _least_core_point(g, a2))
     else:
         walk = Walk(())
-    f2 = F2(g, a2, walk)
-    return HyperPath(g, (f0, f1, f2))
+    return f0, f1, F2(g, a2, walk)
+
+
+def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
+    """The three-stage path from A to the canonical element of its direction class."""
+    return HyperPath(g, _canonical_stages(g, A, n))
 
 
 def vietoris_path(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
     """Composite path A -> canonical element -> whole space (Vietoris-continuous)."""
-    p = path_to_canonical(g, A, n)
-    gamma = GAMMA(g, direction_set(g, A))
-    return HyperPath(g, p.stages + (gamma,))
+    stages = _canonical_stages(g, A, n)
+    return HyperPath(g, stages + (GAMMA(g, direction_set(g, A)),))
 
 
 def gamma_path(g: RayGraph, delta: frozenset[int] | set[int]) -> HyperPath:
@@ -371,9 +371,9 @@ def same_component_hausdorff(
         return ClassifyResult(False, da, db, witness_ray=min(da ^ db))
     if A == B:
         return ClassifyResult(True, da, db, path=HyperPath(g, (F0(g, A, ()),)))
-    pa = path_to_canonical(g, A, n)
-    pb = path_to_canonical(g, B, n)
-    path = HyperPath(g, pa.stages + pb.reversed().stages)
+    forth = _canonical_stages(g, A, n)
+    back = tuple(s.reversed() for s in reversed(_canonical_stages(g, B, n)))
+    path = HyperPath(g, forth + back)
     return ClassifyResult(True, da, db, path=path)
 
 

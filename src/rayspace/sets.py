@@ -68,9 +68,6 @@ class ClosedSubset:
     def by_element(self) -> dict[str, ElementPieces]:
         return dict(self.pieces)
 
-    def elements(self) -> tuple[str, ...]:
-        return tuple(eid for eid, _ in self.pieces)
-
     def intervals_on(self, eid: str) -> tuple[Interval, ...]:
         ep = self.by_element.get(eid)
         return ep.intervals if ep else ()

@@ -1,9 +1,12 @@
 """Open regions of a ray-graph and Vietoris-topology membership tests.
 
 An open region is a finite union of open metric balls, or the whole space.
-Its derived form (exact open intervals per element, computed from the PL
-distance envelope) makes upper membership an interval-containment check and
-lower membership a point-to-set distance comparison, both exact.
+On an element of length L, d(x, c) is the least of |x - s| + d(s, c) over at
+most three spots s: the first end, the far end (edges only) and the centre c
+itself when it lies on the element.  So a ball is, per element, at most three
+clipped open intervals, merged into the region's derived form.  That makes
+upper membership an interval-containment check and lower membership a
+point-to-set distance comparison, both exact.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Sequence
 
-from .errors import CapExceededError, ParseError, PreconditionError, RayspaceError
+from .errors import CapExceededError, ParseError, PreconditionError
 from .graph import GraphPoint, RayGraph, point_distance
-from .metric import dist_point_to_set, distance_profile
+from .metric import dist_point_to_set
 from .paths import HyperPath
 from .sets import ClosedSubset
 
@@ -23,8 +26,8 @@ from .sets import ClosedSubset
 # (about delta / resolution, largest in the first round).
 MAX_WITNESS_SAMPLES = 100_000
 
-# A derived interval: (lo, lo_open, hi, hi_open); hi None means unbounded.
-DerivedInterval = tuple[Fraction, bool, Fraction | None, bool]
+# A derived interval: (lo, lo_open, hi, hi_open).
+DerivedInterval = tuple[Fraction, bool, Fraction, bool]
 
 
 @dataclass(frozen=True)
@@ -37,19 +40,14 @@ class OpenRegion:
 
     @cached_property
     def derived(self) -> dict[str, tuple[DerivedInterval, ...]]:
-        """Exact per-element open-interval form of the region."""
+        """Exact per-element open-interval form of a union of balls."""
         if self.all_space:
-            out: dict[str, tuple[DerivedInterval, ...]] = {}
-            for e in self.graph.edges:
-                out[e.id] = ((Fraction(0), False, e.length, False),)
-            for r in self.graph.rays:
-                out[r.id] = ((Fraction(0), False, None, False),)
-            return out
+            raise PreconditionError("the whole space has no derived ball intervals")
         raw: dict[str, list[DerivedInterval]] = {}
         for center, radius in self.balls:
             for eid, ivs in _ball_intervals(self.graph, center, radius).items():
                 raw.setdefault(eid, []).extend(ivs)
-        return {eid: tuple(_merge_open(ivs)) for eid, ivs in raw.items() if ivs}
+        return {eid: tuple(_merge_open(ivs)) for eid, ivs in raw.items()}
 
     def contains_point(self, p: GraphPoint) -> bool:
         if self.all_space:
@@ -81,70 +79,47 @@ def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:
 def _ball_intervals(
     g: RayGraph, center: GraphPoint, radius: Fraction
 ) -> dict[str, list[DerivedInterval]]:
-    target = ClosedSubset.from_pieces(g, {center.element: [(center.coord, center.coord)]})
+    """Each spot s with reach radius - d(s, center) > 0 covers (s - reach, s + reach),
+    clipped to the element; a clipped end is closed, every other end open."""
     out: dict[str, list[DerivedInterval]] = {}
-    vcache: dict[str, Fraction] = {}
-    for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
-        prof = distance_profile(g, eid, target, vcache)
-        if prof.min_value() >= radius:
-            continue
+    for el in g.edges + g.rays:
+        length = g.element_length(el.id)
+        spots = [Fraction(0)] if length is None else [Fraction(0), length]
+        reaches = [(s, radius - point_distance(g, GraphPoint(el.id, s), center)) for s in spots]
+        if center.element == el.id:
+            reaches.append((center.coord, radius))
         ivs: list[DerivedInterval] = []
-        xs, vals = prof.xs, prof.vals
-        for k in range(len(xs) - 1):
-            _sublevel_segment(xs[k], vals[k], xs[k + 1], vals[k + 1], radius, ivs)
-        if g.element_length(eid) is None and vals[-1] < radius:
-            # distance to a point target grows with slope 1 far out on a ray
-            if prof.final_slope != 1:
-                raise RayspaceError(
-                    f"distance to a point grows with slope {prof.final_slope} on {eid}"
-                )
-            ivs.append((xs[-1], False, xs[-1] + (radius - vals[-1]), True))
-        merged = _merge_open(ivs)
-        if merged:
-            out[eid] = list(merged)
+        for s, reach in reaches:
+            if reach > 0:
+                lo, hi = s - reach, s + reach
+                hi_open = length is None or hi <= length
+                ivs.append((max(lo, Fraction(0)), lo >= 0, hi if hi_open else length, hi_open))
+        if ivs:
+            out[el.id] = ivs
     return out
-
-
-def _sublevel_segment(x1, v1, x2, v2, r, acc: list[DerivedInterval]) -> None:
-    """Append the open sublevel {v < r} of one linear segment to acc."""
-    if v1 < r and v2 < r:
-        acc.append((x1, False, x2, False))
-    elif v1 < r <= v2:
-        cut = x1 + (r - v1) * (x2 - x1) / (v2 - v1)
-        acc.append((x1, False, cut, True))
-    elif v2 < r <= v1:
-        cut = x2 - (r - v2) * (x2 - x1) / (v1 - v2)
-        acc.append((cut, True, x2, False))
 
 
 def _merge_open(ivs: list[DerivedInterval]) -> list[DerivedInterval]:
     """Merge coordinate intervals, honoring open/closed endpoint flags."""
-    ivs = sorted(ivs, key=lambda iv: (iv[0], iv[1]))
     out: list[DerivedInterval] = []
-    for lo, lo_open, hi, hi_open in ivs:
+    for lo, lo_open, hi, hi_open in sorted(ivs):  # closed starts sort before open ones
         if out:
             plo, plo_open, prev_hi, prev_hi_open = out[-1]
-            touches = prev_hi is None or lo < prev_hi or (lo == prev_hi and not (lo_open and prev_hi_open))
-            if touches:
-                if prev_hi is None or (hi is None):
-                    nhi, nhi_open = None, False
-                elif hi > prev_hi:
-                    nhi, nhi_open = hi, hi_open
-                elif hi < prev_hi:
-                    nhi, nhi_open = prev_hi, prev_hi_open
-                else:
-                    nhi, nhi_open = hi, hi_open and prev_hi_open
-                out[-1] = (plo, plo_open, nhi, nhi_open)
+            if lo < prev_hi or (lo == prev_hi and not (lo_open and prev_hi_open)):
+                if hi > prev_hi:
+                    out[-1] = (plo, plo_open, hi, hi_open)
+                elif hi == prev_hi:
+                    out[-1] = (plo, plo_open, hi, hi_open and prev_hi_open)
                 continue
         out.append((lo, lo_open, hi, hi_open))
-    return [iv for iv in out if iv[2] is None or iv[0] < iv[2] or (not iv[1] and not iv[3])]
+    return out
 
 
 def _interval_inside(a: Fraction, b: Fraction, ivs: tuple[DerivedInterval, ...]) -> bool:
     """Is the closed interval [a, b] inside the union of derived intervals?"""
     for lo, lo_open, hi, hi_open in ivs:
         lo_ok = lo < a or (lo == a and not lo_open)
-        hi_ok = hi is None or hi > b or (hi == b and not hi_open)
+        hi_ok = hi > b or (hi == b and not hi_open)
         if lo_ok and hi_ok:
             return True
     return False
@@ -279,7 +254,10 @@ def parse_region(text: str, g: RayGraph) -> OpenRegion:
             raise ParseError(f"bad rational in ball atom {spot!r} {rad!r}") from None
         if r <= 0:
             raise ParseError("ball radius must be positive")
-        g.validate_point(p)
+        try:
+            g.validate_point(p)
+        except PreconditionError as exc:
+            raise ParseError(str(exc), f"token {i + 2}") from None
         balls.append((g.normalize_point(p), r))
         i += 3
     return OpenRegion(g, tuple(balls))

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from rayspace import ClosedSubset, RayGraph, parse_graph
+from rayspace import ClosedSubset, RayGraph, graph_from_parts, parse_graph
 from rayspace.graph import GraphPoint
 
 
@@ -42,6 +42,27 @@ def rational(rng: random.Random, lo, hi, denoms=(1, 2, 3, 4, 6, 8, 12)) -> Fract
     lo_n = int(Fraction(lo) * den)
     hi_n = int(Fraction(hi) * den)
     return Fraction(rng.randint(lo_n, hi_n), den)
+
+
+def random_ray_graph(rng: random.Random) -> RayGraph:
+    """A random connected ray-graph on 1-4 vertices.
+
+    A random spanning tree, then a loop, an edge parallel to one already
+    drawn and up to two more random edges, all of mixed rational lengths,
+    plus 0-3 rays at random vertices.
+    """
+    vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+    pairs = [(vs[i], vs[rng.randrange(i)]) for i in range(1, len(vs))]
+    loop_at = rng.choice(vs)
+    pairs.append((loop_at, loop_at))
+    pairs.append(rng.choice(pairs))
+    pairs += [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randint(0, 2))]
+    edges = [
+        (f"E{i}", u, v, Fraction(rng.randint(1, 12), rng.choice((1, 2, 3, 4, 6))))
+        for i, (u, v) in enumerate(pairs)
+    ]
+    rays = [(f"R{i}", rng.choice(vs)) for i in range(1, rng.randint(0, 3) + 1)]
+    return graph_from_parts(vs, edges, rays)
 
 
 def random_point(g: RayGraph, rng: random.Random, span=Fraction(3)) -> GraphPoint:

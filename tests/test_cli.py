@@ -100,6 +100,22 @@ def test_vietoris_witness(graph_file, capsys):
     assert "witness delta=1/2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize(
+    "spot, msg",
+    [
+        ("NOPE:0", "unknown element id 'NOPE'"),
+        ("E1:-1", "negative coordinate on E1"),
+        ("E1:2", "coordinate 2 exceeds length 1 of edge E1"),
+    ],
+)
+def test_vietoris_bad_ball_center_is_parse_error(graph_file, capsys, spot, msg):
+    gf = graph_file("G_I")
+    code = run(["vietoris", "--graph", gf, "--a", "E1:{0}", "--open", f"ball {spot} 1"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=parse") and f"{msg} (at token 2)" in err
+
+
 def test_oracle_subcommand(graph_file, capsys):
     gf = graph_file("G_LINE")
     code = run(

@@ -8,7 +8,6 @@ from rayspace import (
     direction_set,
     directed_hausdorff,
     dist_point_to_set,
-    distance_profile,
     hausdorff,
     is_infinite,
     is_subset,
@@ -19,7 +18,7 @@ from rayspace import (
     union,
 )
 
-from rayspace.metric import DistanceProfile
+from rayspace.metric import DistanceProfile, distance_profile
 
 from conftest import random_subset
 

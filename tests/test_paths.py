@@ -23,7 +23,7 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
-from rayspace.paths import F0, covering_walk, HyperPath
+from rayspace.paths import F0, Stage, covering_walk, HyperPath
 from rayspace.graph import GraphPoint
 
 from conftest import random_subset
@@ -213,6 +213,23 @@ def test_hyperpath_rejects_unchained_stages(graphs):
         HyperPath(g, (f0, f1))
     with pytest.raises(PreconditionError):
         HyperPath(g, ())
+
+
+def test_each_stage_join_checked_once(graphs, monkeypatch):
+    """Each builder makes one HyperPath, so the chain check runs once per join."""
+    g = graphs["G_STAR3"]
+    A = parse_set("R1:[1,inf) R2:[1/2,1] R3:{2}", g)
+    B = parse_set("R1:[2,inf) R2:{1}", g)
+    calls = []
+    at = Stage.at
+    monkeypatch.setattr(Stage, "at", lambda self, t: calls.append(t) or at(self, t))
+    P = vietoris_path(g, A, 3)
+    # F0 and F1 ends while building, then two ends at each of the three joins
+    assert len(P.stages) == 4 and len(calls) == 2 + 6
+    calls.clear()
+    P = same_component_hausdorff(g, A, B, 3).path
+    assert len(P.stages) == 6 and len(calls) == 2 * 2 + 10
+    assert P.start() == A and P.end() == B
 
 
 def test_path_membership_and_monotone_components(graphs):

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from rayspace import (
+    ClosedSubset,
     GraphPoint,
     OpenRegion,
     PreconditionError,
@@ -20,9 +21,18 @@ from rayspace import (
     union_regions,
     whole_space,
 )
+from rayspace.metric import distance_profile
 from rayspace.paths import F0, HyperPath
 
-from conftest import random_point, random_subset
+from conftest import random_point, random_ray_graph, random_subset
+
+
+def _in_derived(derived, x: GraphPoint) -> bool:
+    return any(
+        (lo < x.coord or (lo == x.coord and not lo_open))
+        and (x.coord < hi or (x.coord == hi and not hi_open))
+        for lo, lo_open, hi, hi_open in derived.get(x.element, ())
+    )
 
 
 def test_ball_on_edge(graphs):
@@ -61,12 +71,118 @@ def test_ball_correctness_random(graphs):
             U = ball(g, p, r)
             for _ in range(25):
                 x = random_point(g, rng)
-                in_derived = any(
-                    (lo < x.coord or (lo == x.coord and not lo_open))
-                    and (hi is None or x.coord < hi or (x.coord == hi and not hi_open))
-                    for lo, lo_open, hi, hi_open in U.derived.get(x.element, ())
-                )
-                assert in_derived == (point_distance(g, x, p) < r)
+                assert _in_derived(U.derived, x) == (point_distance(g, x, p) < r)
+
+
+# ---- reference: the distance-envelope route to a ball ------------------------
+
+
+def _ref_sublevel_segment(x1, v1, x2, v2, r, acc) -> None:
+    """Append the open sublevel {v < r} of one linear segment to acc."""
+    if v1 < r and v2 < r:
+        acc.append((x1, False, x2, False))
+    elif v1 < r <= v2:
+        cut = x1 + (r - v1) * (x2 - x1) / (v2 - v1)
+        acc.append((x1, False, cut, True))
+    elif v2 < r <= v1:
+        cut = x2 - (r - v2) * (x2 - x1) / (v1 - v2)
+        acc.append((cut, True, x2, False))
+
+
+def _ref_merge_open(ivs):
+    """Merge coordinate intervals, honoring open/closed endpoint flags (None: unbounded)."""
+    ivs = sorted(ivs, key=lambda iv: (iv[0], iv[1]))
+    out = []
+    for lo, lo_open, hi, hi_open in ivs:
+        if out:
+            plo, plo_open, prev_hi, prev_hi_open = out[-1]
+            touches = prev_hi is None or lo < prev_hi or (lo == prev_hi and not (lo_open and prev_hi_open))
+            if touches:
+                if prev_hi is None or (hi is None):
+                    nhi, nhi_open = None, False
+                elif hi > prev_hi:
+                    nhi, nhi_open = hi, hi_open
+                elif hi < prev_hi:
+                    nhi, nhi_open = prev_hi, prev_hi_open
+                else:
+                    nhi, nhi_open = hi, hi_open and prev_hi_open
+                out[-1] = (plo, plo_open, nhi, nhi_open)
+                continue
+        out.append((lo, lo_open, hi, hi_open))
+    return [iv for iv in out if iv[2] is None or iv[0] < iv[2] or (not iv[1] and not iv[3])]
+
+
+def _ref_ball_intervals(g, center, radius):
+    """B(center, radius) per element, cut from the PL distance envelope to {center}."""
+    target = ClosedSubset.from_pieces(g, {center.element: [(center.coord, center.coord)]})
+    out = {}
+    vcache = {}
+    for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
+        prof = distance_profile(g, eid, target, vcache)
+        if min(prof.vals) >= radius:
+            continue
+        ivs = []
+        xs, vals = prof.xs, prof.vals
+        for k in range(len(xs) - 1):
+            _ref_sublevel_segment(xs[k], vals[k], xs[k + 1], vals[k + 1], radius, ivs)
+        if g.element_length(eid) is None and vals[-1] < radius:
+            assert prof.final_slope == 1
+            ivs.append((xs[-1], False, xs[-1] + (radius - vals[-1]), True))
+        merged = _ref_merge_open(ivs)
+        if merged:
+            out[eid] = list(merged)
+    return out
+
+
+def _ref_derived(g, balls):
+    raw = {}
+    for center, radius in balls:
+        for eid, ivs in _ref_ball_intervals(g, center, radius).items():
+            raw.setdefault(eid, []).extend(ivs)
+    return {eid: tuple(_ref_merge_open(ivs)) for eid, ivs in raw.items() if ivs}
+
+
+def _random_balls(graphs, seed):
+    """(graph, centre, radius) on the fixture graphs and 20 random ray-graphs.
+
+    Centres are a random point and every alias of a random vertex.
+    """
+    rng = random.Random(seed)
+    for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(20)]:
+        for _ in range(6):
+            vertex = rng.choice(g.vertices)
+            centers = [random_point(g, rng)]
+            centers += [GraphPoint(eid, c) for eid, c in g.vertex_representations(vertex)]
+            for center in centers:
+                yield g, center, F(rng.randint(1, 24), rng.choice((1, 2, 3, 4, 6)))
+
+
+def test_derived_matches_envelope_reference(graphs):
+    for g, center, r in _random_balls(graphs, 90210):
+        assert ball(g, center, r).derived == _ref_derived(g, [(center, r)])
+    rng = random.Random(4711)
+    for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(20)]:
+        for _ in range(4):
+            balls = [(random_point(g, rng), F(rng.randint(1, 12), 4)) for _ in range(3)]
+            region = union_regions([ball(g, c, r) for c, r in balls])
+            assert region.derived == _ref_derived(g, balls)
+
+
+def test_derived_endpoints_pointwise(graphs):
+    for g, center, r in _random_balls(graphs, 31337):
+        derived = ball(g, center, r).derived
+        points = [GraphPoint(e.id, F(0)) for e in g.edges + g.rays]
+        points += [GraphPoint(e.id, e.length) for e in g.edges]
+        for eid, ivs in derived.items():
+            for lo, _, hi, _ in ivs:
+                points += [GraphPoint(eid, lo), GraphPoint(eid, hi)]
+        for x in points:
+            assert _in_derived(derived, x) == (point_distance(g, x, center) < r)
+
+
+def test_derived_of_whole_space_raises(graphs):
+    with pytest.raises(PreconditionError):
+        OpenRegion(graphs["G_MIXED"], (), all_space=True).derived
 
 
 def test_member_upper_examples(graphs):
