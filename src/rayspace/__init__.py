@@ -30,7 +30,6 @@ from .metric import (
     hausdorff,
     is_infinite,
 )
-from .oracle import OracleComponents, enumerate_sets, oracle_components, oracle_hausdorff
 from .paths import (
     ClassifyResult,
     HyperPath,
@@ -77,3 +76,20 @@ from .wedge import (
 )
 
 __version__ = "0.1.0"
+
+# The oracle names load rayspace.oracle, and with it numpy, on first use, so
+# that importing the package (and every CLI command but ``oracle``) stays
+# numpy-free.
+_ORACLE_NAMES = ("OracleComponents", "enumerate_sets", "oracle_components", "oracle_hausdorff")
+
+
+def __getattr__(name: str):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_ORACLE_NAMES})

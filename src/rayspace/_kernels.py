@@ -17,6 +17,10 @@ import numpy as np
 
 BIG = np.int64(2**62)
 
+# Cells per block temporary in ``component_labels`` (half a megabyte of int64):
+# this bounds its extra memory, and larger blocks were no faster on the census.
+_BLOCK_CELLS = 1 << 16
+
 
 def backend() -> str:
     return "numpy"
@@ -64,31 +68,59 @@ def distance_matrix(pe, pc, end_vertex, elem_len, dvert) -> np.ndarray:
     return _cross_distances(pe, pc, pe, pc, end_vertex, elem_len, dvert)
 
 
+def _pack(bits: np.ndarray) -> np.ndarray:
+    """Pack each boolean row into uint64 words (zero-padded to whole words)."""
+    n, u = bits.shape
+    packed = np.zeros((n, -(-u // 64) * 8), dtype=np.uint8)
+    packed[:, : -(-u // 8)] = np.packbits(bits, axis=1)
+    return packed.view(np.uint64)
+
+
+def _roots(parent: np.ndarray) -> np.ndarray:
+    """Point every entry at its root, in place, by pointer jumping."""
+    while True:
+        grand = parent[parent]
+        if np.array_equal(grand, parent):
+            return parent
+        parent[:] = grand
+
+
+def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
+    """Merge the classes of each pair (a[k], b[k]); every root points at a
+    smaller index, and a contested root takes the least of its bids."""
+    while a.size:
+        _roots(parent)
+        ra, rb = parent[a], parent[b]
+        apart = ra != rb
+        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
+        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
+
+
 def component_labels(masks, dmat, thr) -> np.ndarray:
     """Union-find labels over sets (bool masks into a shared point universe)
-    linked whenever their symmetric max-min distance is <= thr."""
+    linked whenever their symmetric max-min distance is <= thr.
+
+    With N_j the points within thr of S_j, S_i lies within thr of S_j iff
+    S_i is a subset of N_j; masks and neighbourhoods are packed into uint64
+    words, so each pair costs a few word operations.  Rows go in blocks of
+    about ``_BLOCK_CELLS`` temporaries, and each block's links are merged
+    before the next block is built."""
     n, u = masks.shape
+    parent = np.arange(n, dtype=np.int64)
     if n == 0:
-        return np.empty(0, dtype=np.int64)
-    thr = np.int64(thr)
-    mv = np.empty((n, u), dtype=np.int64)
-    for s in range(n):
-        mv[s] = dmat[:, masks[s]].min(axis=1)
-    parent = list(range(n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    neg = np.int64(-1)
-    for j in range(n):
-        into_j = np.where(masks, mv[j][None, :], neg).max(axis=1)  # directed i -> j
-        from_j = np.where(masks[j][None, :], mv, neg).max(axis=1)  # directed j -> i
-        ok = (into_j <= thr) & (from_j <= thr)
-        for i in np.nonzero(ok[:j])[0]:
-            ri, rj = find(int(i)), find(j)
-            if ri != rj:
-                parent[rj] = ri
-    return np.array([find(i) for i in range(n)], dtype=np.int64)
+        return parent
+    near = np.empty((n, u), dtype=bool)  # near[j, p]: min over q in S_j of d(p, q) <= thr
+    step = max(1, _BLOCK_CELLS // (u * u))
+    for lo in range(0, n, step):
+        block = masks[lo : lo + step, None, :]
+        near[lo : lo + step] = np.where(block, dmat[None], BIG).min(axis=2) <= thr
+    M, far = _pack(masks), ~_pack(near)
+    step = max(1, _BLOCK_CELLS // (n * M.shape[1]))
+    for lo in range(0, n, step):
+        hi = min(n, lo + step)
+        i_out = (M[lo:hi, None, :] & far[None, :hi, :]).any(axis=2)  # S_i leaves N_j
+        j_out = (far[lo:hi, None, :] & M[None, :hi, :]).any(axis=2)  # S_j leaves N_i
+        rows, cols = np.nonzero(~(i_out | j_out))
+        below = cols < rows + lo
+        _union(parent, rows[below] + lo, cols[below])
+    return _roots(parent)

@@ -19,7 +19,6 @@ from pathlib import Path
 from .errors import CapExceededError, InvalidGraphError, ParseError, PreconditionError
 from .graph import RayGraph, graph_from_parts, parse_graph
 from .metric import directed_hausdorff, hausdorff, is_infinite
-from .oracle import oracle_components
 from .paths import (
     HyperPath,
     eval_path,
@@ -234,6 +233,8 @@ def _cmd_wedge(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .oracle import oracle_components  # numpy loads here, not at start-up
+
     g = _load_graph(args.graph)
     res = oracle_components(
         g,

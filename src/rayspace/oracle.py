@@ -34,28 +34,35 @@ def _grid(h: Fraction, cap: Fraction) -> list[Fraction]:
     return [k * h for k in range(int(cap / h) + 1)]
 
 
-def _element_configs(
-    grid: list[Fraction], max_pieces: int, allow_tail: bool
-) -> list[tuple[tuple[tuple[Fraction, Fraction], ...], Fraction | None]]:
-    """All canonical piece layouts on one element: disjoint, non-touching,
-    endpoints on the grid; a tail counts as a piece."""
-    n = len(grid)
-    configs: list[tuple[tuple[tuple[Fraction, Fraction], ...], Fraction | None]] = []
+# One element's layout: its pieces, its tail start (or None), and how many of
+# them touch neither element end (each of those is a component by itself).
+_Config = tuple[tuple[tuple[Fraction, Fraction], ...], Fraction | None, int]
 
-    def extend(start: int, left: int, acc: list[tuple[Fraction, Fraction]]):
-        configs.append((tuple(acc), None))
-        if allow_tail and left >= 1:
+
+def _element_configs(
+    grid: list[Fraction], max_pieces: int, length: Fraction | None
+) -> list[_Config]:
+    """All canonical piece layouts on one element of the given length (None on
+    a ray): disjoint, non-touching, endpoints on the grid; a tail, allowed on
+    rays only, counts as a piece."""
+    n = len(grid)
+    configs: list[_Config] = []
+
+    def extend(start: int, left: int, acc: list[tuple[Fraction, Fraction]], interior: int):
+        configs.append((tuple(acc), None, interior))
+        if length is None and left >= 1:
             for s in range(start, n):
-                configs.append((tuple(acc), grid[s]))
+                configs.append((tuple(acc), grid[s], interior + (grid[s] > 0)))
         if left < 1:
             return
         for i in range(start, n):
             for j in range(i, n):
                 acc.append((grid[i], grid[j]))
-                extend(j + 1, left - 1, acc)  # next piece starts strictly above grid[j]
+                inner = grid[i] > 0 and (length is None or grid[j] < length)
+                extend(j + 1, left - 1, acc, interior + inner)  # next piece starts above grid[j]
                 acc.pop()
 
-    extend(0, max_pieces, [])
+    extend(0, max_pieces, [], 0)
     return configs
 
 
@@ -79,10 +86,10 @@ def enumerate_sets(
     per_element: list[tuple[str, list]] = []
     for e in g.edges:
         grid = _grid(h, min(e.length, T))
-        per_element.append((e.id, _element_configs(grid, max_pieces, allow_tail=False)))
+        per_element.append((e.id, _element_configs(grid, max_pieces, e.length)))
     for r in g.rays:
         grid = _grid(h, T)
-        per_element.append((r.id, _element_configs(grid, max_pieces, allow_tail=True)))
+        per_element.append((r.id, _element_configs(grid, max_pieces, None)))
 
     estimate = math.prod(len(cfgs) for _, cfgs in per_element)
     if estimate > cap:
@@ -93,9 +100,11 @@ def enumerate_sets(
 
     seen: dict = {}
     for combo in itertools.product(*(cfgs for _, cfgs in per_element)):
+        if sum(interior for _, _, interior in combo) > n:
+            continue  # at least that many components: in_cn would reject it
         intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
         tails: dict[str, Fraction] = {}
-        for (eid, _), (ivs, tail) in zip(per_element, combo):
+        for (eid, _), (ivs, tail, _) in zip(per_element, combo):
             if ivs:
                 intervals[eid] = list(ivs)
             if tail is not None:

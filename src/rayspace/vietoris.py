@@ -190,15 +190,16 @@ def continuity_witness(
         raise PreconditionError("resolution must be positive")
     if not 0 <= t0 <= 1:
         raise PreconditionError("t0 outside [0,1]")
-    memo: dict[Fraction, bool] = {}
+    if not member_basic(P.at(t0), Us):
+        raise PreconditionError("path value at t0 is not in the basic open")
+    union = union_regions(Us)  # built once, so its derived intervals serve every sample
+    memo: dict[Fraction, bool] = {t0: True}
 
     def ok_at(t: Fraction) -> bool:
         if t not in memo:
-            memo[t] = member_basic(P.at(t), Us)
+            A = P.at(t)
+            memo[t] = member_upper(A, union) and all(member_lower(A, u) for u in Us)
         return memo[t]
-
-    if not ok_at(t0):
-        raise PreconditionError("path value at t0 is not in the basic open")
 
     delta = max(t0, 1 - t0)
     last_bad: Fraction | None = None
@@ -228,6 +229,13 @@ def continuity_witness(
 # ---- parsing ----------------------------------------------------------------
 
 
+def _rational(text: str, what: str, token: int) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise ParseError(f"bad rational in {what}: {text!r}", f"token {token}") from None
+
+
 def parse_region(text: str, g: RayGraph) -> OpenRegion:
     """Parse an open-region literal: ``all`` or ``ball ELEM:coord radius`` atoms."""
     toks = text.split()
@@ -247,13 +255,10 @@ def parse_region(text: str, g: RayGraph) -> OpenRegion:
         if ":" not in spot:
             raise ParseError(f"ball center must be ELEM:coord, got {spot!r}", f"token {i + 2}")
         eid, coord = spot.split(":", 1)
-        try:
-            p = GraphPoint(eid, Fraction(coord))
-            r = Fraction(rad)
-        except (ValueError, ZeroDivisionError):
-            raise ParseError(f"bad rational in ball atom {spot!r} {rad!r}") from None
+        p = GraphPoint(eid, _rational(coord, "ball center", i + 2))
+        r = _rational(rad, "ball radius", i + 3)
         if r <= 0:
-            raise ParseError("ball radius must be positive")
+            raise ParseError("ball radius must be positive", f"token {i + 3}")
         try:
             g.validate_point(p)
         except PreconditionError as exc:

@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
+import rayspace
 from rayspace import RayspaceError, cli
 from rayspace.cli import MAX_PATH_SAMPLES, run
 
@@ -114,6 +120,49 @@ def test_vietoris_bad_ball_center_is_parse_error(graph_file, capsys, spot, msg):
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error kind=parse") and f"{msg} (at token 2)" in err
+
+
+@pytest.mark.parametrize(
+    "atom, msg",
+    [
+        ("ball E1:0 -1", "ball radius must be positive (at token 3)"),
+        ("ball E1:0 0", "ball radius must be positive (at token 3)"),
+        ("ball E1:0 1/0", "bad rational in ball radius: '1/0' (at token 3)"),
+        ("ball E1:1/2 1 ball E1:x 1", "bad rational in ball center: 'x' (at token 5)"),
+    ],
+)
+def test_vietoris_bad_ball_radius_or_rational_has_position(graph_file, capsys, atom, msg):
+    gf = graph_file("G_I")
+    code = run(["vietoris", "--graph", gf, "--a", "E1:{0}", "--open", atom])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=parse") and msg in err
+
+
+def test_only_the_oracle_command_loads_numpy(graph_file):
+    gf = graph_file("G_LINE")
+    script = textwrap.dedent(f"""
+        import sys
+        import rayspace
+        import rayspace.cli
+
+        def loaded():
+            return [m for m in ("numpy", "rayspace.oracle") if m in sys.modules]
+
+        print(loaded())
+        rayspace.cli.run(["dist", "--graph", {gf!r}, "--a", "R1:[0,1]", "--b", "R2:{{1}}"])
+        print(loaded())
+        rayspace.cli.run(["oracle", "--graph", {gf!r}, "--step", "1/2", "--trunc", "1",
+                          "--delta", "3/5", "-n", "1"])
+        print(loaded())
+    """)
+    paths = [str(Path(rayspace.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out[0] == out[2] == "[]"
+    assert out[1] == "2"  # the dist answer
+    assert out[-1] == "['numpy', 'rayspace.oracle']"
 
 
 def test_oracle_subcommand(graph_file, capsys):

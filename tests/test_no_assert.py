@@ -1,8 +1,10 @@
 """Static checks over the package source.
 
 Invariants raise exceptions, so they survive ``python -O``; the per-element
-distance envelope stays private to ``metric.py``; and the brute-force oracle
-takes nothing from the metric it cross-checks beyond its value types.
+distance envelope stays private to ``metric.py``; the brute-force oracle
+takes nothing from the metric it cross-checks beyond its value types; and
+numpy stays behind the oracle, which the package and the CLI load only on
+first use.
 """
 
 import ast
@@ -66,3 +68,48 @@ def test_oracle_takes_only_value_types_from_metric():
     for name in ("oracle.py", "_kernels.py"):
         extra = set(_metric_imports(TREES[name])) - {"INF", "ExtendedDistance"}
         assert not extra, f"{name} imports {sorted(extra)} from metric"
+
+
+def _imported_modules(node: ast.AST) -> list[str]:
+    """Absolute names of the modules an import statement may load."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names]
+    if isinstance(node, ast.ImportFrom):
+        base = node.module or ""
+        if node.level:
+            base = "rayspace" + (f".{base}" if base else "")
+        return [base] + [f"{base}.{a.name}" for a in node.names]
+    return []
+
+
+def _outside_functions(node: ast.AST):
+    """Every node that runs at import time: nothing inside a function body."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield child
+            yield from _outside_functions(child)
+
+
+def _is(module: str, name: str) -> bool:
+    return module == name or module.startswith(name + ".")
+
+
+def test_only_the_oracle_imports_numpy():
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name not in ("oracle.py", "_kernels.py")
+        for node in ast.walk(tree)
+        if any(_is(m, "numpy") for m in _imported_modules(node))
+    ]
+    assert found == []
+
+
+def test_package_and_cli_load_the_oracle_lazily():
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("__init__.py", "cli.py")
+        for node in _outside_functions(TREES[name])
+        if any(_is(m, "rayspace.oracle") for m in _imported_modules(node))
+    ]
+    assert found == []

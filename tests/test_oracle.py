@@ -1,3 +1,4 @@
+import itertools
 import random
 import warnings
 from fractions import Fraction as F
@@ -5,12 +6,15 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
+import rayspace
 from rayspace import (
     CapExceededError,
+    ClosedSubset,
     canonical_element,
     direction_set,
     enumerate_sets,
     hausdorff,
+    in_cn,
     is_infinite,
     oracle_components,
     oracle_hausdorff,
@@ -20,7 +24,20 @@ from rayspace._kernels import component_labels, directed_maxmin, distance_matrix
 from rayspace.graph import GraphPoint, point_distance
 from rayspace.oracle import _directed_exact, _sample_set, _scaled_graph, _scaled_points
 
-from conftest import random_subset
+from conftest import random_ray_graph, random_subset
+
+
+def test_oracle_names_resolve_through_the_package():
+    import rayspace.oracle
+
+    from rayspace import oracle_hausdorff as by_name
+
+    assert by_name is rayspace.oracle.oracle_hausdorff
+    assert rayspace.OracleComponents is rayspace.oracle.OracleComponents
+    names = {"OracleComponents", "enumerate_sets", "oracle_components", "oracle_hausdorff"}
+    assert names <= set(dir(rayspace))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        rayspace.no_such_name
 
 
 def test_enumerate_hand_example(graphs):
@@ -67,6 +84,71 @@ def test_enumerate_rejects_bad_grid(graphs):
 
     with pytest.raises(PreconditionError):
         enumerate_sets(graphs["G_R"], F(1, 2), F(3, 4), 1, 1)  # T not a multiple of h
+
+
+def _unpruned_enumeration(g, h, T, n, max_pieces):
+    """``enumerate_sets`` without the interior-piece prune: every layout
+    combination goes through ``from_pieces`` and ``in_cn``."""
+
+    def configs(grid, allow_tail):
+        out = []
+
+        def extend(start, left, acc):
+            out.append((tuple(acc), None))
+            if allow_tail and left >= 1:
+                out.extend((tuple(acc), s) for s in grid[start:])
+            if left >= 1:
+                for i in range(start, len(grid)):
+                    for j in range(i, len(grid)):
+                        extend(j + 1, left - 1, acc + [(grid[i], grid[j])])
+
+        extend(0, max_pieces, [])
+        return out
+
+    def grid(cap):
+        return [k * h for k in range(int(cap / h) + 1)]
+
+    per = [(e.id, configs(grid(min(e.length, T)), False)) for e in g.edges]
+    per += [(r.id, configs(grid(T), True)) for r in g.rays]
+    found = {}
+    for combo in itertools.product(*(cfgs for _, cfgs in per)):
+        intervals = {eid: list(ivs) for (eid, _), (ivs, _) in zip(per, combo) if ivs}
+        tails = {eid: t for (eid, _), (_, t) in zip(per, combo) if t is not None}
+        if intervals or tails:
+            A = ClosedSubset.from_pieces(g, intervals, tails)
+            if in_cn(g, A, n):
+                found[A.pieces] = A
+    return sorted(found.values(), key=ClosedSubset.sort_key)
+
+
+def test_enumeration_prune_matches_unpruned_reference(graphs, monkeypatch):
+    built = [0]
+    from_pieces = ClosedSubset.from_pieces
+
+    def counting(*args):
+        built[0] += 1
+        return from_pieces(*args)
+
+    monkeypatch.setattr(ClosedSubset, "from_pieces", staticmethod(counting))
+    rng = random.Random(8128)
+    cases = [(g, F(1, 2), F(1), n, mp) for g in graphs.values() for n, mp in ((1, 1), (2, 1))]
+    cases += [(graphs[name], F(1, 2), F(1), n, 2) for name in ("G_I", "G_R", "G_NOOSE")
+              for n in (1, 2)]
+    cases.append((graphs["G_MIXED"], F(1), F(1), 1, 1))  # 2304 layouts
+    cases += [(random_ray_graph(rng), F(1, 2), F(1, 2), rng.randint(1, 3), 1) for _ in range(30)]
+    checked, pruned = 0, 0
+    for g, h, T, n, mp in cases:  # the cap skips the larger random graphs
+        built[0] = 0
+        try:
+            got = enumerate_sets(g, h, T, n, mp, cap=2500)
+        except CapExceededError:
+            continue
+        attempts = built[0]
+        built[0] = 0
+        assert [s.render() for s in got] == [s.render() for s in _unpruned_enumeration(g, h, T, n, mp)]
+        checked += 1
+        pruned += attempts < built[0]
+    assert checked >= 30 and pruned >= 10
 
 
 def test_oracle_components_census(graphs):
@@ -169,7 +251,32 @@ def test_kernels_match_exact_reference(graphs):
         for pt in _sample_set(g, S, h, {"R1": F(2)}):
             masks[i, pos[pt]] = True
 
-    # reference: plain BFS over pairs at exact symmetric max-min distance <= delta
+    # 0 merges only sets with equal grid samples
+    counts = _check_labels(g, pts, masks, dmat, sg.scale, (F(0), F(3, 5)))
+    assert counts[0] > counts[1] == 1
+
+    # 82 points: every packed row spans two words
+    h = F(1, 20)
+    universe = [("E1", k * h) for k in range(21)] + [("R1", k * h) for k in range(61)]
+    pts = [GraphPoint(eid, c) for eid, c in universe]
+    sg = _scaled_graph(g, [h.denominator])
+    pe, pc = _scaled_points(sg, universe)
+    dmat = distance_matrix(pe, pc, sg.end_vertex, sg.elem_len, sg.dvert)
+    masks = np.zeros((40, len(universe)), dtype=bool)
+    for row in masks:  # one or two runs of grid points
+        for _ in range(rng.randint(1, 2)):
+            a = rng.randrange(len(universe))
+            row[a : a + rng.randint(1, 6)] = True
+    assert masks[:, 64:].any()
+    deltas = (F(1, 10), F(1, 5), F(2, 5), F(4))
+    assert dmat.max() <= 4 * sg.scale  # so at delta 4 every set links to every other
+    counts = _check_labels(g, pts, masks, dmat, sg.scale, deltas)
+    assert counts[0] > counts[1] > counts[2] > counts[3] == 1
+
+
+def _check_labels(g, pts, masks, dmat, scale, deltas):
+    """Check component_labels against a plain BFS over pairs at exact
+    symmetric max-min distance <= delta; return the component counts."""
     exact = [[point_distance(g, p, q) for q in pts] for p in pts]
     members = [np.nonzero(row)[0].tolist() for row in masks]
 
@@ -178,18 +285,18 @@ def test_kernels_match_exact_reference(graphs):
 
     sym = [[max(directed(a, b), directed(b, a)) for b in members] for a in members]
     counts = []
-    for delta in (F(0), F(3, 5)):  # 0 merges only sets with equal grid samples
-        labels = component_labels(masks, dmat, int(delta * sg.scale))
+    for delta in deltas:
+        labels = component_labels(masks, dmat, int(delta * scale))
         assert labels.dtype == np.int64
         seen, reference = set(), set()
-        for s in range(len(sets)):
+        for s in range(len(members)):
             if s in seen:
                 continue
             seen.add(s)
             queue, comp = [s], {s}
             while queue:
                 i = queue.pop()
-                for j in range(len(sets)):
+                for j in range(len(members)):
                     if j not in seen and sym[i][j] <= delta:
                         seen.add(j)
                         comp.add(j)
@@ -200,7 +307,7 @@ def test_kernels_match_exact_reference(graphs):
             found.setdefault(int(lab), set()).add(i)
         assert {frozenset(c) for c in found.values()} == reference
         counts.append(len(reference))
-    assert counts[0] > counts[1] == 1
+    return counts
 
 
 def test_representative_of_each_class_connects_to_canonical(graphs):

@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import rayspace.vietoris
 from rayspace import (
     ClosedSubset,
     GraphPoint,
@@ -19,6 +20,7 @@ from rayspace import (
     point_distance,
     union,
     union_regions,
+    vietoris_path,
     whole_space,
 )
 from rayspace.metric import distance_profile
@@ -263,6 +265,26 @@ def test_witness_bounded_ball(graphs):
     P = gamma_path(g, frozenset())
     res = continuity_witness(P, F(1, 2), [ball(g, GraphPoint("R1", F(0)), F(10))], F(1, 1000))
     assert res.ok and res.delta == F(1, 4)  # t=1 escapes any ball; first halving passes
+
+
+def test_witness_ball_work_does_not_grow_with_resolution(graphs, monkeypatch):
+    g = graphs["G_LINE"]
+    P = vietoris_path(g, parse_set("R1:[0,1]", g), 1)
+    calls = []
+    ball_intervals = rayspace.vietoris._ball_intervals
+
+    def counting(*args):
+        calls.append(args)
+        return ball_intervals(*args)
+
+    monkeypatch.setattr(rayspace.vietoris, "_ball_intervals", counting)
+    counts = []
+    for res in (F(1, 100), F(1, 1000)):
+        calls.clear()
+        U = ball(g, GraphPoint("R1", F(0)), F(10))  # fresh, so nothing is cached yet
+        assert continuity_witness(P, F(1, 2), [U], res).ok
+        counts.append(len(calls))
+    assert counts[0] == counts[1] <= 2
 
 
 def test_witness_constant_path(graphs):
