@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import CapExceededError, InvalidGraphError, ParseError, PreconditionError
-from .graph import RayGraph, graph_from_parts, parse_graph
+from .graph import RayGraph, _check_id, graph_from_parts, parse_fraction, parse_graph
 from .metric import directed_hausdorff, hausdorff, is_infinite
 from .paths import (
     HyperPath,
@@ -27,7 +27,7 @@ from .paths import (
     vietoris_path,
 )
 from .sets import component_count, parse_set
-from .vietoris import continuity_witness, member_basic, member_lower, member_upper, parse_region, union_regions
+from .vietoris import continuity_witness, member_lower, member_upper, parse_region, union_regions
 from .wedge import model_report, parse_wedge_expr
 
 
@@ -58,15 +58,22 @@ def _load_graph(path: str) -> RayGraph:
 def _graph_from_json(text: str) -> RayGraph:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise ParseError(f"bad JSON graph file: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("bad JSON graph structure: the top level is not an object")
     try:
+        vertices, edges, rays = doc["vertices"], doc.get("edges", []), doc.get("rays", [])
+        if not all(isinstance(part, list) for part in (vertices, edges, rays)):
+            raise ParseError("bad JSON graph structure: vertices, edges and rays must be lists")
+        vertices = [_check_id(v, f"vertices[{i}]") for i, v in enumerate(vertices)]
         edges = [
-            (e["id"], e["u"], e["v"], Fraction(e.get("length", 1)))
-            for e in doc.get("edges", [])
+            (_check_id(e["id"], f"edges[{i}]"), e["u"], e["v"],
+             parse_fraction(str(e.get("length", 1)), f"edges[{i}]"))
+            for i, e in enumerate(edges)
         ]
-        rays = [(r["id"], r["attach"]) for r in doc.get("rays", [])]
-        return graph_from_parts(doc["vertices"], edges, rays)
+        rays = [(_check_id(r["id"], f"rays[{i}]"), r["attach"]) for i, r in enumerate(rays)]
+        return graph_from_parts(vertices, edges, rays)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad JSON graph structure: {exc}") from None
 
@@ -210,10 +217,12 @@ def _cmd_vietoris(args) -> int:
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
     regions = [parse_region(spec, g) for spec in args.open]
-    print(f"upper={'true' if member_upper(A, union_regions(regions)) else 'false'}")
-    for i, u in enumerate(regions, start=1):
-        print(f"lower {i}={'true' if member_lower(A, u) else 'false'}")
-    print(f"basic={'true' if member_basic(A, regions) else 'false'}")
+    upper = member_upper(A, union_regions(regions))
+    lowers = [member_lower(A, u) for u in regions]
+    print(f"upper={'true' if upper else 'false'}")
+    for i, lower in enumerate(lowers, start=1):
+        print(f"lower {i}={'true' if lower else 'false'}")
+    print(f"basic={'true' if upper and all(lowers) else 'false'}")
     if args.witness is not None:
         t0 = _frac(args.witness, "--witness")
         res = _frac(args.res, "--res")

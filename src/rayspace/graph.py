@@ -275,7 +275,7 @@ def parse_fraction(tok: str, where: str) -> Fraction:
 
 
 def _check_id(tok: str, where: str) -> str:
-    if not _ID_RE.match(tok):
+    if not isinstance(tok, str) or not _ID_RE.match(tok):
         raise ParseError(f"bad identifier {tok!r}", where)
     return tok
 

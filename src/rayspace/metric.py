@@ -6,18 +6,20 @@ L - x + d(end1, B) and of the distance from x to B's own pieces there: a
 Its breakpoints lie among O(c) candidates for c pieces: 0 and L, B's piece
 ends and the midpoints of the gaps between them, (a - d0)/2 for each piece
 start a, (L + d1 + b)/2 for each piece end b, and (L + d1 - d0)/2 where the
-two end lines cross.  They are sorted once and each is evaluated by one
-bisect into B's pieces, so an element costs O(c log c).  The directed sup
-walks A's sorted spans and the envelope's breakpoints together once.  Every
-finite answer is an exact rational; infinity (a plain ``float('inf')``)
+two end lines cross.  :class:`DistanceProfile` evaluates d(x, B) directly,
+by one bisect into B's pieces, and sorts the candidates once.  The directed
+sup walks A's sorted spans and those candidates together once, evaluating at
+each span end and at each candidate inside a span; the function is linear
+between candidates, so that max is exact, and an element costs O(c log c).
+Every finite answer is an exact rational; infinity (a plain ``float('inf')``)
 appears exactly when one set is unbounded on a ray where the other is not.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Union
 
 from .errors import PreconditionError, RayspaceError
@@ -55,7 +57,7 @@ def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
     return best
 
 
-class _ElementDistance:
+class DistanceProfile:
     """x -> d((eid, x), B) on one element: the least of the line x + d0 out
     through the first end, the line L - x + d1 out through the far end (edges
     only) and the 1-D distance from x to B's own pieces on the element."""
@@ -72,7 +74,7 @@ class _ElementDistance:
             spans.append((tail, None))  # None: B's unbounded tail
         self.starts, self.ends = [a for a, _ in spans], [b for _, b in spans]
 
-    def __call__(self, x: Fraction) -> Fraction:
+    def eval(self, x: Fraction) -> Fraction:
         best = x + self.d0
         if self.d1 is not None:
             best = min(best, self.length - x + self.d1)
@@ -86,7 +88,8 @@ class _ElementDistance:
             best = min(best, self.starts[i] - x)
         return best
 
-    def breakpoints(self) -> list[Fraction]:
+    @cached_property
+    def xs(self) -> list[Fraction]:
         """Sorted abscissas containing every breakpoint of the envelope.
 
         Every candidate has slope -1, 0 or +1, so a breakpoint is a piece end,
@@ -109,74 +112,29 @@ class _ElementDistance:
         return sorted(x for x in xs if x >= 0 and (length is None or x <= length))
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Exact PL graph of coord -> d(point, B) on one element.
-
-    ``xs``/``vals`` are the envelope breakpoints; beyond the last breakpoint
-    (rays only) the profile continues linearly with ``final_slope``.
-    """
-
-    element: str
-    xs: tuple[Fraction, ...]
-    vals: tuple[Fraction, ...]
-    final_slope: int  # 0 or 1; meaningful on rays
-
-    def eval(self, x: Fraction) -> Fraction:
-        xs, vals = self.xs, self.vals
-        if x >= xs[-1]:
-            return vals[-1] + self.final_slope * (x - xs[-1])
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        x1, x2 = xs[lo], xs[hi]
-        v1, v2 = vals[lo], vals[hi]
-        return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
-
-
 def distance_profile(
     g: RayGraph, eid: str, B: ClosedSubset, _vcache: dict[str, Fraction] | None = None
 ) -> DistanceProfile:
-    """Build the exact lower envelope of coord -> d(., B) on one element."""
-    f = _ElementDistance(g, eid, B, _vcache if _vcache is not None else {})
-    xs = f.breakpoints()
-    # far out on a ray the distance is 0 inside B's tail and grows with slope 1 otherwise
-    final_slope = 1 if f.length is None and (not f.ends or f.ends[-1] is not None) else 0
-    return DistanceProfile(eid, tuple(xs), tuple(f(x) for x in xs), final_slope)
+    """The exact envelope of coord -> d(., B) on one element."""
+    return DistanceProfile(g, eid, B, _vcache if _vcache is not None else {})
 
 
 def _sup_on_spans(prof: DistanceProfile, spans: list[tuple[Fraction, Fraction]]) -> Fraction:
     """Max of the profile over sorted disjoint closed spans, in one walk over its breakpoints.
 
-    Between consecutive breakpoints the profile is linear with slope -1, 0 or
-    +1, so a span end's value follows from its left neighbour and the sign of
-    the step to its right one.
+    Between consecutive breakpoints the profile is linear, so its max on a
+    span is its value at a span end or at a breakpoint inside the span.
     """
-    xs, vals = prof.xs, prof.vals
-    n = len(xs)
-
-    def value_at(k: int, x: Fraction) -> Fraction:  # xs[k - 1] <= x, and x <= xs[k] if k < n
-        if k < n and xs[k] == x:
-            return vals[k]
-        v1, step = vals[k - 1], x - xs[k - 1]
-        if k == n:
-            return v1 + prof.final_slope * step
-        return v1 + step if vals[k] > v1 else v1 - step if vals[k] < v1 else v1
-
+    xs, f = prof.xs, prof.eval
+    n, k = len(xs), 0
     best = Fraction(0)
-    k = 0
     for a, b in spans:
-        while k < n and xs[k] < a:
+        best = max(best, f(a), f(b))
+        while k < n and xs[k] <= a:
             k += 1
-        best = max(best, value_at(k, a))
-        while k < n and xs[k] <= b:
-            best = max(best, vals[k])
+        while k < n and xs[k] < b:
+            best = max(best, f(xs[k]))
             k += 1
-        best = max(best, value_at(k, b))
     return best
 
 
@@ -186,7 +144,7 @@ def _sup_on_spans(prof: DistanceProfile, spans: list[tuple[Fraction, Fraction]])
 def dist_point_to_set(g: RayGraph, p: GraphPoint, B: ClosedSubset) -> Fraction:
     """Exact distance from a point to a nonempty closed subset (always attained)."""
     g.validate_point(p)
-    return _ElementDistance(g, p.element, B, {})(p.coord)
+    return DistanceProfile(g, p.element, B, {}).eval(p.coord)
 
 
 def directed_hausdorff(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> ExtendedDistance:

@@ -30,8 +30,8 @@ _SAFE_MAGNITUDE = int(BIG) // 8  # headroom: distances add three scaled terms
 # ---- enumeration ------------------------------------------------------------
 
 
-def _grid(h: Fraction, cap: Fraction) -> list[Fraction]:
-    return [k * h for k in range(int(cap / h) + 1)]
+def _grid(h: Fraction, top: Fraction) -> list[Fraction]:
+    return [k * h for k in range(int(top / h) + 1)]
 
 
 # One element's layout: its pieces, its tail start (or None), and how many of
@@ -39,16 +39,35 @@ def _grid(h: Fraction, cap: Fraction) -> list[Fraction]:
 _Config = tuple[tuple[tuple[Fraction, Fraction], ...], Fraction | None, int]
 
 
+def _cap_error(count: int | str, cap: int) -> CapExceededError:
+    return CapExceededError(
+        f"enumeration would visit {count} combinations (cap {cap}); "
+        "increase the cap or coarsen the parameters"
+    )
+
+
 def _element_configs(
-    grid: list[Fraction], max_pieces: int, length: Fraction | None
+    h: Fraction, top: Fraction, max_pieces: int, length: Fraction | None, cap: int
 ) -> list[_Config]:
     """All canonical piece layouts on one element of the given length (None on
-    a ray): disjoint, non-touching, endpoints on the grid; a tail, allowed on
-    rays only, counts as a piece."""
-    n = len(grid)
+    a ray): disjoint, non-touching, endpoints on the h-grid up to ``top``; a
+    tail, allowed on rays only, counts as a piece.
+
+    Every element has at least its empty layout, so one element's count is a
+    lower bound on the product over all elements: past ``cap`` this raises
+    :class:`CapExceededError` before building the rest, or before building
+    the grid when the empty layout and the single intervals already pass it.
+    """
+    n = int(top / h) + 1
+    if 1 + n * (n + 1) // 2 > cap:
+        raise _cap_error(f"more than {cap}", cap)
+    grid = _grid(h, top)
     configs: list[_Config] = []
 
     def extend(start: int, left: int, acc: list[tuple[Fraction, Fraction]], interior: int):
+        # one call adds at most one tail row past this check; the product check sees it
+        if len(configs) > cap:
+            raise _cap_error(f"more than {cap}", cap)
         configs.append((tuple(acc), None, interior))
         if length is None and left >= 1:
             for s in range(start, n):
@@ -85,20 +104,15 @@ def enumerate_sets(
 
     per_element: list[tuple[str, list]] = []
     for e in g.edges:
-        grid = _grid(h, min(e.length, T))
-        per_element.append((e.id, _element_configs(grid, max_pieces, e.length)))
+        per_element.append((e.id, _element_configs(h, min(e.length, T), max_pieces, e.length, cap)))
     for r in g.rays:
-        grid = _grid(h, T)
-        per_element.append((r.id, _element_configs(grid, max_pieces, None)))
+        per_element.append((r.id, _element_configs(h, T, max_pieces, None, cap)))
 
     estimate = math.prod(len(cfgs) for _, cfgs in per_element)
     if estimate > cap:
-        raise CapExceededError(
-            f"enumeration would visit {estimate} combinations (cap {cap}); "
-            "increase the cap or coarsen the parameters"
-        )
+        raise _cap_error(estimate, cap)
 
-    seen: dict = {}
+    seen: dict = {}  # pieces -> the set, or None once in_cn rejected it
     for combo in itertools.product(*(cfgs for _, cfgs in per_element)):
         if sum(interior for _, _, interior in combo) > n:
             continue  # at least that many components: in_cn would reject it
@@ -112,11 +126,9 @@ def enumerate_sets(
         if not intervals and not tails:
             continue
         A = ClosedSubset.from_pieces(g, intervals, tails)
-        if A.pieces in seen:
-            continue
-        if in_cn(g, A, n):
-            seen[A.pieces] = A
-    return sorted(seen.values(), key=ClosedSubset.sort_key)
+        if A.pieces not in seen:
+            seen[A.pieces] = A if in_cn(g, A, n) else None
+    return sorted((A for A in seen.values() if A is not None), key=ClosedSubset.sort_key)
 
 
 # ---- integer scaling --------------------------------------------------------

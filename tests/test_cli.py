@@ -195,6 +195,42 @@ def test_json_graph_input(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "5/2"
 
 
+_JSON_EDGE = '{"id": "E1", "u": "u", "v": "v", "length": %s}'
+
+
+@pytest.mark.parametrize("text, msg", [
+    ("[]", "the top level is not an object"),
+    ('{"vertices": ["u", "v"], "edges": [%s]}' % (_JSON_EDGE % '"1/0"'),
+     "bad rational '1/0' (at edges[0])"),
+    ('{"vertices": ["u", "v"], "edges": [%s]}' % (_JSON_EDGE % "1e400"),
+     "bad rational 'inf' (at edges[0])"),
+    ('{"vertices": [5]}', "bad identifier 5 (at vertices[0])"),
+    ('{"vertices": ["u", "v"], "edges": [{"id": "E 1", "u": "u", "v": "v"}]}',
+     "bad identifier 'E 1' (at edges[0])"),
+    ("[" * 100_000 + "]" * 100_000, "bad JSON graph file: maximum recursion depth"),
+], ids=["top-level-list", "length-1/0", "length-1e400", "int-id", "spaced-id", "deep-nesting"])
+def test_json_graph_errors_are_parse_errors(tmp_path, capsys, text, msg):
+    p = tmp_path / "g.json"
+    p.write_text(text)
+    assert run(["validate", "--graph", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=parse") and msg in err[0]
+
+
+def test_oracle_cap_refused_before_building(tmp_path, capsys):
+    import rayspace.oracle  # noqa: F401  (numpy's import is not what this times)
+
+    p = tmp_path / "rays.graph"
+    p.write_text("vertex v; ray R1 v; ray R2 v\n")
+    for step in ("1/1000", "1/100000", "1/1000000000"):
+        start = time.perf_counter()
+        code = run(["oracle", "--graph", str(p), "--step", step, "--trunc", "1",
+                    "--delta", "1/2", "-n", "1"])
+        assert time.perf_counter() - start < 0.5  # building every layout at 1/1000 takes seconds
+        err = capsys.readouterr().err.splitlines()
+        assert code == 4 and len(err) == 1 and err[0].startswith("error kind=cap")
+
+
 def test_exit_codes(graph_file, tmp_path, capsys):
     gf = graph_file("G_I")
     assert run(["dist", "--graph", gf]) == 1  # usage: missing --a/--b

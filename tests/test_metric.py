@@ -1,5 +1,9 @@
 import random
+from dataclasses import dataclass
 from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayspace import (
     INF,
@@ -18,9 +22,9 @@ from rayspace import (
     union,
 )
 
-from rayspace.metric import DistanceProfile, distance_profile
+from rayspace.metric import distance_profile
 
-from conftest import random_subset
+from conftest import random_point, random_ray_graph, random_subset
 
 
 def test_dist_point_to_set_examples(graphs):
@@ -165,7 +169,32 @@ def _ref_vertex_to_set(g, v, B):
     return min(point_distance(g, p, GraphPoint(eid, c)) for eid, c in ends)
 
 
-def _ref_profile(g, eid, B) -> DistanceProfile:
+@dataclass(frozen=True)
+class _RefPL:
+    """A PL function by its breakpoints and values; past the last breakpoint
+    (rays only) it continues linearly with ``final_slope``."""
+
+    xs: tuple
+    vals: tuple
+    final_slope: int
+
+    def eval(self, x):
+        xs, vals = self.xs, self.vals
+        if x >= xs[-1]:
+            return vals[-1] + self.final_slope * (x - xs[-1])
+        lo, hi = 0, len(xs) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if xs[mid] <= x:
+                lo = mid
+            else:
+                hi = mid
+        x1, x2 = xs[lo], xs[hi]
+        v1, v2 = vals[lo], vals[hi]
+        return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
+
+
+def _ref_profile(g, eid, B) -> _RefPL:
     end0, end1 = g.element_end_vertices(eid)
     length = g.element_length(eid)
     d0 = _ref_vertex_to_set(g, end0, B)
@@ -200,7 +229,7 @@ def _ref_profile(g, eid, B) -> DistanceProfile:
     final_slope = 0
     if length is None and envelope(all_xs[-1] + 1) > vals[-1]:
         final_slope = 1
-    return DistanceProfile(eid, tuple(all_xs), tuple(vals), final_slope)
+    return _RefPL(tuple(all_xs), tuple(vals), final_slope)
 
 
 def _ref_directed(g, A, B):
@@ -227,7 +256,6 @@ def test_profile_matches_pairwise_reference(graphs):
                 B = random_subset(g, rng, max_pieces=max_pieces)
                 for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
                     prof, ref = distance_profile(g, eid, B), _ref_profile(g, eid, B)
-                    assert prof.final_slope == ref.final_slope
                     far = max(prof.xs[-1], ref.xs[-1]) + 2
                     for x in set(prof.xs) | set(ref.xs) | {far}:
                         if g.element_length(eid) is None or x <= g.element_length(eid):
@@ -265,3 +293,15 @@ def test_directed_hausdorff_matches_reference_on_32_piece_sets():
         A, B = _interleaved_set(g, rng, 32), _interleaved_set(g, rng, 32)
         assert directed_hausdorff(g, A, B) == _ref_directed(g, A, B)
         assert directed_hausdorff(g, B, A) == _ref_directed(g, B, A)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_metric_matches_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    A, B = random_subset(g, rng, max_pieces=3), random_subset(g, rng, max_pieces=3)
+    assert directed_hausdorff(g, A, B) == _ref_directed(g, A, B), (g, A, B)
+    for _ in range(8):
+        p = random_point(g, rng)
+        assert dist_point_to_set(g, p, B) == _ref_profile(g, p.element, B).eval(p.coord), (g, p, B)

@@ -151,6 +151,28 @@ def test_enumeration_prune_matches_unpruned_reference(graphs, monkeypatch):
     assert checked >= 30 and pruned >= 10
 
 
+def test_enumeration_checks_each_distinct_set_once(graphs, monkeypatch):
+    import rayspace.oracle
+
+    built, checked = set(), []
+    from_pieces, real_in_cn = ClosedSubset.from_pieces, rayspace.oracle.in_cn
+
+    def building(*args):
+        A = from_pieces(*args)
+        built.add(A.pieces)
+        return A
+
+    def checking(g, A, n):
+        checked.append(A.pieces)
+        return real_in_cn(g, A, n)
+
+    monkeypatch.setattr(ClosedSubset, "from_pieces", staticmethod(building))
+    monkeypatch.setattr(rayspace.oracle, "in_cn", checking)
+    sets = enumerate_sets(graphs["G_MIXED"], F(1, 2), F(1), 1, 1)
+    assert len(checked) == len(set(checked)) == len(built)
+    assert (len(sets), len(checked)) == (209, 3893)  # rechecking aliases made 10873 calls
+
+
 def test_oracle_components_census(graphs):
     for name, k in (("G_I", 0), ("G_NOOSE", 1), ("G_LINE", 2)):
         res = oracle_components(graphs[name], F(1, 2), F(2), F(3, 5), 1, 1)

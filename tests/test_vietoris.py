@@ -121,14 +121,15 @@ def _ref_ball_intervals(g, center, radius):
     vcache = {}
     for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
         prof = distance_profile(g, eid, target, vcache)
-        if min(prof.vals) >= radius:
+        xs = prof.xs
+        vals = [prof.eval(x) for x in xs]
+        if min(vals) >= radius:
             continue
         ivs = []
-        xs, vals = prof.xs, prof.vals
         for k in range(len(xs) - 1):
             _ref_sublevel_segment(xs[k], vals[k], xs[k + 1], vals[k + 1], radius, ivs)
         if g.element_length(eid) is None and vals[-1] < radius:
-            assert prof.final_slope == 1
+            assert prof.eval(xs[-1] + 1) == vals[-1] + 1
             ivs.append((xs[-1], False, xs[-1] + (radius - vals[-1]), True))
         merged = _ref_merge_open(ivs)
         if merged:
