@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,49 +38,46 @@ def _grid(h: Fraction, top: Fraction) -> list[Fraction]:
 _Config = tuple[tuple[tuple[Fraction, Fraction], ...], Fraction | None, int]
 
 
-def _cap_error(count: int | str, cap: int) -> CapExceededError:
-    return CapExceededError(
-        f"enumeration would visit {count} combinations (cap {cap}); "
-        "increase the cap or coarsen the parameters"
-    )
+# A layout of k pieces [g[i1], g[j1]], ..., [g[ik], g[jk]] with
+# i1 <= j1 < i2 <= j2 < ... is the increasing index tuple
+# (i1, j1+1, i2+1, j2+2, ..., ik+k-1, jk+k) drawn from range(n + k), and a
+# tail at g[s], s > jk, appends s + k.  Grid singletons do not touch, so k
+# runs up to n.
+def _layout_shapes(n: int, max_pieces: int, ray: bool):
+    """(k, tail) for every layout shape on a grid of n points."""
+    for k in range(min(max_pieces, n) + 1):
+        yield k, False
+        if ray and k < max_pieces:  # a tail counts as a piece
+            yield k, True
+
+
+def _layout_count(n: int, max_pieces: int, ray: bool, cap: int) -> int:
+    """Exact number of layouts, or a partial sum as soon as one passes ``cap``."""
+    total = 0
+    for k, tail in _layout_shapes(n, max_pieces, ray):
+        total += math.comb(n + k, 2 * k + tail)
+        if total > cap:
+            break
+    return total
 
 
 def _element_configs(
-    h: Fraction, top: Fraction, max_pieces: int, length: Fraction | None, cap: int
+    grid: list[Fraction], max_pieces: int, length: Fraction | None
 ) -> list[_Config]:
     """All canonical piece layouts on one element of the given length (None on
-    a ray): disjoint, non-touching, endpoints on the h-grid up to ``top``; a
-    tail, allowed on rays only, counts as a piece.
-
-    Every element has at least its empty layout, so one element's count is a
-    lower bound on the product over all elements: past ``cap`` this raises
-    :class:`CapExceededError` before building the rest, or before building
-    the grid when the empty layout and the single intervals already pass it.
-    """
-    n = int(top / h) + 1
-    if 1 + n * (n + 1) // 2 > cap:
-        raise _cap_error(f"more than {cap}", cap)
-    grid = _grid(h, top)
+    a ray): disjoint, non-touching, endpoints on ``grid``; a tail, allowed on
+    rays only, counts as a piece."""
     configs: list[_Config] = []
-
-    def extend(start: int, left: int, acc: list[tuple[Fraction, Fraction]], interior: int):
-        # one call adds at most one tail row past this check; the product check sees it
-        if len(configs) > cap:
-            raise _cap_error(f"more than {cap}", cap)
-        configs.append((tuple(acc), None, interior))
-        if length is None and left >= 1:
-            for s in range(start, n):
-                configs.append((tuple(acc), grid[s], interior + (grid[s] > 0)))
-        if left < 1:
-            return
-        for i in range(start, n):
-            for j in range(i, n):
-                acc.append((grid[i], grid[j]))
-                inner = grid[i] > 0 and (length is None or grid[j] < length)
-                extend(j + 1, left - 1, acc, interior + inner)  # next piece starts above grid[j]
-                acc.pop()
-
-    extend(0, max_pieces, [], 0)
+    for k, tail in _layout_shapes(len(grid), max_pieces, length is None):
+        for idx in itertools.combinations(range(len(grid) + k), 2 * k + tail):
+            pieces = tuple(
+                (grid[idx[2 * m] - m], grid[idx[2 * m + 1] - m - 1]) for m in range(k)
+            )
+            interior = sum(a > 0 and (length is None or b < length) for a, b in pieces)
+            start = grid[idx[-1] - k] if tail else None
+            if tail:
+                interior += start > 0
+            configs.append((pieces, start, interior))
     return configs
 
 
@@ -93,7 +89,11 @@ def enumerate_sets(
     max_pieces: int,
     cap: int = 200_000,
 ) -> list[ClosedSubset]:
-    """Every canonical grid subset with component count <= n, deterministic order."""
+    """Every canonical grid subset with component count <= n, deterministic order.
+
+    The number of layout combinations is counted exactly, and checked against
+    ``cap``, before any layout is built.
+    """
     h, T = Fraction(h), Fraction(T)
     if h <= 0:
         raise PreconditionError("grid step h must be positive")
@@ -102,15 +102,19 @@ def enumerate_sets(
     if n < 1 or max_pieces < 1:
         raise PreconditionError("n and max_pieces must be positive")
 
-    per_element: list[tuple[str, list]] = []
-    for e in g.edges:
-        per_element.append((e.id, _element_configs(h, min(e.length, T), max_pieces, e.length, cap)))
-    for r in g.rays:
-        per_element.append((r.id, _element_configs(h, T, max_pieces, None, cap)))
-
-    estimate = math.prod(len(cfgs) for _, cfgs in per_element)
-    if estimate > cap:
-        raise _cap_error(estimate, cap)
+    tops = [(e.id, min(e.length, T), e.length) for e in g.edges]
+    tops += [(r.id, T, None) for r in g.rays]
+    estimate = 1
+    for _, top, length in tops:
+        estimate *= _layout_count(int(top / h) + 1, max_pieces, length is None, cap)
+        if estimate > cap:
+            raise CapExceededError(
+                f"enumeration would visit at least {estimate} combinations (cap {cap}); "
+                "increase the cap or coarsen the parameters"
+            )
+    per_element = [
+        (eid, _element_configs(_grid(h, top), max_pieces, length)) for eid, top, length in tops
+    ]
 
     seen: dict = {}  # pieces -> the set, or None once in_cn rejected it
     for combo in itertools.product(*(cfgs for _, cfgs in per_element)):
@@ -283,10 +287,9 @@ def oracle_components(
     independently."""
     h, T, delta = Fraction(h), Fraction(T), Fraction(delta)
     if delta < h + h / 5:
-        warnings.warn(
+        raise PreconditionError(
             f"delta={delta} is below the grid connectivity margin h+h/5={h + h / 5}; "
-            "true neighbors may fail to connect",
-            stacklevel=2,
+            "true neighbors may fail to connect"
         )
     sets = enumerate_sets(g, h, T, n, max_pieces, cap=cap)
 

@@ -22,14 +22,7 @@ from typing import Callable
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph
 from .metric import INF, ExtendedDistance
-from .sets import (
-    ClosedSubset,
-    canonical_element,
-    direction_set,
-    in_cn,
-    touched_vertices,
-    union,
-)
+from .sets import ClosedSubset, add_pieces, canonical_element, direction_set, in_cn
 
 
 def _check_t(t) -> Fraction:
@@ -117,15 +110,16 @@ def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
 
 def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
     """Normalization-least point of A intersected with the rayless subgraph."""
-    candidates: list[GraphPoint] = []
-    for eid, ep in A.pieces:
-        if g.is_ray(eid):
-            continue
-        for a, b in ep.intervals:
-            candidates.append(g.normalize_point(GraphPoint(eid, a)))
-            candidates.append(g.normalize_point(GraphPoint(eid, b)))
-    for v in touched_vertices(g, A):
-        candidates.append(GraphPoint(*g.vertex_representations(v)[0]))
+    # a vertex's least representation sorts before its others, so piece ends
+    # need no normalizing once every held vertex is a candidate as well
+    candidates = [
+        GraphPoint(eid, c)
+        for eid, ep in A.pieces
+        if not g.is_ray(eid)
+        for iv in ep.intervals
+        for c in iv
+    ]
+    candidates += [GraphPoint(*g.vertex_representations(v)[0]) for v in A.vertices]
     if not candidates:
         raise PreconditionError("set does not meet the rayless subgraph")
     return min(candidates, key=GraphPoint.key)
@@ -133,8 +127,9 @@ def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
 
 # ---- stages ----------------------------------------------------------------
 #
-# Sweeps return ``(intervals, tails)`` for ``ClosedSubset.from_pieces``.  They
-# live at module level, so stages compare, hash and pickle structurally.
+# Sweeps return fresh ``(intervals, tails)`` for ``ClosedSubset.from_pieces``;
+# the stage adds its base's pieces to them in place.  Sweeps live at module
+# level, so stages compare, hash and pickle structurally.
 
 
 def _grow_tails(t: Fraction, grows) -> tuple[dict, dict]:
@@ -164,7 +159,7 @@ def _grow_rays(t: Fraction, rays) -> tuple[dict, dict]:
 
 @dataclass(frozen=True)
 class Stage:
-    """One path stage: ``base`` united with ``from_pieces(*sweep(t, *args))``.
+    """One path stage: ``base`` united with the raw pieces ``sweep(t, *args)``.
 
     With no sweep the stage is constant at ``base``; ``base`` is None when
     everything moves.  ``backwards`` runs the local time from 1 down to 0.
@@ -187,8 +182,10 @@ class Stage:
             if self.base is None:
                 raise RayspaceError(f"{self.kind} stage has neither a base nor a sweep")
             return self.base
-        moved = ClosedSubset.from_pieces(self.graph, *self.sweep(t, *self.args))
-        return moved if self.base is None else union(self.base, moved)
+        intervals, tails = self.sweep(t, *self.args)
+        if self.base is not None:
+            add_pieces(self.base, intervals, tails)
+        return ClosedSubset.from_pieces(self.graph, intervals, tails)
 
     def describe(self) -> str:
         return self.desc

@@ -3,15 +3,20 @@
 An element of CL(X) is stored per graph element as a sorted tuple of disjoint,
 non-adjacent closed intervals, plus (on rays) an optional unbounded tail
 [s, inf).  Degenerate intervals [a, a] represent single points.  Canonical
-form is unique per point set: touching intervals are merged and a point
-sitting on a vertex is stored on the lexicographically least incident
-(element, coord) representation, and dropped entirely when some other piece
-already covers that vertex.
+form is unique per point set.  ``_canonicalize`` makes one pass per element:
+validate the pieces, set aside each single point on a vertex, merge touching
+intervals, let the tail swallow what it reaches.  A set-aside vertex that no
+longer piece and no tail from 0 reaches is then stored once, on its least
+incident (element, coord) representation.  The pass records the vertices the
+set holds as ``ClosedSubset.vertices``, so no other code decides vertex
+aliasing.  Only ``_canonicalize`` builds a ``ClosedSubset`` from raw fields,
+and each set value goes through it once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import bisect
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 
@@ -34,11 +39,14 @@ class ClosedSubset:
     """A nonempty closed subset of a ray-graph, in canonical form.
 
     Construct through :meth:`from_pieces`, :func:`parse_set` or the set
-    operations; the raw constructor assumes already-canonical data.
+    operations; only ``_canonicalize`` calls the raw constructor.
+    ``vertices`` records which vertices the set holds as points.  It is
+    derived from ``pieces``, so equality, hashing and ``repr`` ignore it.
     """
 
     graph: RayGraph
     pieces: tuple[tuple[str, ElementPieces], ...]  # sorted by element id
+    vertices: frozenset[str] = field(compare=False, repr=False)
 
     # ---- construction --------------------------------------------------
 
@@ -49,18 +57,9 @@ class ClosedSubset:
         tails: dict[str, Fraction] | None = None,
     ) -> "ClosedSubset":
         """Build and canonicalize a subset from raw per-element data."""
-        raw: dict[str, tuple[list[Interval], Fraction | None]] = {}
-        for eid, ivs in (intervals or {}).items():
-            entry = raw.setdefault(eid, ([], None))
-            for a, b in ivs:
-                entry[0].append((Fraction(a), Fraction(b)))
-        for eid, s in (tails or {}).items():
-            lst, old = raw.get(eid, ([], None))
-            s = Fraction(s)
-            if old is not None:
-                s = min(s, old)
-            raw[eid] = (lst, s)
-        return _canonicalize(g, raw)
+        intervals = intervals or {}
+        raw = {eid: [(Fraction(a), Fraction(b)) for a, b in ivs] for eid, ivs in intervals.items()}
+        return _canonicalize(g, raw, {eid: Fraction(s) for eid, s in (tails or {}).items()})
 
     # ---- accessors -----------------------------------------------------
 
@@ -102,24 +101,16 @@ class ClosedSubset:
 # ---- canonicalization ---------------------------------------------------
 
 
-def _merge_intervals(ivs: list[Interval]) -> list[Interval]:
-    ivs = sorted(ivs)
-    out: list[Interval] = []
-    for a, b in ivs:
-        if out and a <= out[-1][1]:
-            out[-1] = (out[-1][0], max(out[-1][1], b))
-        else:
-            out.append((a, b))
-    return out
-
-
 def _canonicalize(
-    g: RayGraph, raw: dict[str, tuple[list[Interval], Fraction | None]]
+    g: RayGraph, intervals: dict[str, list[Interval]], tails: dict[str, Fraction]
 ) -> ClosedSubset:
     per: dict[str, tuple[list[Interval], Fraction | None]] = {}
-    for eid, (ivs, tail) in raw.items():
-        el = g.element(eid)  # raises for unknown ids
-        length = g.element_length(eid)
+    points: set[str] = set()  # vertices given as single points [c, c]
+    held: set[str] = set()  # vertices some longer piece or a tail at 0 reaches
+    for eid in sorted(intervals.keys() | tails.keys()):
+        ivs = intervals.get(eid, ())
+        tail = tails.get(eid)
+        length = g.element_length(eid)  # raises for unknown ids
         if tail is not None and length is not None:
             raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
         for a, b in ivs:
@@ -129,50 +120,34 @@ def _canonicalize(
                 raise PreconditionError(f"interval [{a},{b}] out of range on {eid}")
         if tail is not None and tail < 0:
             raise PreconditionError(f"tail start {tail} out of range on {eid}")
-        merged = _merge_intervals(list(ivs))
+        merged: list[Interval] = []
+        for a, b in sorted(ivs):
+            if a == b and (v := g.vertex_at(eid, a)) is not None:
+                points.add(v)
+            elif merged and a <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+            else:
+                merged.append((a, b))
         if tail is not None:
             while merged and merged[-1][1] >= tail:
-                tail = min(tail, merged[-1][0])
-                merged.pop()
+                tail = min(tail, merged.pop()[0])
+        # a vertex sits at an element end: a piece reaches it there, a tail only from 0
+        ends = [c for iv in merged for c in iv] + ([] if tail is None else [tail])
+        held.update(v for c in ends if (v := g.vertex_at(eid, c)) is not None)
         if merged or tail is not None:
             per[eid] = (merged, tail)
 
-    # resolve vertex aliasing of degenerate single-point pieces
-    degen_at: dict[str, list[tuple[str, Fraction]]] = {}  # vertex -> reps holding [c,c]
-    covered: set[str] = set()  # vertices covered by some piece of positive extent
-    for eid, (ivs, tail) in per.items():
-        for a, b in ivs:
-            for c in {a, b}:
-                v = g.vertex_at(eid, c)
-                if v is None:
-                    continue
-                if a == b:
-                    degen_at.setdefault(v, []).append((eid, a))
-                else:
-                    covered.add(v)
-        if tail is not None and tail == 0:
-            covered.add(g.element(eid).attach)
+    # a vertex no longer piece holds is stored once, at its least representation
+    for v in points - held:
+        eid, c = g.vertex_representations(v)[0]
+        bisect.insort(per.setdefault(eid, ([], None))[0], (c, c))
 
-    for v, reps in degen_at.items():
-        for eid, c in reps:
-            ivs, tail = per[eid]
-            ivs = [iv for iv in ivs if iv != (c, c)]
-            per[eid] = (ivs, tail)
-        if v not in covered:
-            eid, c = g.vertex_representations(v)[0]
-            ivs, tail = per.setdefault(eid, ([], None))
-            if tail is not None and tail <= c:
-                continue
-            per[eid] = (_merge_intervals(ivs + [(c, c)]), tail)
-
-    pieces = tuple(
-        (eid, ElementPieces(tuple(ivs), tail))
-        for eid, (ivs, tail) in sorted(per.items())
-        if ivs or tail is not None
-    )
-    if not pieces:
+    if not per:
         raise PreconditionError("empty set: elements of CL(X) are nonempty")
-    return ClosedSubset(g, pieces)
+    pieces = tuple(
+        (eid, ElementPieces(tuple(ivs), tail)) for eid, (ivs, tail) in sorted(per.items())
+    )
+    return ClosedSubset(g, pieces, frozenset(points | held))
 
 
 # ---- parsing ------------------------------------------------------------
@@ -231,33 +206,31 @@ def _parse_coord(tok: str, where: str) -> Fraction:
 # ---- set operations -----------------------------------------------------
 
 
+def add_pieces(
+    A: ClosedSubset, intervals: dict[str, list[Interval]], tails: dict[str, Fraction]
+) -> None:
+    """Add A's pieces to raw ``from_pieces`` data in place; a tail keeps the lower start."""
+    for eid, ep in A.pieces:
+        if ep.intervals:
+            intervals.setdefault(eid, []).extend(ep.intervals)
+        if ep.tail is not None:
+            tails[eid] = min(tails.get(eid, ep.tail), ep.tail)
+
+
 def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     """Canonical union of two subsets of the same graph."""
     if A.graph != B.graph:
         raise PreconditionError("union of subsets of different graphs")
-    raw: dict[str, tuple[list[Interval], Fraction | None]] = {}
-    for S in (A, B):
-        for eid, ep in S.pieces:
-            ivs, tail = raw.setdefault(eid, ([], None))
-            ivs.extend(ep.intervals)
-            if ep.tail is not None:
-                tail = ep.tail if tail is None else min(tail, ep.tail)
-                raw[eid] = (ivs, tail)
-    return _canonicalize(A.graph, raw)
+    intervals: dict[str, list[Interval]] = {}
+    tails: dict[str, Fraction] = {}
+    add_pieces(A, intervals, tails)
+    add_pieces(B, intervals, tails)
+    return _canonicalize(A.graph, intervals, tails)
 
 
-def touched_vertices(g: RayGraph, A: ClosedSubset) -> set[str]:
+def touched_vertices(g: RayGraph, A: ClosedSubset) -> frozenset[str]:
     """Vertices of g that belong to A as points."""
-    out = set()
-    for eid, ep in A.pieces:
-        for a, b in ep.intervals:
-            for c in (a, b):
-                v = g.vertex_at(eid, c)
-                if v is not None:
-                    out.add(v)
-        if ep.tail == 0:
-            out.add(g.element(eid).attach)
-    return out
+    return A.vertices
 
 
 def component_count(g: RayGraph, A: ClosedSubset) -> int:
@@ -306,9 +279,7 @@ def in_cn(g: RayGraph, A: ClosedSubset, n: int) -> bool:
 
 def direction_set(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
     """Indices (1-based) of the rays carrying an unbounded tail of A."""
-    return frozenset(
-        g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None
-    )
+    return frozenset(g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None)
 
 
 def validate_direction_set(g: RayGraph, delta: frozenset[int]) -> None:
@@ -341,16 +312,13 @@ def contains_point(g: RayGraph, A: ClosedSubset, p: GraphPoint) -> bool:
     """Exact membership of a point in A (vertex aliases resolved)."""
     g.validate_point(p)
     v = g.vertex_at(p.element, p.coord)
-    reps = g.vertex_representations(v) if v is not None else [(p.element, p.coord)]
-    for eid, c in reps:
-        ep = A.by_element.get(eid)
-        if ep is None:
-            continue
-        if any(a <= c <= b for a, b in ep.intervals):
-            return True
-        if ep.tail is not None and c >= ep.tail:
-            return True
-    return False
+    if v is not None:
+        return v in A.vertices
+    ep = A.by_element.get(p.element)
+    if ep is None:
+        return False
+    c = p.coord
+    return any(a <= c <= b for a, b in ep.intervals) or (ep.tail is not None and c >= ep.tail)
 
 
 def is_subset(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> bool:

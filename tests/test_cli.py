@@ -231,6 +231,39 @@ def test_oracle_cap_refused_before_building(tmp_path, capsys):
         assert code == 4 and len(err) == 1 and err[0].startswith("error kind=cap")
 
 
+def test_oracle_fine_grid_refused_without_recursion(tmp_path, capsys):
+    # 1201 grid points and up to 1200 pieces: the layouts are counted, not built
+    import rayspace.oracle  # noqa: F401  (numpy's import is not what this times)
+
+    p = tmp_path / "edge.graph"
+    p.write_text("vertex u v\nedge E1 u v\n")
+    start = time.perf_counter()
+    code = run(["oracle", "--graph", str(p), "--step", "1/1200", "--trunc", "1",
+                "--delta", "1/2", "-n", "1", "--max-pieces", "1200", "--cap", "800000"])
+    assert time.perf_counter() - start < 0.5
+    err = capsys.readouterr().err.splitlines()
+    assert code == 4 and len(err) == 1 and err[0].startswith("error kind=cap")
+
+
+@pytest.mark.parametrize("delta", ["1/2", "-1"])
+def test_oracle_delta_below_margin_exits_3(tmp_path, capsys, delta):
+    p = tmp_path / "rays.graph"
+    p.write_text("vertex v; ray R1 v; ray R2 v\n")
+    code = run(["oracle", "--graph", str(p), "--step", "1/2", "--trunc", "1",
+                "--delta", delta, "-n", "1", "--cap", "10"])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 3 and len(err) == 1
+    assert err[0].startswith("error kind=precondition") and "connectivity margin" in err[0]
+
+
+def test_invalid_graph_exits_2(tmp_path, capsys):
+    p = tmp_path / "dup.graph"
+    p.write_text("vertex u u\n")
+    assert run(["validate", "--graph", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=parse") and "duplicate vertex" in err[0]
+
+
 def test_exit_codes(graph_file, tmp_path, capsys):
     gf = graph_file("G_I")
     assert run(["dist", "--graph", gf]) == 1  # usage: missing --a/--b

@@ -8,6 +8,7 @@ from rayspace import (
     InvalidGraphError,
     ParseError,
     PreconditionError,
+    graph_from_parts,
     parse_graph,
     point_distance,
     vertex_distance_table,
@@ -44,6 +45,41 @@ def test_parse_nonpositive_length_rejected():
 def test_parse_syntax_error_reports_position():
     with pytest.raises(ParseError, match="line 2"):
         parse_graph("vertex u v\nedgy E1 u v")
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("", "at least one vertex"),
+        ("vertex u u", "duplicate vertex id"),
+        ("vertex u v; edge u u v", "collides with a vertex id"),
+        ("vertex u; edge E1 u w", "unknown vertex"),
+        ("vertex u; ray R1 w", "unknown vertex"),
+    ],
+)
+def test_invalid_graph_rejected(text, match):
+    with pytest.raises(InvalidGraphError, match=match):
+        parse_graph(text)
+
+
+def test_graph_from_parts_checks_lengths():
+    with pytest.raises(InvalidGraphError, match="nonpositive length"):
+        graph_from_parts(["u", "v"], [("E1", "u", "v", 0)])
+    with pytest.raises(InvalidGraphError, match="at least one vertex"):
+        graph_from_parts([])
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("vertex", "vertex statement needs at least one id"),
+        ("vertex u v; edge E1 u", "edge statement is"),
+        ("vertex u; ray R1", "ray statement is"),
+    ],
+)
+def test_malformed_statement_rejected(text, match):
+    with pytest.raises(ParseError, match=match):
+        parse_graph(text)
 
 
 def test_parse_comments_and_lengths():

@@ -1,7 +1,8 @@
 """Static checks over the package source.
 
-Invariants raise exceptions, so they survive ``python -O``; the per-element
-distance envelope stays private to ``metric.py``; the brute-force oracle
+Invariants raise exceptions, so they survive ``python -O``; only the
+canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
+the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types; and
 numpy stays behind the oracle, which the package and the CLI load only on
 first use.
@@ -47,6 +48,26 @@ def test_distance_envelope_is_private_to_metric():
         if ident in ("distance_profile", "DistanceProfile")
     ]
     assert found == []
+
+
+def test_only_canonicalization_builds_closed_subsets():
+    canonicalize = next(
+        node
+        for node in ast.walk(TREES["sets.py"])
+        if isinstance(node, ast.FunctionDef) and node.name == "_canonicalize"
+    )
+    allowed = {id(node) for node in ast.walk(canonicalize)}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "ClosedSubset" in _names(node.func)
+        and id(node) not in allowed
+    ]
+    assert found == []
+    assert any(isinstance(node, ast.Call) and "ClosedSubset" in _names(node.func)
+               for node in ast.walk(canonicalize))
 
 
 def _metric_imports(tree: ast.AST) -> list[str]:

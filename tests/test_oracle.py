@@ -1,6 +1,5 @@
 import itertools
 import random
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -10,6 +9,7 @@ import rayspace
 from rayspace import (
     CapExceededError,
     ClosedSubset,
+    PreconditionError,
     canonical_element,
     direction_set,
     enumerate_sets,
@@ -22,7 +22,15 @@ from rayspace import (
 )
 from rayspace._kernels import component_labels, directed_maxmin, distance_matrix
 from rayspace.graph import GraphPoint, point_distance
-from rayspace.oracle import _directed_exact, _sample_set, _scaled_graph, _scaled_points
+from rayspace.oracle import (
+    _directed_exact,
+    _element_configs,
+    _grid,
+    _layout_count,
+    _sample_set,
+    _scaled_graph,
+    _scaled_points,
+)
 
 from conftest import random_ray_graph, random_subset
 
@@ -191,11 +199,17 @@ def test_oracle_components_deterministic(graphs):
     assert [s.render() for s in r1.representatives] == [s.render() for s in r2.representatives]
 
 
-def test_oracle_delta_warning(graphs):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        oracle_components(graphs["G_R"], F(1, 2), F(1), F(1, 2), 1, 1)
-    assert any("connectivity margin" in str(w.message) for w in caught)
+def test_oracle_delta_warning(graphs, monkeypatch):
+    # a delta below the margin is refused before anything is enumerated
+    import rayspace.oracle
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated below the margin")
+
+    monkeypatch.setattr(rayspace.oracle, "enumerate_sets", no_enumeration)
+    for delta in (F(1, 2), F(-1)):
+        with pytest.raises(PreconditionError, match="connectivity margin"):
+            oracle_components(graphs["G_R"], F(1, 2), F(1), delta, 1, 1)
 
 
 def test_oracle_hausdorff_examples(graphs):
@@ -372,3 +386,70 @@ def test_enumerate_postconditions(graphs):
                 assert b <= (g.element_length(eid) or T)
             if ep.tail is not None:
                 assert (ep.tail / h).denominator == 1 and ep.tail <= T
+
+
+def test_oracle_hausdorff_falls_back_to_exact_on_overflow(graphs, monkeypatch):
+    # three primes near 10**6 as denominators push the common scale past the
+    # integer kernels' headroom, so both directions take the Fraction route
+    import rayspace.oracle
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _directed_exact(*args)
+
+    monkeypatch.setattr(rayspace.oracle, "_directed_exact", counted)
+    g = graphs["G_I"]
+    A = parse_set("E1:[1/1000033,1/1000003]", g)
+    B = parse_set("E1:{1/1000037}", g)
+    h = F(1, 2)
+    d = oracle_hausdorff(g, A, B, h, F(1))
+    assert len(calls) == 2
+    assert abs(d - hausdorff(g, A, B)) <= h
+
+
+def _recursive_layouts(grid, max_pieces, length):
+    """Reference: every layout, built piece by piece by recursion."""
+    out = []
+
+    def extend(start, left, acc, interior):
+        out.append((tuple(acc), None, interior))
+        if length is None and left >= 1:
+            for s in range(start, len(grid)):
+                out.append((tuple(acc), grid[s], interior + (grid[s] > 0)))
+        if left < 1:
+            return
+        for i in range(start, len(grid)):
+            for j in range(i, len(grid)):
+                acc.append((grid[i], grid[j]))
+                inner = grid[i] > 0 and (length is None or grid[j] < length)
+                extend(j + 1, left - 1, acc, interior + inner)
+                acc.pop()
+
+    extend(0, max_pieces, [], 0)
+    return out
+
+
+@pytest.mark.parametrize(
+    "h, top, max_pieces, length",
+    [
+        (F(1, 2), F(1), 1, F(1)),
+        (F(1, 2), F(1), 3, F(1)),  # more pieces than half the grid: singletons
+        (F(1, 2), F(2), 2, None),
+        (F(1, 2), F(1), 4, None),
+        (F(1, 4), F(1), 5, F(1)),
+        (F(1, 3), F(1), 2, F(3, 2)),  # truncated below the edge's far end
+        (F(1), F(0), 2, None),
+        (F(1, 4), F(3, 2), 6, None),
+    ],
+)
+def test_element_layouts_match_recursive_reference(h, top, max_pieces, length):
+    grid = _grid(h, top)
+    got = _element_configs(grid, max_pieces, length)
+    want = _recursive_layouts(grid, max_pieces, length)
+    assert len(set(got)) == len(got)
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+    ray = length is None
+    assert _layout_count(len(grid), max_pieces, ray, len(want)) == len(want)
+    assert _layout_count(len(grid), max_pieces, ray, len(want) - 1) > len(want) - 1
