@@ -266,6 +266,11 @@ def vertex_distance_table(g: RayGraph) -> dict[tuple[str, str], Fraction]:
 # ---- parsing -----------------------------------------------------------
 
 
+def as_fraction(x) -> Fraction:
+    """x as an exact Fraction; a Fraction is returned as it is, not re-wrapped."""
+    return x if isinstance(x, Fraction) else Fraction(x)
+
+
 def parse_fraction(tok: str, where: str) -> Fraction:
     try:
         f = Fraction(tok)

@@ -20,13 +20,13 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import PreconditionError, RayspaceError
-from .graph import GraphPoint, RayGraph
+from .graph import GraphPoint, RayGraph, as_fraction
 from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset, add_pieces, canonical_element, direction_set, in_cn
 
 
 def _check_t(t) -> Fraction:
-    t = Fraction(t)
+    t = as_fraction(t)
     if not 0 <= t <= 1:
         raise PreconditionError(f"path parameter {t} outside [0,1]")
     return t

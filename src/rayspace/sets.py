@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph
+from .graph import GraphPoint, RayGraph, as_fraction
 
 Interval = tuple[Fraction, Fraction]
 
@@ -57,9 +57,11 @@ class ClosedSubset:
         tails: dict[str, Fraction] | None = None,
     ) -> "ClosedSubset":
         """Build and canonicalize a subset from raw per-element data."""
-        intervals = intervals or {}
-        raw = {eid: [(Fraction(a), Fraction(b)) for a, b in ivs] for eid, ivs in intervals.items()}
-        return _canonicalize(g, raw, {eid: Fraction(s) for eid, s in (tails or {}).items()})
+        raw = {
+            eid: [(as_fraction(a), as_fraction(b)) for a, b in ivs]
+            for eid, ivs in (intervals or {}).items()
+        }
+        return _canonicalize(g, raw, {eid: as_fraction(s) for eid, s in (tails or {}).items()})
 
     # ---- accessors -----------------------------------------------------
 

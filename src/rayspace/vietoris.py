@@ -4,9 +4,10 @@ An open region is a finite union of open metric balls, or the whole space.
 On an element of length L, d(x, c) is the least of |x - s| + d(s, c) over at
 most three spots s: the first end, the far end (edges only) and the centre c
 itself when it lies on the element.  So a ball is, per element, at most three
-clipped open intervals, merged into the region's derived form.  That makes
-upper membership an interval-containment check and lower membership a
-point-to-set distance comparison, both exact.
+clipped open intervals, merged into the region's derived form.  Both
+membership tests read that one cached form: upper membership is an
+interval-containment check, and lower membership is an overlap test between
+the set's pieces and the derived intervals, both exact.
 """
 
 from __future__ import annotations
@@ -14,11 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ParseError, PreconditionError
 from .graph import GraphPoint, RayGraph, point_distance
-from .metric import dist_point_to_set
 from .paths import HyperPath
 from .sets import ClosedSubset
 
@@ -43,11 +43,7 @@ class OpenRegion:
         """Exact per-element open-interval form of a union of balls."""
         if self.all_space:
             raise PreconditionError("the whole space has no derived ball intervals")
-        raw: dict[str, list[DerivedInterval]] = {}
-        for center, radius in self.balls:
-            for eid, ivs in _ball_intervals(self.graph, center, radius).items():
-                raw.setdefault(eid, []).extend(ivs)
-        return {eid: tuple(_merge_open(ivs)) for eid, ivs in raw.items()}
+        return _merged(_ball_intervals(self.graph, c, r) for c, r in self.balls)
 
     def contains_point(self, p: GraphPoint) -> bool:
         if self.all_space:
@@ -67,13 +63,18 @@ def ball(g: RayGraph, p: GraphPoint, r: Fraction) -> OpenRegion:
 def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:
     if not regions:
         raise PreconditionError("union of zero regions")
+    if len(regions) == 1:
+        return regions[0]
     g = regions[0].graph
     if any(u.graph != g for u in regions):
         raise PreconditionError("regions live on different graphs")
     if any(u.all_space for u in regions):
         return OpenRegion(g, (), all_space=True)
-    balls = tuple(b for u in regions for b in u.balls)
-    return OpenRegion(g, balls)
+    union = OpenRegion(g, tuple(b for u in regions for b in u.balls))
+    # fill the union's cached derived form from its regions' own, so a witness
+    # that tests each region and their union works out every ball only once
+    vars(union)["derived"] = _merged(u.derived for u in regions)
+    return union
 
 
 def _ball_intervals(
@@ -97,6 +98,17 @@ def _ball_intervals(
         if ivs:
             out[el.id] = ivs
     return out
+
+
+def _merged(
+    forms: Iterable[dict[str, Sequence[DerivedInterval]]],
+) -> dict[str, tuple[DerivedInterval, ...]]:
+    """One derived form for the union of several per-element interval forms."""
+    raw: dict[str, list[DerivedInterval]] = {}
+    for form in forms:
+        for eid, ivs in form.items():
+            raw.setdefault(eid, []).extend(ivs)
+    return {eid: tuple(_merge_open(ivs)) for eid, ivs in raw.items()}
 
 
 def _merge_open(ivs: list[DerivedInterval]) -> list[DerivedInterval]:
@@ -125,6 +137,16 @@ def _interval_inside(a: Fraction, b: Fraction, ivs: tuple[DerivedInterval, ...])
     return False
 
 
+def _interval_meets(a: Fraction, b: Fraction | None, ivs: tuple[DerivedInterval, ...]) -> bool:
+    """Does [a, b], or the tail [a, inf) when b is None, meet a derived interval?"""
+    for lo, lo_open, hi, hi_open in ivs:
+        starts_ok = a < hi or (a == hi and not hi_open)
+        ends_ok = b is None or b > lo or (b == lo and not lo_open)
+        if starts_ok and ends_ok:
+            return True
+    return False
+
+
 def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
     """A lies entirely inside the open region (the upper Vietoris condition)."""
     if U.all_space:
@@ -141,11 +163,24 @@ def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
 
 
 def member_lower(A: ClosedSubset, V: OpenRegion) -> bool:
-    """A meets the open region (the lower Vietoris condition)."""
+    """A meets the open region (the lower Vietoris condition).
+
+    Exact overlap of A's pieces with V's derived intervals, element by
+    element.  A vertex point needs no alias lookup: when the vertex lies in
+    V, every incident element's derived form holds that vertex end.
+    """
     if V.all_space:
         return True
-    g = V.graph
-    return any(dist_point_to_set(g, center, A) < radius for center, radius in V.balls)
+    derived = V.derived
+    for eid, ep in A.pieces:
+        ivs = derived.get(eid)
+        if ivs is None:
+            continue
+        if ep.tail is not None and _interval_meets(ep.tail, None, ivs):
+            return True
+        if any(_interval_meets(a, b, ivs) for a, b in ep.intervals):
+            return True
+    return False
 
 
 def member_basic(A: ClosedSubset, Us: Sequence[OpenRegion]) -> bool:

@@ -7,7 +7,14 @@ from fractions import Fraction
 
 import pytest
 
-from rayspace import ClosedSubset, RayGraph, graph_from_parts, parse_graph
+from rayspace import (
+    ClosedSubset,
+    RayGraph,
+    canonical_element,
+    graph_from_parts,
+    in_cn,
+    parse_graph,
+)
 from rayspace.graph import GraphPoint
 
 
@@ -112,6 +119,16 @@ def random_subset(
         c = rational(rng, 0, hi)
         intervals[eid] = [(c, c)]
     return ClosedSubset.from_pieces(g, intervals, tails)
+
+
+def random_in_c3(g: RayGraph, rng: random.Random) -> ClosedSubset:
+    """A random subset with at most three components: one piece per element
+    at most, redrawn until it fits, else the rayless core."""
+    for _ in range(50):
+        A = random_subset(g, rng, max_pieces=1)
+        if in_cn(g, A, 3):
+            return A
+    return canonical_element(g, frozenset())
 
 
 def brute_force_vertex_distance(g: RayGraph, source: str, target: str) -> Fraction | None:

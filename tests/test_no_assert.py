@@ -3,9 +3,10 @@
 Invariants raise exceptions, so they survive ``python -O``; only the
 canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
-takes nothing from the metric it cross-checks beyond its value types; and
-numpy stays behind the oracle, which the package and the CLI load only on
-first use.
+takes nothing from the metric it cross-checks beyond its value types; the
+Vietoris layer reads its regions' derived intervals and takes nothing from
+the metric beyond its value types either; and numpy stays behind the oracle,
+which the package and the CLI load only on first use.
 """
 
 import ast
@@ -89,6 +90,13 @@ def test_oracle_takes_only_value_types_from_metric():
     for name in ("oracle.py", "_kernels.py"):
         extra = set(_metric_imports(TREES[name])) - {"INF", "ExtendedDistance"}
         assert not extra, f"{name} imports {sorted(extra)} from metric"
+
+
+def test_vietoris_takes_only_value_types_from_metric():
+    tree = TREES["vietoris.py"]
+    extra = set(_metric_imports(tree)) - {"INF", "ExtendedDistance"}
+    assert not extra, f"vietoris.py imports {sorted(extra)} from metric"
+    assert "dist_point_to_set" not in {ident for node in ast.walk(tree) for ident in _names(node)}
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

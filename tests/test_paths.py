@@ -2,9 +2,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rayspace import (
     INF,
+    ClosedSubset,
     PreconditionError,
     canonical_element,
     component_count,
@@ -24,9 +27,9 @@ from rayspace import (
     whole_space,
 )
 from rayspace.paths import F0, Stage, covering_walk, HyperPath
-from rayspace.graph import GraphPoint
+from rayspace.graph import GraphPoint, as_fraction
 
-from conftest import random_subset
+from conftest import random_in_c3, random_ray_graph, random_subset
 
 
 def test_f0_formula_example(graphs):
@@ -267,3 +270,39 @@ def test_stagewise_lipschitz_random(graphs):
             for s in vals:
                 for t in vals:
                     assert hausdorff(g, vals[s], vals[t]) <= L * abs(s - t)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_path_invariants_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    A = random_in_c3(g, rng)
+    grid = [F(k, 8) for k in range(9)]
+    ends = (
+        (path_to_canonical(g, A, 3), canonical_element(g, direction_set(g, A))),
+        (vietoris_path(g, A, 3), whole_space(g)),
+    )
+    for P, end in ends:
+        assert eval_path(P, 0) == A and eval_path(P, 1) == end
+        for stage, following in zip(P.stages, P.stages[1:]):
+            assert stage.at(1) == following.at(0)
+        for t in grid:
+            assert in_cn(g, eval_path(P, t), 3)
+        for stage in P.stages:
+            values = {t: stage.at(t) for t in grid}
+            for _ in range(4):
+                s, t = rng.sample(grid, 2)
+                assert hausdorff(g, values[s], values[t]) <= stage.lipschitz_bound * abs(s - t)
+
+
+def test_exact_values_pass_through_unwrapped(graphs):
+    half = F(1, 2)
+    assert as_fraction(half) is half
+    assert as_fraction("1/2") == as_fraction(0.5) == half
+    g = graphs["G_R"]
+    # ints and strings are still accepted where a Fraction is expected
+    A = ClosedSubset.from_pieces(g, {"R1": [(0, "1/2")]}, {"R1": 2})
+    assert A == parse_set("R1:[0,1/2] R1:[2,inf)", g)
+    P = path_to_canonical(g, parse_set("R1:[2,inf)", g), 1)
+    assert eval_path(P, "1/6") == eval_path(P, F(1, 6)) and eval_path(P, 1) == eval_path(P, F(1))

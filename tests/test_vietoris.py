@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayspace.vietoris
 from rayspace import (
@@ -11,6 +13,7 @@ from rayspace import (
     PreconditionError,
     ball,
     continuity_witness,
+    dist_point_to_set,
     gamma_path,
     member_basic,
     member_lower,
@@ -25,8 +28,9 @@ from rayspace import (
 )
 from rayspace.metric import distance_profile
 from rayspace.paths import F0, HyperPath
+from rayspace.vietoris import WitnessResult
 
-from conftest import random_point, random_ray_graph, random_subset
+from conftest import random_in_c3, random_point, random_ray_graph, random_subset
 
 
 def _in_derived(derived, x: GraphPoint) -> bool:
@@ -244,6 +248,143 @@ def test_upper_lower_monotone_random(graphs):
             assert member_lower(B, U)
 
 
+# ---- reference: the lower test as a point-to-set distance ---------------------
+
+
+def _ref_lower(A, V) -> bool:
+    """A meets V when some ball centre lies closer to A than the ball's radius."""
+    if V.all_space:
+        return True
+    return any(dist_point_to_set(V.graph, c, A) < r for c, r in V.balls)
+
+
+def _boundary_sets(g, V):
+    """Sets that touch V's derived interval ends: points on each end, pieces
+    running up to a start or out of an end, and tails out of an end on rays.
+    At an open end such a set lies at distance exactly r from its ball."""
+    raws = []
+    for eid, ivs in V.derived.items():
+        length = g.element_length(eid)
+        for lo, _, hi, _ in ivs:
+            raws += [({eid: [(lo, lo)]}, {}), ({eid: [(hi, hi)]}, {})]
+            if lo > 0:
+                raws.append(({eid: [(lo / 2, lo)]}, {}))
+            if length is None:
+                raws += [({eid: [(hi, hi + 1)]}, {}), ({}, {eid: hi})]
+            elif hi < length:
+                raws.append(({eid: [(hi, length)]}, {}))
+    return [ClosedSubset.from_pieces(g, ivs, tails) for ivs, tails in raws]
+
+
+def _vertex_sets(g):
+    """Each vertex as a single point, entered on every representation; the set
+    stores it on the least one, which the ball's centre need not be on."""
+    return [
+        ClosedSubset.from_pieces(g, {eid: [(c, c)]})
+        for v in g.vertices
+        for eid, c in g.vertex_representations(v)
+    ]
+
+
+def _check_lower_against_reference(g, rng):
+    centers = [random_point(g, rng) for _ in range(3)]
+    centers.append(GraphPoint(*g.vertex_representations(rng.choice(g.vertices))[-1]))
+    balls = [ball(g, c, F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))) for c in centers]
+    regions = balls + [union_regions(balls[:2]), union_regions(balls)]
+    # a radius equal to a vertex's distance puts that vertex on the boundary
+    x = GraphPoint(*g.vertex_representations(rng.choice(g.vertices))[0])
+    regions.append(ball(g, centers[0], point_distance(g, x, centers[0]) or F(1)))
+    sets = [random_subset(g, rng) for _ in range(6)] + _vertex_sets(g)
+    for V in regions:
+        for A in sets + _boundary_sets(g, V):
+            assert member_lower(A, V) == _ref_lower(A, V), (A, V.balls)
+
+
+def test_member_lower_matches_distance_reference(graphs):
+    rng = random.Random(6060)
+    for g in graphs.values():
+        for _ in range(3):
+            _check_lower_against_reference(g, rng)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_member_lower_matches_distance_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    _check_lower_against_reference(random_ray_graph(rng), rng)
+
+
+def test_member_lower_boundary_examples(graphs):
+    g = graphs["G_LINE"]
+    V = ball(g, GraphPoint("R1", F(1)), F(1, 2))  # R1 (1/2, 3/2)
+    assert not member_lower(parse_set("R1:[0,1/2]", g), V)  # ends on the open end
+    assert not member_lower(parse_set("R1:[3/2,inf)", g), V)
+    assert member_lower(parse_set("R1:[0,2/3]", g), V)
+    W = ball(g, GraphPoint("R2", F(1, 2)), F(1))  # holds the vertex, stored on R1
+    assert W.derived["R1"] == ((F(0), False, F(1, 2), True),)
+    assert member_lower(parse_set("R2:{0}", g), W)
+    assert not member_lower(parse_set("R2:{0}", g), ball(g, GraphPoint("R2", F(1, 2)), F(1, 2)))
+
+
+def _ref_witness(P, t0, Us, resolution):
+    """The sampled witness with the lower test measured by point-to-set distance.
+
+    None when the value at t0 is not in the basic open."""
+    g = P.graph
+    if any(u.all_space for u in Us):
+        union_all = OpenRegion(g, (), all_space=True)
+    else:
+        union_all = OpenRegion(g, tuple(b for u in Us for b in u.balls))
+
+    def ok_at(t):
+        A = P.at(t)
+        return member_upper(A, union_all) and all(_ref_lower(A, u) for u in Us)
+
+    if not ok_at(t0):
+        return None
+    delta, last_bad = max(t0, 1 - t0), None
+    while delta >= resolution:
+        offsets = [delta] + [k * resolution for k in range(int(delta / resolution), 0, -1)]
+        ts = [t for off in offsets for t in (t0 - off, t0 + off) if 0 <= t <= 1]
+        bad = next((t for t in ts if not ok_at(t)), None)
+        if bad is None:
+            return WitnessResult(True, delta=delta)
+        last_bad, delta = bad, delta / 2
+    return WitnessResult(False, failed_at=last_bad)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_witness_matches_distance_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    P = vietoris_path(g, random_in_c3(g, rng), 3)
+    t0 = F(rng.randint(0, 8), 8)
+    val = P.at(t0)
+    ends = [GraphPoint(eid, c) for eid, ep in val.pieces for iv in ep.intervals for c in iv]
+    if ends and all(ep.tail is None for _, ep in val.pieces) and rng.random() < 0.5:
+        # a bounded cover: one ball around a vertex that holds the whole value
+        v = GraphPoint(*g.vertex_representations(rng.choice(g.vertices))[0])
+        reach = max(point_distance(g, v, x) for x in ends)
+        Us = [ball(g, v, reach + F(rng.randint(1, 4), 4))]
+    else:
+        Us = [OpenRegion(g, (), all_space=True)]
+    for _ in range(rng.randint(1, 3)):
+        # centres on the value keep most lower tests true at t0, and small
+        # radii around moving ends make some witnesses fail
+        eid, ep = rng.choice(val.pieces)
+        c = rng.choice([a for iv in ep.intervals for a in iv] or [ep.tail])
+        center = GraphPoint(eid, c) if rng.random() < 0.8 else random_point(g, rng)
+        Us.append(ball(g, center, F(rng.randint(1, 4), rng.choice((1, 4, 16, 64)))))
+    resolution = F(1, 16)
+    expected = _ref_witness(P, t0, Us, resolution)
+    if expected is None:
+        with pytest.raises(PreconditionError):
+            continuity_witness(P, t0, Us, resolution)
+    else:
+        assert continuity_witness(P, t0, Us, resolution) == expected
+
+
 def test_gamma_upper_continuity_direction(graphs):
     g = graphs["G_LINE"]
     P = gamma_path(g, frozenset())
@@ -286,6 +427,21 @@ def test_witness_ball_work_does_not_grow_with_resolution(graphs, monkeypatch):
         assert continuity_witness(P, F(1, 2), [U], res).ok
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+def test_witness_works_out_each_ball_once(graphs, monkeypatch):
+    g = graphs["G_LINE"]
+    calls = []
+    ball_intervals = rayspace.vietoris._ball_intervals
+
+    def counting(*args):
+        calls.append(args)
+        return ball_intervals(*args)
+
+    monkeypatch.setattr(rayspace.vietoris, "_ball_intervals", counting)
+    Us = [parse_region(text, g) for text in ("ball R1:0 2", "ball R1:1/2 1", "ball R2:1 1")]
+    assert continuity_witness(gamma_path(g, frozenset()), F(1, 2), Us, F(1, 100)).ok
+    assert len(calls) == 3  # the t0 check, the union and every lower test share them
 
 
 def test_witness_constant_path(graphs):
