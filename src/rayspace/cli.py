@@ -43,6 +43,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2; we reserve that
         raise _UsageError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse drops a '--' given as '--opt=--' and stores [] as the value
+        if action.option_strings and arg_strings == ["--"]:
+            self.error(f"argument {action.option_strings[0]}: expected one argument")
+        return super()._get_values(action, arg_strings)
+
 
 def _load_graph(path: str) -> RayGraph:
     p = Path(path)
@@ -58,7 +64,9 @@ def _load_graph(path: str) -> RayGraph:
 def _graph_from_json(text: str) -> RayGraph:
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+    # JSONDecodeError is a ValueError, and so is a number literal past the
+    # interpreter's digit limit; RecursionError means nesting too deep
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"bad JSON graph file: {exc}") from None
     if not isinstance(doc, dict):
         raise ParseError("bad JSON graph structure: the top level is not an object")
@@ -157,13 +165,6 @@ def _build_parser() -> _Parser:
     return top
 
 
-def _frac(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational for {what}: {text!r}") from None
-
-
 def _cmd_dist(args) -> int:
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
@@ -224,10 +225,9 @@ def _cmd_vietoris(args) -> int:
         print(f"lower {i}={'true' if lower else 'false'}")
     print(f"basic={'true' if upper and all(lowers) else 'false'}")
     if args.witness is not None:
-        t0 = _frac(args.witness, "--witness")
-        res = _frac(args.res, "--res")
-        n = max(1, component_count(g, A))
-        P = vietoris_path(g, A, n)
+        t0 = parse_fraction(args.witness, "--witness")
+        res = parse_fraction(args.res, "--res")
+        P = vietoris_path(g, A, component_count(g, A))
         w = continuity_witness(P, t0, regions, res)
         if w.ok:
             print(f"witness delta={w.delta}")
@@ -247,9 +247,9 @@ def _cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     res = oracle_components(
         g,
-        _frac(args.step, "--step"),
-        _frac(args.trunc, "--trunc"),
-        _frac(args.delta, "--delta"),
+        parse_fraction(args.step, "--step"),
+        parse_fraction(args.trunc, "--trunc"),
+        parse_fraction(args.delta, "--delta"),
         args.n,
         args.max_pieces,
         cap=args.cap,

@@ -86,21 +86,7 @@ class RayGraph:
         for r in self.rays:
             if r.attach not in vset:
                 raise InvalidGraphError(f"ray {r.id} attached to unknown vertex")
-        self._check_connected()
-
-    def _check_connected(self):
-        parent = {v: v for v in self.vertices}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for e in self.edges:
-            parent[find(e.u)] = find(e.v)
-        roots = {find(v) for v in self.vertices}
-        if len(roots) > 1:
+        if count_classes(self.vertices, ((e.u, e.v) for e in self.edges)) > 1:
             raise InvalidGraphError("graph is not connected")
 
     # ---- lookups -------------------------------------------------------
@@ -241,6 +227,28 @@ class RayGraph:
         return [(el.u, p.coord), (el.v, el.length - p.coord)]
 
 
+def count_classes(nodes: Iterable[str], links: Iterable[tuple[str, str]]) -> int:
+    """Number of classes of ``nodes`` once each linked pair is joined (union-find).
+
+    Every linked name must be one of ``nodes``.
+    """
+    parent = {x: x for x in nodes}
+
+    def find(x: str) -> str:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    classes = len(parent)
+    for x, y in links:
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            classes -= 1
+    return classes
+
+
 def point_distance(g: RayGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Exact length of the shortest path in the graph between two points."""
     g.validate_point(p)
@@ -272,11 +280,18 @@ def as_fraction(x) -> Fraction:
 
 
 def parse_fraction(tok: str, where: str) -> Fraction:
-    try:
-        f = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational {tok!r}", where) from None
-    return f
+    """Rational text, ``p/q`` or a decimal, as an exact Fraction.
+
+    Every rational the package reads from text comes through here.  Exponent
+    notation is refused: it is the one form whose value grows exponentially
+    with its length, so ``1e10000000`` would stall the conversion.
+    """
+    if "e" not in tok and "E" not in tok:
+        try:
+            return Fraction(tok)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ParseError(f"bad rational {tok!r}", where)
 
 
 def _check_id(tok: str, where: str) -> str:

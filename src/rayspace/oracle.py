@@ -299,6 +299,14 @@ def oracle_components(
     for r in g.rays:
         universe.extend((r.id, c) for c in _grid(h, T))
     pos = {pt: i for i, pt in enumerate(universe)}
+    # a lone vertex point is stored at its least representation, which may lie
+    # past T or off the grid; every representation names the same point
+    for v in g.vertices:
+        reps = g.vertex_representations(v)
+        held = next((pos[r] for r in reps if r in pos), None)
+        if held is not None:
+            for r in reps:
+                pos.setdefault(r, held)
 
     sg = _scaled_graph(g, [h.denominator, T.denominator])
     pe, pc = _scaled_points(sg, universe)

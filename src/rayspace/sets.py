@@ -4,13 +4,16 @@ An element of CL(X) is stored per graph element as a sorted tuple of disjoint,
 non-adjacent closed intervals, plus (on rays) an optional unbounded tail
 [s, inf).  Degenerate intervals [a, a] represent single points.  Canonical
 form is unique per point set.  ``_canonicalize`` makes one pass per element:
-validate the pieces, set aside each single point on a vertex, merge touching
-intervals, let the tail swallow what it reaches.  A set-aside vertex that no
-longer piece and no tail from 0 reaches is then stored once, on its least
-incident (element, coord) representation.  The pass records the vertices the
-set holds as ``ClosedSubset.vertices``, so no other code decides vertex
-aliasing.  Only ``_canonicalize`` builds a ``ClosedSubset`` from raw fields,
-and each set value goes through it once.
+validate the pieces, set aside each single point at an element end (a vertex),
+merge touching intervals, let the tail swallow what it reaches.  A set-aside
+vertex that no longer piece and no tail from 0 reaches is then stored once,
+on its least incident (element, coord) representation.  Vertex contact is
+read off the element's two end vertices: only the first piece or a tail can
+start at 0, and only the last piece can end at the length.  The pass records
+the vertices the set holds as ``ClosedSubset.vertices``, so no other code
+decides vertex aliasing, and ``component_count`` reads the components off
+that record and the canonical pieces.  Only ``_canonicalize`` builds a
+``ClosedSubset`` from raw fields, and each set value goes through it once.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph, as_fraction
+from .graph import GraphPoint, RayGraph, as_fraction, count_classes, parse_fraction
 
 Interval = tuple[Fraction, Fraction]
 
@@ -113,6 +116,7 @@ def _canonicalize(
         ivs = intervals.get(eid, ())
         tail = tails.get(eid)
         length = g.element_length(eid)  # raises for unknown ids
+        end0, end1 = g.element_end_vertices(eid)
         if tail is not None and length is not None:
             raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
         for a, b in ivs:
@@ -124,8 +128,8 @@ def _canonicalize(
             raise PreconditionError(f"tail start {tail} out of range on {eid}")
         merged: list[Interval] = []
         for a, b in sorted(ivs):
-            if a == b and (v := g.vertex_at(eid, a)) is not None:
-                points.add(v)
+            if a == b and (a == 0 or a == length):
+                points.add(end0 if a == 0 else end1)
             elif merged and a <= merged[-1][1]:
                 merged[-1] = (merged[-1][0], max(merged[-1][1], b))
             else:
@@ -133,9 +137,12 @@ def _canonicalize(
         if tail is not None:
             while merged and merged[-1][1] >= tail:
                 tail = min(tail, merged.pop()[0])
-        # a vertex sits at an element end: a piece reaches it there, a tail only from 0
-        ends = [c for iv in merged for c in iv] + ([] if tail is None else [tail])
-        held.update(v for c in ends if (v := g.vertex_at(eid, c)) is not None)
+        # merged pieces are disjoint and a tail lies past them, so only the
+        # first piece (or the tail) can start at 0 and only the last can end at length
+        if (merged[0][0] if merged else tail) == 0:
+            held.add(end0)
+        if merged and merged[-1][1] == length:
+            held.add(end1)
         if merged or tail is not None:
             per[eid] = (merged, tail)
 
@@ -168,41 +175,32 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
             raise ParseError("atom must look like ELEM:[a,b], ELEM:[a,inf) or ELEM:{a}", where)
         eid, body = atom.split(":", 1)
         if body.startswith("{") and body.endswith("}"):
-            c = _parse_coord(body[1:-1], where)
-            intervals.setdefault(eid, []).append((c, c))
+            a = b = parse_fraction(body[1:-1], where)
         elif body.startswith("[") and body.endswith(")"):
             inner = body[1:-1]
             parts = inner.split(",")
             if len(parts) != 2 or parts[1].strip() != "inf":
                 raise ParseError("half-open atom must be ELEM:[a,inf)", where)
-            s = _parse_coord(parts[0], where)
-            tails[eid] = min(s, tails[eid]) if eid in tails else s
+            a, b = parse_fraction(parts[0], where), None
         elif body.startswith("[") and body.endswith("]"):
             parts = body[1:-1].split(",")
             if len(parts) != 2:
                 raise ParseError("interval atom must be ELEM:[a,b]", where)
-            a = _parse_coord(parts[0], where)
-            b = _parse_coord(parts[1], where)
+            a, b = parse_fraction(parts[0], where), parse_fraction(parts[1], where)
             if a > b:
                 raise ParseError(f"malformed interval (a > b) in {atom!r}", where)
-            intervals.setdefault(eid, []).append((a, b))
         else:
             raise ParseError(f"unrecognized atom {atom!r}", where)
+        if a < 0:  # a <= b, so a is the least coordinate of the atom
+            raise ParseError(f"negative coordinate {a}", where)
+        if b is None:
+            tails[eid] = min(a, tails[eid]) if eid in tails else a
+        else:
+            intervals.setdefault(eid, []).append((a, b))
     try:
         return ClosedSubset.from_pieces(g, intervals, tails)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from None
-
-
-def _parse_coord(tok: str, where: str) -> Fraction:
-    tok = tok.strip()
-    try:
-        c = Fraction(tok)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad coordinate {tok!r}", where) from None
-    if c < 0:
-        raise ParseError(f"negative coordinate {tok!r}", where)
-    return c
 
 
 # ---- set operations -----------------------------------------------------
@@ -230,46 +228,28 @@ def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     return _canonicalize(A.graph, intervals, tails)
 
 
-def touched_vertices(g: RayGraph, A: ClosedSubset) -> frozenset[str]:
-    """Vertices of g that belong to A as points."""
-    return A.vertices
-
-
 def component_count(g: RayGraph, A: ClosedSubset) -> int:
     """Number of connected components of A as a subspace of the graph.
 
-    Union-find over pieces: a piece whose closed interval reaches a vertex
-    joins that vertex's cluster, so pieces on different elements connect
-    exactly when they share a vertex point.
+    Read off the canonical form.  A piece that reaches no element end is a
+    component by itself.  Every other piece lies in the component of a vertex
+    it reaches, and that vertex is in ``A.vertices``; vertices join only along
+    a whole edge ``[0, length]``, the one piece that reaches two of them.  So
+    the count is the loose pieces plus the classes of ``A.vertices`` under
+    the whole edges' end pairs.
     """
-    parent: dict[object, object] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def join(x, y):
-        parent[find(x)] = find(y)
-
-    piece_nodes = []
+    loose = 0
+    links: list[tuple[str, str]] = []
     for eid, ep in A.pieces:
-        spans: list[tuple[Fraction, Fraction | None]] = [(a, b) for a, b in ep.intervals]
-        if ep.tail is not None:
-            spans.append((ep.tail, None))
-        for a, b in spans:
-            node = (eid, a)
-            piece_nodes.append(node)
-            ends = [a] if b is None else [a, b]
-            for c in ends:
-                v = g.vertex_at(eid, c)
-                if v is not None:
-                    join(node, ("vertex", v))
-    return len({find(n) for n in piece_nodes})
+        length = g.element_length(eid)  # None on a ray: no piece ends there
+        for a, b in ep.intervals:
+            if a == 0 and b == length:
+                links.append(g.element_end_vertices(eid))
+            elif a > 0 and b != length:
+                loose += 1
+        if ep.tail is not None and ep.tail > 0:
+            loose += 1
+    return loose + count_classes(A.vertices, links)
 
 
 def in_cn(g: RayGraph, A: ClosedSubset, n: int) -> bool:

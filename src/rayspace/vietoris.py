@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph, point_distance
+from .graph import GraphPoint, RayGraph, parse_fraction, point_distance
 from .paths import HyperPath
 from .sets import ClosedSubset
 
@@ -264,13 +264,6 @@ def continuity_witness(
 # ---- parsing ----------------------------------------------------------------
 
 
-def _rational(text: str, what: str, token: int) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(f"bad rational in {what}: {text!r}", f"token {token}") from None
-
-
 def parse_region(text: str, g: RayGraph) -> OpenRegion:
     """Parse an open-region literal: ``all`` or ``ball ELEM:coord radius`` atoms."""
     toks = text.split()
@@ -290,8 +283,8 @@ def parse_region(text: str, g: RayGraph) -> OpenRegion:
         if ":" not in spot:
             raise ParseError(f"ball center must be ELEM:coord, got {spot!r}", f"token {i + 2}")
         eid, coord = spot.split(":", 1)
-        p = GraphPoint(eid, _rational(coord, "ball center", i + 2))
-        r = _rational(rad, "ball radius", i + 3)
+        p = GraphPoint(eid, parse_fraction(coord, f"token {i + 2}"))
+        r = parse_fraction(rad, f"token {i + 3}")
         if r <= 0:
             raise ParseError("ball radius must be positive", f"token {i + 3}")
         try:

@@ -9,11 +9,11 @@ which reproduces the classical drawings for nooses, n-ods and lines.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import CapExceededError, ParseError, PreconditionError
+from .graph import count_classes
 
 # Hard limits on user-driven model size: parenthesis nesting of a wedge
 # expression, and product pieces built by one wedge (locus components of the
@@ -231,18 +231,9 @@ def wedge(m1: HModel, m2: HModel) -> HModel:
 
 
 def model_components(m: HModel) -> int:
-    """Connected components of the model: union-find over glued pieces."""
-    parent = {p.id: p.id for p in m.pieces}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for gl in m.gluings:
-        parent[find(gl.left[0])] = find(gl.right[0])
-    return len({find(p.id) for p in m.pieces})
+    """Connected components of the model: classes of pieces under the gluings."""
+    glued = ((gl.left[0], gl.right[0]) for gl in m.gluings)
+    return count_classes((p.id for p in m.pieces), glued)
 
 
 def model_stats(m: HModel) -> ModelStats:
@@ -252,10 +243,6 @@ def model_stats(m: HModel) -> ModelStats:
         dims=dims,
         pieces=tuple((p.id, p.dim, p.compact) for p in m.pieces),
     )
-
-
-def dim_multiset(m: HModel) -> Counter:
-    return Counter(p.dim for p in m.pieces)
 
 
 # ---- expression parsing -----------------------------------------------------

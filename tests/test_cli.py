@@ -127,8 +127,8 @@ def test_vietoris_bad_ball_center_is_parse_error(graph_file, capsys, spot, msg):
     [
         ("ball E1:0 -1", "ball radius must be positive (at token 3)"),
         ("ball E1:0 0", "ball radius must be positive (at token 3)"),
-        ("ball E1:0 1/0", "bad rational in ball radius: '1/0' (at token 3)"),
-        ("ball E1:1/2 1 ball E1:x 1", "bad rational in ball center: 'x' (at token 5)"),
+        ("ball E1:0 1/0", "bad rational '1/0' (at token 3)"),
+        ("ball E1:1/2 1 ball E1:x 1", "bad rational 'x' (at token 5)"),
     ],
 )
 def test_vietoris_bad_ball_radius_or_rational_has_position(graph_file, capsys, atom, msg):
@@ -208,7 +208,12 @@ _JSON_EDGE = '{"id": "E1", "u": "u", "v": "v", "length": %s}'
     ('{"vertices": ["u", "v"], "edges": [{"id": "E 1", "u": "u", "v": "v"}]}',
      "bad identifier 'E 1' (at edges[0])"),
     ("[" * 100_000 + "]" * 100_000, "bad JSON graph file: maximum recursion depth"),
-], ids=["top-level-list", "length-1/0", "length-1e400", "int-id", "spaced-id", "deep-nesting"])
+    ('{"vertices": ["u", "v"], "edges": [%s]}' % (_JSON_EDGE % ("1" * 5000)),
+     "bad JSON graph file: Exceeds the limit (4300 digits)"),
+    ('{"vertices": ["u", "v"], "edges": [%s]}' % (_JSON_EDGE % "1e300"),
+     "bad rational '1e+300' (at edges[0])"),
+], ids=["top-level-list", "length-1/0", "length-1e400", "int-id", "spaced-id", "deep-nesting",
+        "length-5000-digits", "length-1e300"])
 def test_json_graph_errors_are_parse_errors(tmp_path, capsys, text, msg):
     p = tmp_path / "g.json"
     p.write_text(text)
@@ -364,3 +369,48 @@ def test_internal_errors_exit_5(monkeypatch, capsys, exc):
     assert len(err) == 1
     assert err[0].startswith(f'error kind=internal msg="{type(exc).__name__} at test_cli.py:')
     assert err[0].endswith(f'{exc}"')
+
+
+@pytest.mark.parametrize("argv, msg", [
+    (["dist", "--a", "R1:{1e5000}", "--b", "R2:{0}"], "bad rational '1e5000' (at atom 1"),
+    (["dist", "--a", "R1:[0,1E2]", "--b", "R2:{0}"], "bad rational '1E2' (at atom 1"),
+    (["vietoris", "--a", "R1:{0}", "--open", "ball R1:1e3 1"], "bad rational '1e3' (at token 2)"),
+    (["vietoris", "--a", "R1:{0}", "--open", "all", "--witness", "1/2", "--res", "1e10000000"],
+     "bad rational '1e10000000' (at --res)"),
+    (["oracle", "--step", "1e-1", "--trunc", "1", "--delta", "1/2", "-n", "1"],
+     "bad rational '1e-1' (at --step)"),
+], ids=["set-point", "set-interval", "ball-center", "res", "step"])
+def test_exponent_notation_is_refused(graph_file, capsys, argv, msg):
+    # 1e10000000 took seconds to build as a Fraction, and 1e5000 printed past
+    # the interpreter's 4300-digit limit
+    start = time.perf_counter()
+    assert run([argv[0], "--graph", graph_file("G_LINE"), *argv[1:]]) == 2
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=parse") and msg in err[0]
+
+
+def test_exponent_notation_is_refused_in_graph_lengths(tmp_path, capsys):
+    p = tmp_path / "g.graph"
+    p.write_text("vertex u v\nedge E1 u v length 1e10000000\n")
+    assert run(["validate", "--graph", str(p)]) == 2
+    assert "bad rational '1e10000000' (at line 2)" in capsys.readouterr().err
+
+
+def test_decimals_are_still_read_exactly(graph_file, capsys):
+    assert run(["dist", "--graph", graph_file("G_LINE"), "--a", "R1:{0.25}", "--b", "R2:{.5}"]) == 0
+    assert capsys.readouterr().out.strip() == "3/4"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--graph", "G_LINE", "--a=--", "--b", "R1:{0}"],
+    ["path", "--graph", "G_LINE", "--a", "R1:{0}", "-n=--"],
+    ["vietoris", "--graph", "G_LINE", "--a", "R1:{0}", "--open=--"],
+    ["wedge", "--expr=--"],
+], ids=["set", "int", "append", "wedge"])
+def test_double_dash_as_option_value_is_usage_error(graph_file, capsys, argv):
+    # argparse drops a '--' written as '--opt=--' and stores [] in its place
+    argv = [graph_file(a) if a == "G_LINE" else a for a in argv]
+    assert run(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=usage") and "expected one argument" in err[0]

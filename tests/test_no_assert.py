@@ -5,8 +5,9 @@ canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types; the
 Vietoris layer reads its regions' derived intervals and takes nothing from
-the metric beyond its value types either; and numpy stays behind the oracle,
-which the package and the CLI load only on first use.
+the metric beyond its value types either; numpy stays behind the oracle,
+which the package and the CLI load only on first use; and
+``graph.count_classes`` is the package's one Python union-find.
 """
 
 import ast
@@ -142,3 +143,21 @@ def test_package_and_cli_load_the_oracle_lazily():
         if any(_is(m, "rayspace.oracle") for m in _imported_modules(node))
     ]
     assert found == []
+
+
+def _find_owners(node: ast.AST, owner: str | None = None) -> list[str | None]:
+    """The outermost function around every ``def find`` below node."""
+    found = []
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if child.name == "find":
+                found.append(owner)
+            found += _find_owners(child, owner or child.name)
+        else:
+            found += _find_owners(child, owner)
+    return found
+
+
+def test_count_classes_is_the_only_union_find():
+    found = [f"{name}:{owner}" for name, tree in TREES.items() for owner in _find_owners(tree)]
+    assert found == ["graph.py:count_classes"]

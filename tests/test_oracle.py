@@ -21,6 +21,7 @@ from rayspace import (
     parse_set,
 )
 from rayspace._kernels import component_labels, directed_maxmin, distance_matrix
+from rayspace.cli import run
 from rayspace.graph import GraphPoint, point_distance
 from rayspace.oracle import (
     _directed_exact,
@@ -190,6 +191,23 @@ def test_oracle_components_census(graphs):
         assert len(res.representatives) == res.count
         for rep, ds in zip(res.representatives, res.directions):
             assert direction_set(graphs[name], rep) == ds
+
+
+@pytest.mark.parametrize("length", ["3", "3/2"])
+def test_oracle_census_with_vertex_stored_off_the_grid(tmp_path, capsys, length):
+    # v's least representation (A, length) lies past T = 2 or off the h = 1
+    # grid; renamed Z, the edge sorts after R1 and v is stored at (R1, 0)
+    census = []
+    for eid in ("A", "Z"):
+        text = f"vertex u v; edge {eid} u v length {length}; ray R1 v"
+        path = tmp_path / f"{eid}.graph"
+        path.write_text(text.replace("; ", "\n"))
+        argv = ["oracle", "--graph", str(path), "--step", "1", "--trunc", "2",
+                "--delta", "6/5", "-n", "1"]
+        assert run(argv) == 0, capsys.readouterr().err
+        res = oracle_components(rayspace.parse_graph(text), F(1), F(2), F(6, 5), 1, 1)
+        census.append((res.count, res.set_count, res.group_counts, res.directions))
+    assert census[0] == census[1]
 
 
 def test_oracle_components_deterministic(graphs):

@@ -12,7 +12,6 @@ import random
 from fractions import Fraction as F
 
 from rayspace import ClosedSubset, component_count, contains_point, is_subset, union
-from rayspace.sets import touched_vertices
 from rayspace.graph import GraphPoint, point_distance
 
 STEP = F(1, 24)
@@ -103,7 +102,7 @@ def _reexpress(g, A, rng):
             if rng.random() < 0.5:
                 out.append((ep.tail, ep.tail + 1))  # swallowed by the tail
     # restate any vertex point of A on every incident representation
-    for v in touched_vertices(g, A):
+    for v in A.vertices:
         for eid, c in g.vertex_representations(v):
             if rng.random() < 0.5:
                 intervals.setdefault(eid, []).append((c, c))

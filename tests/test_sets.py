@@ -21,7 +21,7 @@ from rayspace import (
 )
 from rayspace.graph import GraphPoint
 
-from conftest import random_subset
+from conftest import random_ray_graph, random_subset, rational
 
 
 def test_parse_tail(graphs):
@@ -201,3 +201,87 @@ def test_union_laws_hypothesis(data):
     assert union(A, A) == A
     assert is_subset(g, A, union(A, B)) and is_subset(g, B, union(A, B))
     assert direction_set(g, union(A, B)) == direction_set(g, A) | direction_set(g, B)
+
+
+def _ref_component_count(g, A):
+    """Reference: union-find over one node per piece and one per vertex."""
+    parent = {}
+
+    def find(x):
+        parent.setdefault(x, x)
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    def join(x, y):
+        parent[find(x)] = find(y)
+
+    piece_nodes = []
+    for eid, ep in A.pieces:
+        spans = [(a, b) for a, b in ep.intervals]
+        if ep.tail is not None:
+            spans.append((ep.tail, None))
+        for a, b in spans:
+            node = (eid, a)
+            piece_nodes.append(node)
+            ends = [a] if b is None else [a, b]
+            for c in ends:
+                v = g.vertex_at(eid, c)
+                if v is not None:
+                    join(node, ("vertex", v))
+    return len({find(n) for n in piece_nodes})
+
+
+def _raw_subset_near_vertices(g, rng):
+    """Raw piece data rich in vertex contact: whole edges, pieces from either
+    end, points at the ends, tails at 0, and vertex points restated on every
+    incident representation."""
+    intervals, tails = {}, {}
+    for e in g.edges:
+        for _ in range(rng.randint(0, 3)):
+            a, b = sorted((rational(rng, 0, e.length), rational(rng, 0, e.length)))
+            iv = rng.choice([
+                (F(0), e.length), (F(0), b), (a, e.length), (F(0), F(0)),
+                (e.length, e.length), (a, a), (a, b),
+            ])
+            intervals.setdefault(e.id, []).append(iv)
+    for r in g.rays:
+        for _ in range(rng.randint(0, 2)):
+            a, b = sorted((rational(rng, 0, 3), rational(rng, 0, 3)))
+            intervals.setdefault(r.id, []).append(rng.choice([(F(0), b), (a, a), (a, b)]))
+        if rng.random() < 0.5:
+            tails[r.id] = rng.choice([F(0), rational(rng, 0, 3)])
+    for v in rng.sample(g.vertices, rng.randint(0, len(g.vertices))):
+        for eid, c in g.vertex_representations(v):
+            intervals.setdefault(eid, []).append((c, c))
+    if not intervals and not tails:
+        eid, c = g.vertex_representations(g.vertices[0])[0]
+        intervals[eid] = [(c, c)]
+    return intervals, tails
+
+
+def _ref_vertices(g, A):
+    """Reference: the vertices some representation of which lies in a piece of A."""
+    def holds(eid, c):
+        ep = A.by_element.get(eid)
+        return ep is not None and (
+            any(a <= c <= b for a, b in ep.intervals) or (ep.tail is not None and c >= ep.tail)
+        )
+
+    return {v for v in g.vertices if any(holds(*rep) for rep in g.vertex_representations(v))}
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_component_count_matches_reference_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    for _ in range(12):
+        A = ClosedSubset.from_pieces(g, *_raw_subset_near_vertices(g, rng))
+        assert A.vertices == _ref_vertices(g, A), A
+        assert component_count(g, A) == _ref_component_count(g, A), A
+    for A in (whole_space(g), canonical_element(g, frozenset())):
+        assert component_count(g, A) == _ref_component_count(g, A) == 1
