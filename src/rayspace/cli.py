@@ -89,6 +89,12 @@ def _graph_from_json(text: str) -> RayGraph:
 def _fmt(value) -> str:
     if is_infinite(value):
         return "inf"
+    big, limit = max(abs(value.numerator), value.denominator), sys.get_int_max_str_digits()
+    if limit and big.bit_length() > 3 * limit and big >= 10**limit:  # 2**(3 * limit) < 10**limit
+        raise CapExceededError(
+            f"result has about {int(big.bit_length() * 0.30103) + 1} digits; "
+            f"the interpreter prints at most {limit}"
+        )
     return str(value)
 
 

@@ -3,9 +3,14 @@
 Enumerates every canonical subset whose interval endpoints sit on an h-grid
 (truncated at radius T), links pairs at grid Hausdorff distance <= delta, and
 counts hyperspace components; also grid-approximates Hausdorff distances
-independently of the exact metric module.  Distances run through the
-integer-scaled kernels in :mod:`rayspace._kernels`, so grid values are still
-exact rationals.
+independently of the exact metric module.  Enumeration works on grid indices:
+a set is the OR of its per-element layout keys (a bit per grid point, each
+vertex one point; a bit per covered grid segment; a tail bit per ray), its
+components are counted once per distinct key with the oracle's own vertex
+classes, and the key's point bits are its census mask.  Only ``ClosedSubset``
+comes from :mod:`rayspace.sets`, the code this checks.  Distances run through
+the integer-scaled kernels in :mod:`rayspace._kernels` on coordinates scaled
+to ints by one common denominator, so grid values are still exact rationals.
 """
 
 from __future__ import annotations
@@ -19,9 +24,9 @@ import numpy as np
 
 from ._kernels import BIG, backend, component_labels, directed_maxmin, distance_matrix
 from .errors import CapExceededError, PreconditionError
-from .graph import GraphPoint, RayGraph, point_distance
+from .graph import GraphPoint, RayGraph, count_classes, point_distance
 from .metric import INF, ExtendedDistance
-from .sets import ClosedSubset, direction_set, in_cn
+from .sets import ClosedSubset
 
 _SAFE_MAGNITUDE = int(BIG) // 8  # headroom: distances add three scaled terms
 
@@ -81,6 +86,47 @@ def _element_configs(
     return configs
 
 
+def _element_layouts(g: RayGraph, h: Fraction, T: Fraction, max_pieces: int):
+    """Grid sizes, and for each element (edges, then rays) its layouts as
+    (key, interior, reached vertices, whole-edge end pairs, id, pieces, tail).
+    A key has a bit per universe point held, every vertex at the index of its
+    least representation on the grid, and past the universe a bit per grid
+    segment covered and a tail bit."""
+    grids = [(e.id, e.length, _grid(h, min(e.length, T))) for e in g.edges]
+    grids += [(r.id, None, _grid(h, T)) for r in g.rays]
+    firsts = list(itertools.accumulate((len(grid) for *_, grid in grids), initial=0))
+    pos = {}
+    for (eid, _, grid), first in zip(grids, firsts):
+        pos[eid, grid[-1]], pos[eid, 0] = first + len(grid) - 1, first
+    vertex = {v: next((pos[r] for r in g.vertex_representations(v) if r in pos), None)
+              for v in g.vertices}
+    per_element = []
+    for (eid, length, grid), first in zip(grids, firsts):
+        (end0, end1), m = g.element_end_vertices(eid), len(grid)
+        points = [vertex[end0], *range(first + 1, first + m)]
+        if grid[-1] == length:
+            points[-1] = vertex[end1]
+        extra, index = firsts[-1] + first, {c: k for k, c in enumerate(grid)}
+        layouts = []
+        for pieces, start, interior in _element_configs(grid, max_pieces, length):
+            runs = [(index[a], index[b]) for a, b in pieces]
+            key = 0 if start is None else 1 << (extra + m - 1)  # segment k at extra + k
+            for i, j in runs + ([] if start is None else [(index[start], m - 1)]):
+                key |= ((1 << (j - i)) - 1) << (extra + i)
+                for p in points[i : j + 1]:
+                    key |= 1 << p
+            reached = [end0] * (start == 0) + [end0 for a, _ in pieces if a == 0]
+            reached += [end1 for _, b in pieces if b == length]
+            links = [(end0, end1) for a, b in pieces if a == 0 and b == length]
+            layouts.append((key, interior, reached, links, eid, pieces, start))
+        per_element.append(layouts)
+    return [len(grid) for *_, grid in grids], per_element
+
+
+class _Enumeration(list):
+    """Enumerated sets; ``keys[i]`` is set i's key, ``sizes`` the grid size per element."""
+
+
 def enumerate_sets(
     g: RayGraph,
     h: Fraction,
@@ -92,7 +138,8 @@ def enumerate_sets(
     """Every canonical grid subset with component count <= n, deterministic order.
 
     The number of layout combinations is counted exactly, and checked against
-    ``cap``, before any layout is built.
+    ``cap``, before any layout is built.  A combination is the OR of its
+    layouts' keys, and only an accepted key becomes a ``ClosedSubset``.
     """
     h, T = Fraction(h), Fraction(T)
     if h <= 0:
@@ -102,37 +149,37 @@ def enumerate_sets(
     if n < 1 or max_pieces < 1:
         raise PreconditionError("n and max_pieces must be positive")
 
-    tops = [(e.id, min(e.length, T), e.length) for e in g.edges]
-    tops += [(r.id, T, None) for r in g.rays]
+    tops = [(min(e.length, T), False) for e in g.edges] + [(T, True) for _ in g.rays]
     estimate = 1
-    for _, top, length in tops:
-        estimate *= _layout_count(int(top / h) + 1, max_pieces, length is None, cap)
+    for top, ray in tops:
+        estimate *= _layout_count(int(top / h) + 1, max_pieces, ray, cap)
         if estimate > cap:
             raise CapExceededError(
                 f"enumeration would visit at least {estimate} combinations (cap {cap}); "
                 "increase the cap or coarsen the parameters"
             )
-    per_element = [
-        (eid, _element_configs(_grid(h, top), max_pieces, length)) for eid, top, length in tops
-    ]
+    sizes, per_element = _element_layouts(g, h, T, max_pieces)
 
-    seen: dict = {}  # pieces -> the set, or None once in_cn rejected it
-    for combo in itertools.product(*(cfgs for _, cfgs in per_element)):
-        if sum(interior for _, _, interior in combo) > n:
-            continue  # at least that many components: in_cn would reject it
-        intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-        tails: dict[str, Fraction] = {}
-        for (eid, _), (ivs, tail, _) in zip(per_element, combo):
-            if ivs:
-                intervals[eid] = list(ivs)
-            if tail is not None:
-                tails[eid] = tail
-        if not intervals and not tails:
-            continue
-        A = ClosedSubset.from_pieces(g, intervals, tails)
-        if A.pieces not in seen:
-            seen[A.pieces] = A if in_cn(g, A, n) else None
-    return sorted((A for A in seen.values() if A is not None), key=ClosedSubset.sort_key)
+    first: dict[int, tuple] = {}  # key -> the first combination that gave it
+    for combo in itertools.product(*per_element):
+        if sum(lay[1] for lay in combo) <= n:  # else at least that many components
+            key = 0
+            for lay in combo:
+                key |= lay[0]
+            first.setdefault(key, combo)
+    first.pop(0, None)  # no piece anywhere: CL(X) has no empty set
+    found = []
+    for key, combo in first.items():
+        reached = {v for lay in combo for v in lay[2]}
+        links = [pair for lay in combo for pair in lay[3]]
+        if sum(lay[1] for lay in combo) + count_classes(reached, links) <= n:
+            intervals = {lay[4]: lay[5] for lay in combo if lay[5]}
+            tails = {lay[4]: lay[6] for lay in combo if lay[6] is not None}
+            found.append((ClosedSubset.from_pieces(g, intervals, tails), key))
+    found.sort(key=lambda item: item[0].sort_key())
+    sets = _Enumeration(A for A, _ in found)
+    sets.keys, sets.sizes = [key for _, key in found], sizes
+    return sets
 
 
 # ---- integer scaling --------------------------------------------------------
@@ -147,13 +194,22 @@ class _ScaledGraph:
     dvert: np.ndarray
 
 
-def _scaled_graph(g: RayGraph, denominators: list[int]) -> _ScaledGraph:
-    dens = set(denominators)
-    for e in g.edges:
-        dens.add(e.length.denominator)
-    for d in g.vertex_distances.values():
-        dens.add(d.denominator)
-    scale = math.lcm(*dens) if dens else 1
+def _scaled(x: Fraction, scale: int) -> int:
+    return x.numerator * (scale // x.denominator)
+
+
+def _common_scale(g: RayGraph, denominators: list[int]) -> int:
+    dens = {*denominators, *(e.length.denominator for e in g.edges)}
+    return math.lcm(*dens, *(d.denominator for d in g.vertex_distances.values()))
+
+
+def _fits(g: RayGraph, scale: int, top: int) -> bool:
+    """Whether scaled distances, with points up to ``top``, keep the kernels' headroom."""
+    extent = max([*(e.length for e in g.edges), *g.vertex_distances.values()], default=0)
+    return max(top, extent * scale) < _SAFE_MAGNITUDE
+
+
+def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
     vidx = {v: i for i, v in enumerate(g.vertices)}
     eids = [e.id for e in g.edges] + [r.id for r in g.rays]
     eidx = {eid: i for i, eid in enumerate(eids)}
@@ -162,65 +218,53 @@ def _scaled_graph(g: RayGraph, denominators: list[int]) -> _ScaledGraph:
     for e in g.edges:
         end_vertex[eidx[e.id], 0] = vidx[e.u]
         end_vertex[eidx[e.id], 1] = vidx[e.v]
-        elem_len[eidx[e.id]] = int(e.length * scale)
+        elem_len[eidx[e.id]] = _scaled(e.length, scale)
     for r in g.rays:
         end_vertex[eidx[r.id], 0] = vidx[r.attach]
     nv = len(g.vertices)
     dvert = np.zeros((nv, nv), dtype=np.int64)
     for (a, b), d in g.vertex_distances.items():
-        dvert[vidx[a], vidx[b]] = int(d * scale)
+        dvert[vidx[a], vidx[b]] = _scaled(d, scale)
     return _ScaledGraph(scale, eidx, end_vertex, elem_len, dvert)
 
 
-def _scaled_points(
-    sg: _ScaledGraph, pts: list[tuple[str, Fraction]]
-) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_points(sg: _ScaledGraph, pts: list[tuple[str, int]]) -> tuple[np.ndarray, np.ndarray]:
     pe = np.array([sg.elem_index[eid] for eid, _ in pts], dtype=np.int64)
-    pc = np.array([int(c * sg.scale) for _, c in pts], dtype=np.int64)
-    return pe, pc
-
-
-def _magnitude_ok(sg: _ScaledGraph, pcs: list[np.ndarray]) -> bool:
-    worst = int(sg.dvert.max()) if sg.dvert.size else 0
-    worst = max(worst, int(sg.elem_len.max()) if sg.elem_len.size else 0)
-    for pc in pcs:
-        if pc.size:
-            worst = max(worst, int(pc.max()))
-    return worst < _SAFE_MAGNITUDE
+    return pe, np.array([c for _, c in pts], dtype=np.int64)
 
 
 # ---- grid sampling ----------------------------------------------------------
 
 
-def _grid_between(a: Fraction, b: Fraction, h: Fraction) -> list[Fraction]:
-    pts = {a, b}
-    k = math.ceil(a / h)
-    while k * h <= b:
-        pts.add(k * h)
-        k += 1
-    return sorted(pts)
+def _directions(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
+    return frozenset(g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None)
 
 
-def _sample_set(
-    g: RayGraph, A: ClosedSubset, h: Fraction, caps: dict[str, Fraction]
-) -> list[tuple[str, Fraction]]:
-    pts: list[tuple[str, Fraction]] = []
-    for eid, ep in A.pieces:
-        for a, b in ep.intervals:
-            pts.extend((eid, c) for c in _grid_between(a, b, h))
-        if ep.tail is not None:
-            pts.extend((eid, c) for c in _grid_between(ep.tail, caps[eid], h))
-    return pts
+def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T: Fraction):
+    """(scale, samples of A, samples of B).  A sample is (element, coordinate
+    times scale): each piece gives every multiple of h on it and both its
+    ends, and a tail runs to the larger of T and the tail starts on its ray."""
+    caps = {eid: max(T, A.tail_on(eid) or 0, B.tail_on(eid) or 0)
+            for S in (A, B) for eid, ep in S.pieces if ep.tail is not None}
+    spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
+             + [(eid, ep.tail, caps[eid]) for eid, ep in S.pieces if ep.tail is not None]
+             for S in (A, B)]
+    ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
+    scale = _common_scale(g, [h.denominator, T.denominator, *ends])
+    H = _scaled(h, scale)
+
+    def between(a: Fraction, b: Fraction) -> set[int]:
+        lo, hi = _scaled(a, scale), _scaled(b, scale)
+        return {lo, hi, *range(-(-lo // H) * H, hi + 1, H)}
+
+    pa, pb = ([(eid, c) for eid, a, b in sp for c in between(a, b)] for sp in spans)
+    return scale, pa, pb
 
 
-def _directed_exact(g: RayGraph, pa, pb) -> Fraction:
+def _directed_exact(g: RayGraph, pa, pb, scale: int) -> Fraction:
     # slow Fraction path, used only when integer scaling would overflow
-    worst = Fraction(0)
-    for eid, c in pa:
-        p = GraphPoint(eid, c)
-        nearest = min(point_distance(g, p, GraphPoint(e2, c2)) for e2, c2 in pb)
-        worst = max(worst, nearest)
-    return worst
+    ps, qs = ([GraphPoint(eid, Fraction(c, scale)) for eid, c in pts] for pts in (pa, pb))
+    return max(min(point_distance(g, p, q) for q in qs) for p in ps)
 
 
 def oracle_hausdorff(
@@ -235,23 +279,14 @@ def oracle_hausdorff(
     h, T = Fraction(h), Fraction(T)
     if h <= 0:
         raise PreconditionError("grid step h must be positive")
-    if direction_set(g, A) != direction_set(g, B):
+    if _directions(g, A) != _directions(g, B):
         return INF
-    caps: dict[str, Fraction] = {}
-    for S in (A, B):
-        for eid, ep in S.pieces:
-            if ep.tail is not None:
-                caps[eid] = max(caps.get(eid, T), ep.tail)
-    pa = _sample_set(g, A, h, caps)
-    pb = _sample_set(g, B, h, caps)
-    dens = [h.denominator, T.denominator]
-    dens += [c.denominator for _, c in pa] + [c.denominator for _, c in pb]
-    sg = _scaled_graph(g, dens)
+    scale, pa, pb = _grid_samples(g, A, B, h, T)
+    if not _fits(g, scale, max(c for _, c in pa + pb)):
+        return max(_directed_exact(g, pa, pb, scale), _directed_exact(g, pb, pa, scale))
+    sg = _scaled_graph(g, scale)
     ae, ac = _scaled_points(sg, pa)
     be, bc = _scaled_points(sg, pb)
-    if not _magnitude_ok(sg, [ac, bc]):
-        d = max(_directed_exact(g, pa, pb), _directed_exact(g, pb, pa))
-        return d
     args = (sg.end_vertex, sg.elem_len, sg.dvert)
     d1 = directed_maxmin(ae, ac, be, bc, *args)
     d2 = directed_maxmin(be, bc, ae, ac, *args)
@@ -293,38 +328,26 @@ def oracle_components(
         )
     sets = enumerate_sets(g, h, T, n, max_pieces, cap=cap)
 
-    universe: list[tuple[str, Fraction]] = []
-    for e in g.edges:
-        universe.extend((e.id, c) for c in _grid(h, min(e.length, T)))
-    for r in g.rays:
-        universe.extend((r.id, c) for c in _grid(h, T))
-    pos = {pt: i for i, pt in enumerate(universe)}
-    # a lone vertex point is stored at its least representation, which may lie
-    # past T or off the grid; every representation names the same point
-    for v in g.vertices:
-        reps = g.vertex_representations(v)
-        held = next((pos[r] for r in reps if r in pos), None)
-        if held is not None:
-            for r in reps:
-                pos.setdefault(r, held)
-
-    sg = _scaled_graph(g, [h.denominator, T.denominator])
-    pe, pc = _scaled_points(sg, universe)
-    if not _magnitude_ok(sg, [pc]):
+    scale = _common_scale(g, [h.denominator, T.denominator])
+    if not _fits(g, scale, _scaled(T, scale)):
         raise PreconditionError("grid parameters overflow the integer kernels")
+    sg = _scaled_graph(g, scale)
+    pe = np.repeat(np.arange(len(sets.sizes)), sets.sizes)
+    pc = np.array([k for m in sets.sizes for k in range(m)], dtype=np.int64) * _scaled(h, scale)
     dmat = distance_matrix(pe, pc, sg.end_vertex, sg.elem_len, sg.dvert)
 
-    masks = np.zeros((len(sets), len(universe)), dtype=bool)
-    caps = {r.id: T for r in g.rays}
-    for i, A in enumerate(sets):
-        for pt in _sample_set(g, A, h, caps):
-            masks[i, pos[pt]] = True
+    # a set's mask row is its key's point bits
+    size = sum(sets.sizes)
+    nbytes, low = -(-size // 8), (1 << size) - 1
+    rows = b"".join((key & low).to_bytes(nbytes, "little") for key in sets.keys)
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(sets), nbytes)
+    masks = np.unpackbits(bits, axis=1, count=size, bitorder="little").view(bool)
 
     thr = int(delta * sg.scale)  # d <= delta  <=>  d_scaled <= floor(delta*scale)
 
     groups: dict[frozenset[int], list[int]] = {}
     for i, A in enumerate(sets):
-        groups.setdefault(direction_set(g, A), []).append(i)
+        groups.setdefault(_directions(g, A), []).append(i)
 
     reps: list[ClosedSubset] = []
     dirs: list[frozenset[int]] = []

@@ -414,3 +414,22 @@ def test_double_dash_as_option_value_is_usage_error(graph_file, capsys, argv):
     assert run(argv) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error kind=usage") and "expected one argument" in err[0]
+
+
+def test_result_past_the_int_string_limit_is_a_cap_error(tmp_path, capsys):
+    # two short point literals whose distance has a 4401-digit denominator;
+    # the interpreter's own limit stays as it is
+    limit = sys.get_int_max_str_digits()
+    gf = tmp_path / "line.graph"
+    gf.write_text("vertex v\nray R1 v\nray R2 v\n")
+    a, b = (f"R1:{{1/{10**2200 + k}}}" for k in (1, 3))
+    assert run(["dist", "--graph", str(gf), "--a", a, "--b", b]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error kind=cap")
+    assert "about 4401 digits" in err
+    assert sys.get_int_max_str_digits() == limit
+    # a result just inside the limit still prints in full
+    a, b = (f"R1:{{1/{10**2149 + k}}}" for k in (1, 3))
+    assert run(["dist", "--graph", str(gf), "--a", a, "--b", b]) == 0
+    assert len(capsys.readouterr().out.strip()) == 1 + 1 + 4299

@@ -3,7 +3,8 @@
 Invariants raise exceptions, so they survive ``python -O``; only the
 canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
-takes nothing from the metric it cross-checks beyond its value types; the
+takes nothing from the metric it cross-checks beyond its value types, and
+nothing from ``sets.py`` beyond ``ClosedSubset``; the
 Vietoris layer reads its regions' derived intervals and takes nothing from
 the metric beyond its value types either; numpy stays behind the oracle,
 which the package and the CLI load only on first use; and
@@ -72,25 +73,36 @@ def test_only_canonicalization_builds_closed_subsets():
                for node in ast.walk(canonicalize))
 
 
-def _metric_imports(tree: ast.AST) -> list[str]:
-    """Every name a module takes from ``rayspace.metric``, or the module itself."""
+def _taken_from(tree: ast.AST, source: str) -> list[str]:
+    """Every name a module takes from ``rayspace.<source>``, or the module itself."""
     taken = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom):
             module = (node.module or "").removeprefix("rayspace.")
-            if module == "metric":
+            if module == source:
                 taken += [a.name for a in node.names]
             elif module in ("", "rayspace"):
-                taken += [f"module {a.name}" for a in node.names if a.name == "metric"]
+                taken += [f"module {a.name}" for a in node.names if a.name == source]
         elif isinstance(node, ast.Import):
-            taken += [f"module {a.name}" for a in node.names if a.name == "rayspace.metric"]
+            taken += [f"module {a.name}" for a in node.names if a.name == f"rayspace.{source}"]
     return taken
+
+
+def _metric_imports(tree: ast.AST) -> list[str]:
+    return _taken_from(tree, "metric")
 
 
 def test_oracle_takes_only_value_types_from_metric():
     for name in ("oracle.py", "_kernels.py"):
         extra = set(_metric_imports(TREES[name])) - {"INF", "ExtendedDistance"}
         assert not extra, f"{name} imports {sorted(extra)} from metric"
+
+
+def test_oracle_takes_only_closed_subset_from_sets():
+    tree = TREES["oracle.py"]
+    assert _taken_from(tree, "sets") == ["ClosedSubset"]
+    names = {ident for node in ast.walk(tree) for ident in _names(node)}
+    assert not names & {"in_cn", "component_count", "direction_set", "_grid_between"}
 
 
 def test_vietoris_takes_only_value_types_from_metric():

@@ -4,6 +4,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rayspace
 from rayspace import (
@@ -11,6 +13,7 @@ from rayspace import (
     ClosedSubset,
     PreconditionError,
     canonical_element,
+    component_count,
     direction_set,
     enumerate_sets,
     hausdorff,
@@ -24,11 +27,12 @@ from rayspace._kernels import component_labels, directed_maxmin, distance_matrix
 from rayspace.cli import run
 from rayspace.graph import GraphPoint, point_distance
 from rayspace.oracle import (
+    _common_scale,
     _directed_exact,
     _element_configs,
     _grid,
+    _grid_samples,
     _layout_count,
-    _sample_set,
     _scaled_graph,
     _scaled_points,
 )
@@ -160,26 +164,63 @@ def test_enumeration_prune_matches_unpruned_reference(graphs, monkeypatch):
     assert checked >= 30 and pruned >= 10
 
 
+def _accepted_over_layouts(g, h, T, n, mp):
+    """Reference: every combination of the enumeration's own element layouts,
+    built as a set and kept when ``in_cn`` accepts it."""
+    per = [(e.id, _element_configs(_grid(h, min(e.length, T)), mp, e.length)) for e in g.edges]
+    per += [(r.id, _element_configs(_grid(h, T), mp, None)) for r in g.rays]
+    found = set()
+    for combo in itertools.product(*(cfgs for _, cfgs in per)):
+        intervals = {eid: list(ivs) for (eid, _), (ivs, _, _) in zip(per, combo) if ivs}
+        tails = {eid: t for (eid, _), (_, t, _) in zip(per, combo) if t is not None}
+        if intervals or tails:
+            A = ClosedSubset.from_pieces(g, intervals, tails)
+            if in_cn(g, A, n):
+                found.add(A)
+    return sorted(found, key=ClosedSubset.sort_key)
+
+
+def test_enumeration_matches_in_cn_over_the_same_layouts(graphs):
+    cases = [(g, F(1, 2), F(1), n, mp) for g in graphs.values() for n, mp in ((1, 1), (2, 2))]
+    rng = random.Random(1729)
+    for _ in range(100):  # about a third of the random graphs fit the cap
+        h = rng.choice((F(1), F(1, 2)))
+        cases.append((random_ray_graph(rng), h, h, rng.randint(1, 3), rng.randint(1, 2)))
+    checked, joined = 0, 0
+    for g, h, T, n, mp in cases:
+        try:
+            got = enumerate_sets(g, h, T, n, mp, cap=2500)
+        except CapExceededError:
+            continue
+        assert got == _accepted_over_layouts(g, h, T, n, mp)
+        checked += 1
+        # connected sets holding two or more vertices, which only whole edges join
+        joined += sum(len(A.vertices) > 1 and component_count(g, A) == 1 for A in got)
+    assert checked >= 40 and joined >= 80
+
+
 def test_enumeration_checks_each_distinct_set_once(graphs, monkeypatch):
     import rayspace.oracle
+    import rayspace.sets
 
-    built, checked = set(), []
-    from_pieces, real_in_cn = ClosedSubset.from_pieces, rayspace.oracle.in_cn
+    built = []
+    from_pieces = ClosedSubset.from_pieces
 
     def building(*args):
         A = from_pieces(*args)
-        built.add(A.pieces)
+        built.append(A.pieces)
         return A
 
-    def checking(g, A, n):
-        checked.append(A.pieces)
-        return real_in_cn(g, A, n)
+    def no_check(*args):
+        raise AssertionError("the oracle counted components through sets.py")
 
     monkeypatch.setattr(ClosedSubset, "from_pieces", staticmethod(building))
-    monkeypatch.setattr(rayspace.oracle, "in_cn", checking)
+    monkeypatch.setattr(rayspace.sets, "in_cn", no_check)
+    monkeypatch.setattr(rayspace.sets, "component_count", no_check)
     sets = enumerate_sets(graphs["G_MIXED"], F(1, 2), F(1), 1, 1)
-    assert len(checked) == len(set(checked)) == len(built)
-    assert (len(sets), len(checked)) == (209, 3893)  # rechecking aliases made 10873 calls
+    assert not hasattr(rayspace.oracle, "in_cn")
+    # one build per accepted set: checking each distinct set made 3893 builds
+    assert len(built) == len(set(built)) == len(sets) == 209
 
 
 def test_oracle_components_census(graphs):
@@ -208,6 +249,20 @@ def test_oracle_census_with_vertex_stored_off_the_grid(tmp_path, capsys, length)
         res = oracle_components(rayspace.parse_graph(text), F(1), F(2), F(6, 5), 1, 1)
         census.append((res.count, res.set_count, res.group_counts, res.directions))
     assert census[0] == census[1]
+
+
+@pytest.mark.parametrize("lengths", ["length 10000000000000000000000",
+                                     "length 1/1000000000001; edge E2 u v length 1/1000000000003"])
+def test_oracle_census_refuses_scales_past_the_kernels(tmp_path, capsys, lengths):
+    # a long edge, or two coprime length denominators, put scaled distances
+    # past int64; the census refuses them before building any array
+    path = tmp_path / "big.graph"
+    path.write_text(f"vertex u v\nedge E1 u v {lengths}\nray R1 v\n".replace("; ", "\n"))
+    argv = ["oracle", "--graph", str(path), "--step", "1", "--trunc", "2", "--delta", "6/5",
+            "-n", "1"]
+    assert run(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error kind=precondition") and "overflow" in err
 
 
 def test_oracle_components_deterministic(graphs):
@@ -275,23 +330,18 @@ def test_kernels_match_exact_reference(graphs):
     for _ in range(10):
         A = random_subset(g, rng, span=F(2))
         B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(2))
-        caps = {}  # common caps as used by oracle_hausdorff
-        for S in (A, B):
-            if S.tail_on("R1") is not None:
-                caps["R1"] = max(caps.get("R1", F(2)), S.tail_on("R1"))
-        pa = _sample_set(g, A, h, caps)
-        pb = _sample_set(g, B, h, caps)
-        sg = _scaled_graph(g, [h.denominator] + [c.denominator for _, c in pa + pb])
+        scale, pa, pb = _grid_samples(g, A, B, h, F(2))  # as oracle_hausdorff samples
+        sg = _scaled_graph(g, scale)
         ae, ac = _scaled_points(sg, pa)
         be, bc = _scaled_points(sg, pb)
         d = directed_maxmin(ae, ac, be, bc, sg.end_vertex, sg.elem_len, sg.dvert)
-        assert F(d, sg.scale) == _directed_exact(g, pa, pb)
+        assert F(d, sg.scale) == _directed_exact(g, pa, pb, sg.scale)
 
-    sg = _scaled_graph(g, [h.denominator])
+    sg = _scaled_graph(g, _common_scale(g, [h.denominator]))
     args = (sg.end_vertex, sg.elem_len, sg.dvert)
     universe = [("E1", F(k, 2)) for k in range(3)] + [("R1", F(k, 2)) for k in range(5)]
     pts = [GraphPoint(eid, c) for eid, c in universe]
-    pe, pc = _scaled_points(sg, universe)
+    pe, pc = _scaled_points(sg, [(eid, int(c * sg.scale)) for eid, c in universe])
     dmat = distance_matrix(pe, pc, *args)
     assert dmat.dtype == np.int64
     for i, p in enumerate(pts):
@@ -302,8 +352,9 @@ def test_kernels_match_exact_reference(graphs):
     masks = np.zeros((len(sets), len(universe)), dtype=bool)
     pos = {pt: i for i, pt in enumerate(universe)}
     for i, S in enumerate(sets):
-        for pt in _sample_set(g, S, h, {"R1": F(2)}):
-            masks[i, pos[pt]] = True
+        scale, samples, _ = _grid_samples(g, S, S, h, F(2))
+        for eid, c in samples:
+            masks[i, pos[eid, F(c, scale)]] = True
 
     # 0 merges only sets with equal grid samples
     counts = _check_labels(g, pts, masks, dmat, sg.scale, (F(0), F(3, 5)))
@@ -313,8 +364,8 @@ def test_kernels_match_exact_reference(graphs):
     h = F(1, 20)
     universe = [("E1", k * h) for k in range(21)] + [("R1", k * h) for k in range(61)]
     pts = [GraphPoint(eid, c) for eid, c in universe]
-    sg = _scaled_graph(g, [h.denominator])
-    pe, pc = _scaled_points(sg, universe)
+    sg = _scaled_graph(g, _common_scale(g, [h.denominator]))
+    pe, pc = _scaled_points(sg, [(eid, int(c * sg.scale)) for eid, c in universe])
     dmat = distance_matrix(pe, pc, sg.end_vertex, sg.elem_len, sg.dvert)
     masks = np.zeros((40, len(universe)), dtype=bool)
     for row in masks:  # one or two runs of grid points
@@ -471,3 +522,19 @@ def test_element_layouts_match_recursive_reference(h, top, max_pieces, length):
     ray = length is None
     assert _layout_count(len(grid), max_pieces, ray, len(want)) == len(want)
     assert _layout_count(len(grid), max_pieces, ray, len(want) - 1) > len(want) - 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_oracle_hausdorff_within_a_grid_step_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    h = rng.choice((F(1, 4), F(1, 6), F(1, 10)))
+    bits = rng.randrange(2**g.ray_count)
+    delta = frozenset(i + 1 for i in range(g.ray_count) if bits >> i & 1)
+    pairs = [[random_subset(g, rng, bounded=True) for _ in range(2)],
+             [random_subset(g, rng, tails_on=delta) for _ in range(2)]]
+    for A, B in pairs:
+        exact = hausdorff(g, A, B)
+        assert not is_infinite(exact)
+        assert abs(oracle_hausdorff(g, A, B, h, F(3)) - exact) <= h
