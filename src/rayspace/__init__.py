@@ -20,7 +20,6 @@ from .graph import (
     graph_from_parts,
     parse_graph,
     point_distance,
-    vertex_distance_table,
 )
 from .metric import (
     INF,

@@ -114,7 +114,10 @@ def _emit_path(P: HyperPath, out: str, samples: int) -> None:
     for j in range(samples + 1):
         t = Fraction(j, samples)
         lines.append(f"{t}\t{eval_path(P, t).render()}")
-    Path(out).write_text("\n".join(lines) + "\n")
+    try:
+        Path(out).write_text("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise PreconditionError(f"cannot write path file {out!r}: {exc}") from None
 
 
 def _build_parser() -> _Parser:
@@ -185,13 +188,15 @@ def _cmd_classify(args) -> int:
     A = parse_set(args.a, g)
     B = parse_set(args.b, g)
     res = same_component_hausdorff(g, A, B, args.n)
+    emit = res.same_component and args.emit_path
+    if emit:  # before any stdout, so a failed write prints only its error line
+        _emit_path(res.path, args.emit_path, args.samples)
     print(f"same={'true' if res.same_component else 'false'}")
     print(f"delta_a={_fmt_dirs(res.delta_a)}")
     print(f"delta_b={_fmt_dirs(res.delta_b)}")
     if res.same_component:
         print(f"path_stages={len(res.path.stages)}")
-        if args.emit_path:
-            _emit_path(res.path, args.emit_path, args.samples)
+        if emit:
             print(f"emitted={args.emit_path}")
     else:
         print(f"witness_ray={res.witness_ray}")
@@ -203,7 +208,7 @@ def _print_path(P: HyperPath) -> None:
     for i, (lo, hi, stage) in enumerate(P.stage_spans(), start=1):
         print(
             f"stage index={i} kind={stage.kind} span=[{lo},{hi}] "
-            f"lipschitz={_fmt(stage.lipschitz_bound)} desc=\"{stage.describe()}\""
+            f"lipschitz={_fmt(stage.lipschitz_bound)} desc=\"{stage.desc}\""
         )
     print(f"start={P.start().render()}")
     print(f"end={P.end().render()}")
@@ -213,9 +218,10 @@ def _cmd_path(args) -> int:
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
     P = vietoris_path(g, A, args.n) if args.vietoris else path_to_canonical(g, A, args.n)
+    if args.emit_path:  # before any stdout, so a failed write prints only its error line
+        _emit_path(P, args.emit_path, args.samples)
     _print_path(P)
     if args.emit_path:
-        _emit_path(P, args.emit_path, args.samples)
         print(f"emitted={args.emit_path}")
     return 0
 

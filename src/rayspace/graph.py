@@ -266,11 +266,6 @@ def point_distance(g: RayGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     return best
 
 
-def vertex_distance_table(g: RayGraph) -> dict[tuple[str, str], Fraction]:
-    """Exact shortest-path distance for every ordered vertex pair."""
-    return dict(g.vertex_distances)
-
-
 # ---- parsing -----------------------------------------------------------
 
 

@@ -4,10 +4,12 @@ Enumerates every canonical subset whose interval endpoints sit on an h-grid
 (truncated at radius T), links pairs at grid Hausdorff distance <= delta, and
 counts hyperspace components; also grid-approximates Hausdorff distances
 independently of the exact metric module.  Enumeration works on grid indices:
-a set is the OR of its per-element layout keys (a bit per grid point, each
-vertex one point; a bit per covered grid segment; a tail bit per ray), its
-components are counted once per distinct key with the oracle's own vertex
-classes, and the key's point bits are its census mask.  Only ``ClosedSubset``
+a layout on one element is its pieces' grid-index runs and a key (a bit per
+grid point, each vertex one point; a bit per covered grid segment; a tail bit
+per ray), and a set is the OR of its layouts' keys.  Layouts are combined one
+element at a time, each distinct key so far extended once; components are
+counted once per distinct final key with the oracle's own vertex classes, and
+the key's point bits are its census mask.  Only ``ClosedSubset``
 comes from :mod:`rayspace.sets`, the code this checks.  Distances run through
 the integer-scaled kernels in :mod:`rayspace._kernels` on coordinates scaled
 to ints by one common denominator, so grid values are still exact rationals.
@@ -34,93 +36,77 @@ _SAFE_MAGNITUDE = int(BIG) // 8  # headroom: distances add three scaled terms
 # ---- enumeration ------------------------------------------------------------
 
 
-def _grid(h: Fraction, top: Fraction) -> list[Fraction]:
-    return [k * h for k in range(int(top / h) + 1)]
-
-
-# One element's layout: its pieces, its tail start (or None), and how many of
-# them touch neither element end (each of those is a component by itself).
-_Config = tuple[tuple[tuple[Fraction, Fraction], ...], Fraction | None, int]
-
-
-# A layout of k pieces [g[i1], g[j1]], ..., [g[ik], g[jk]] with
+# A layout of k pieces [i1, j1], ..., [ik, jk] of grid indices with
 # i1 <= j1 < i2 <= j2 < ... is the increasing index tuple
-# (i1, j1+1, i2+1, j2+2, ..., ik+k-1, jk+k) drawn from range(n + k), and a
-# tail at g[s], s > jk, appends s + k.  Grid singletons do not touch, so k
-# runs up to n.
-def _layout_shapes(n: int, max_pieces: int, ray: bool):
-    """(k, tail) for every layout shape on a grid of n points."""
-    for k in range(min(max_pieces, n) + 1):
+# (i1, j1+1, i2+1, j2+2, ..., ik+k-1, jk+k) drawn from range(m + k), and a
+# tail from index s > jk appends s + k.  Grid singletons do not touch, so k
+# runs up to m.
+def _layout_shapes(m: int, max_pieces: int, ray: bool):
+    """(k, tail) for every layout shape on a grid of m points."""
+    for k in range(min(max_pieces, m) + 1):
         yield k, False
         if ray and k < max_pieces:  # a tail counts as a piece
             yield k, True
 
 
-def _layout_count(n: int, max_pieces: int, ray: bool, cap: int) -> int:
+def _layout_count(m: int, max_pieces: int, ray: bool, cap: int) -> int:
     """Exact number of layouts, or a partial sum as soon as one passes ``cap``."""
     total = 0
-    for k, tail in _layout_shapes(n, max_pieces, ray):
-        total += math.comb(n + k, 2 * k + tail)
+    for k, tail in _layout_shapes(m, max_pieces, ray):
+        total += math.comb(m + k, 2 * k + tail)
         if total > cap:
             break
     return total
 
 
-def _element_configs(
-    grid: list[Fraction], max_pieces: int, length: Fraction | None
-) -> list[_Config]:
-    """All canonical piece layouts on one element of the given length (None on
-    a ray): disjoint, non-touching, endpoints on ``grid``; a tail, allowed on
-    rays only, counts as a piece."""
-    configs: list[_Config] = []
-    for k, tail in _layout_shapes(len(grid), max_pieces, length is None):
-        for idx in itertools.combinations(range(len(grid) + k), 2 * k + tail):
-            pieces = tuple(
-                (grid[idx[2 * m] - m], grid[idx[2 * m + 1] - m - 1]) for m in range(k)
-            )
-            interior = sum(a > 0 and (length is None or b < length) for a, b in pieces)
-            start = grid[idx[-1] - k] if tail else None
-            if tail:
-                interior += start > 0
-            configs.append((pieces, start, interior))
-    return configs
+def _element_configs(m: int, max_pieces: int, ray: bool, far: int | None):
+    """Every canonical layout on an element whose grid has m points, as
+    (runs, tail, interior): the pieces' (i, j) grid-index pairs, disjoint and
+    non-touching; the tail's start index or None (rays only; a tail counts as
+    a piece); and how many pieces reach neither index 0 nor ``far``, the far
+    end's index when the grid reaches it (each is a component by itself)."""
+    for k, tail in _layout_shapes(m, max_pieces, ray):
+        for idx in itertools.combinations(range(m + k), 2 * k + tail):
+            runs = tuple((idx[2 * q] - q, idx[2 * q + 1] - q - 1) for q in range(k))
+            start = idx[-1] - k if tail else None
+            yield runs, start, sum(i > 0 and j != far for i, j in runs) + bool(start)
 
 
-def _element_layouts(g: RayGraph, h: Fraction, T: Fraction, max_pieces: int):
-    """Grid sizes, and for each element (edges, then rays) its layouts as
-    (key, interior, reached vertices, whole-edge end pairs, id, pieces, tail).
-    A key has a bit per universe point held, every vertex at the index of its
-    least representation on the grid, and past the universe a bit per grid
-    segment covered and a tail bit."""
-    grids = [(e.id, e.length, _grid(h, min(e.length, T))) for e in g.edges]
-    grids += [(r.id, None, _grid(h, T)) for r in g.rays]
-    firsts = list(itertools.accumulate((len(grid) for *_, grid in grids), initial=0))
+def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_pieces: int):
+    """For each element (id, length or None on a ray) with a grid of the given
+    size, its layouts as (key, interior, reached vertices, whole-edge end
+    pairs, id, pieces, tail), pieces and tail in coordinates.  A key has a bit
+    per universe point held, every vertex at the index of its least
+    representation on the grid, and past the universe a bit per grid segment
+    covered and a tail bit."""
+    firsts = list(itertools.accumulate(sizes, initial=0))
     pos = {}
-    for (eid, _, grid), first in zip(grids, firsts):
-        pos[eid, grid[-1]], pos[eid, 0] = first + len(grid) - 1, first
+    for (eid, _), m, first in zip(elements, sizes, firsts):
+        pos[eid, (m - 1) * h], pos[eid, 0] = first + m - 1, first
     vertex = {v: next((pos[r] for r in g.vertex_representations(v) if r in pos), None)
               for v in g.vertices}
     per_element = []
-    for (eid, length, grid), first in zip(grids, firsts):
-        (end0, end1), m = g.element_end_vertices(eid), len(grid)
+    for (eid, length), m, first in zip(elements, sizes, firsts):
+        end0, end1 = g.element_end_vertices(eid)
+        far = m - 1 if (m - 1) * h == length else None
         points = [vertex[end0], *range(first + 1, first + m)]
-        if grid[-1] == length:
+        if far is not None:
             points[-1] = vertex[end1]
-        extra, index = firsts[-1] + first, {c: k for k, c in enumerate(grid)}
-        layouts = []
-        for pieces, start, interior in _element_configs(grid, max_pieces, length):
-            runs = [(index[a], index[b]) for a, b in pieces]
-            key = 0 if start is None else 1 << (extra + m - 1)  # segment k at extra + k
-            for i, j in runs + ([] if start is None else [(index[start], m - 1)]):
+        extra, layouts, coord = firsts[-1] + first, [], [k * h for k in range(m)]
+        for runs, tail, interior in _element_configs(m, max_pieces, length is None, far):
+            key = 0 if tail is None else 1 << (extra + m - 1)  # segment k at extra + k
+            for i, j in runs + (() if tail is None else ((tail, m - 1),)):
                 key |= ((1 << (j - i)) - 1) << (extra + i)
                 for p in points[i : j + 1]:
                     key |= 1 << p
-            reached = [end0] * (start == 0) + [end0 for a, _ in pieces if a == 0]
-            reached += [end1 for _, b in pieces if b == length]
-            links = [(end0, end1) for a, b in pieces if a == 0 and b == length]
+            reached = [end0] * (tail == 0) + [end0 for i, _ in runs if i == 0]
+            reached += [end1 for _, j in runs if j == far]
+            links = [(end0, end1) for i, j in runs if i == 0 and j == far]
+            pieces = tuple((coord[i], coord[j]) for i, j in runs)
+            start = None if tail is None else coord[tail]
             layouts.append((key, interior, reached, links, eid, pieces, start))
         per_element.append(layouts)
-    return [len(grid) for *_, grid in grids], per_element
+    return per_element
 
 
 class _Enumeration(list):
@@ -138,8 +124,11 @@ def enumerate_sets(
     """Every canonical grid subset with component count <= n, deterministic order.
 
     The number of layout combinations is counted exactly, and checked against
-    ``cap``, before any layout is built.  A combination is the OR of its
-    layouts' keys, and only an accepted key becomes a ``ClosedSubset``.
+    ``cap``, before any layout is built.  Layouts are combined one element at
+    a time: each distinct key of the elements so far (the OR of their layouts'
+    keys) keeps the first layouts that gave it, since equal keys hold the same
+    points and so extend to the same sets.  Only an accepted final key becomes
+    a ``ClosedSubset``.
     """
     h, T = Fraction(h), Fraction(T)
     if h <= 0:
@@ -149,30 +138,33 @@ def enumerate_sets(
     if n < 1 or max_pieces < 1:
         raise PreconditionError("n and max_pieces must be positive")
 
-    tops = [(min(e.length, T), False) for e in g.edges] + [(T, True) for _ in g.rays]
+    elements = [(e.id, e.length) for e in g.edges] + [(r.id, None) for r in g.rays]
+    sizes = [(T if length is None else min(length, T)) // h + 1 for _, length in elements]
     estimate = 1
-    for top, ray in tops:
-        estimate *= _layout_count(int(top / h) + 1, max_pieces, ray, cap)
+    for m, (_, length) in zip(sizes, elements):
+        estimate *= _layout_count(m, max_pieces, length is None, cap)
         if estimate > cap:
             raise CapExceededError(
                 f"enumeration would visit at least {estimate} combinations (cap {cap}); "
                 "increase the cap or coarsen the parameters"
             )
-    sizes, per_element = _element_layouts(g, h, T, max_pieces)
 
-    first: dict[int, tuple] = {}  # key -> the first combination that gave it
-    for combo in itertools.product(*per_element):
-        if sum(lay[1] for lay in combo) <= n:  # else at least that many components
-            key = 0
-            for lay in combo:
-                key |= lay[0]
-            first.setdefault(key, combo)
+    first: dict[int, tuple] = {0: (0, ())}  # key -> (interior pieces, first layouts)
+    for layouts in _element_layouts(g, h, elements, sizes, max_pieces):
+        grown: dict[int, tuple] = {}
+        for key, (interior, combo) in first.items():
+            for lay in layouts:
+                count, grown_key = interior + lay[1], key | lay[0]
+                # past n pieces touching no element end means past n components
+                if count <= n and grown_key not in grown:
+                    grown[grown_key] = (count, (*combo, lay))
+        first = grown
     first.pop(0, None)  # no piece anywhere: CL(X) has no empty set
     found = []
-    for key, combo in first.items():
+    for key, (interior, combo) in first.items():
         reached = {v for lay in combo for v in lay[2]}
         links = [pair for lay in combo for pair in lay[3]]
-        if sum(lay[1] for lay in combo) + count_classes(reached, links) <= n:
+        if interior + count_classes(reached, links) <= n:
             intervals = {lay[4]: lay[5] for lay in combo if lay[5]}
             tails = {lay[4]: lay[6] for lay in combo if lay[6] is not None}
             found.append((ClosedSubset.from_pieces(g, intervals, tails), key))

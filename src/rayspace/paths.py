@@ -187,9 +187,6 @@ class Stage:
             add_pieces(self.base, intervals, tails)
         return ClosedSubset.from_pieces(self.graph, intervals, tails)
 
-    def describe(self) -> str:
-        return self.desc
-
     def reversed(self) -> "Stage":
         return replace(
             self,

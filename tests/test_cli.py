@@ -358,6 +358,20 @@ def test_emit_path_samples_cap(graph_file, capsys, tmp_path):
     assert not dump.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["path", "--a", "R1:[0,1]", "-n", "1"],
+    ["classify", "--a", "R1:[0,2]", "--b", "R1:[0,2]", "-n", "1"],
+])
+@pytest.mark.parametrize("target", ["missing/x.tsv", "."])  # no such folder; a directory
+def test_failed_path_write_is_a_precondition_error(graph_file, capsys, tmp_path, command, target):
+    argv = [*command, "--graph", graph_file("G_LINE"), "--emit-path", str(tmp_path / target)]
+    assert run(argv) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith('error kind=precondition msg="cannot write path file ')
+
+
 @pytest.mark.parametrize("exc", [RayspaceError("stage invariant broken"), ZeroDivisionError("boom")])
 def test_internal_errors_exit_5(monkeypatch, capsys, exc):
     def broken(args):

@@ -11,7 +11,6 @@ from rayspace import (
     graph_from_parts,
     parse_graph,
     point_distance,
-    vertex_distance_table,
 )
 
 from conftest import brute_force_vertex_distance, random_point
@@ -110,13 +109,13 @@ def test_parallel_edge_shortcut(graphs):
 
 
 def test_vertex_distance_table_examples(graphs):
-    assert vertex_distance_table(graphs["G_I"])[("u", "v")] == 1
-    assert vertex_distance_table(graphs["G_LOOP"])[("v", "v")] == 0
+    assert dict(graphs["G_I"].vertex_distances)[("u", "v")] == 1
+    assert dict(graphs["G_LOOP"].vertex_distances)[("v", "v")] == 0
 
 
 def test_vertex_distance_triangle_matches_brute_force():
     g = parse_graph("vertex a b c\nedge E1 a b\nedge E2 b c\nedge E3 c a")
-    table = vertex_distance_table(g)
+    table = dict(g.vertex_distances)
     for u in "abc":
         for v in "abc":
             assert table[(u, v)] == brute_force_vertex_distance(g, u, v)
@@ -192,6 +191,6 @@ def test_vertex_tables_match_floyd_warshall_on_seeded_rings():
             lines.append(f"edge p{j} v{k} v{(k + 1) % n} length {F(rng.randint(1, 30), 4)}")
         lines.append(f"ray R1 v{rng.randrange(n)}")
         g = parse_graph("\n".join(lines))
-        table = vertex_distance_table(g)
+        table = dict(g.vertex_distances)
         assert table == _floyd_warshall(g)
         assert list(table) == [(a, b) for a in g.vertices for b in g.vertices]

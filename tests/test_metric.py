@@ -107,6 +107,26 @@ def test_metric_axioms_random(graphs):
             assert hausdorff(g, A, A) == 0
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_metric_axioms_on_random_graphs(seed):
+    """Criterion 3's extended metric axioms, INF included, on a random graph;
+    C shares A's direction set, so one side of the triangle is finite."""
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    A, B = random_subset(g, rng), random_subset(g, rng)
+    C = random_subset(g, rng, tails_on=direction_set(g, A))
+    dab = hausdorff(g, A, B)
+    assert dab == hausdorff(g, B, A)
+    assert (dab == 0) == (A == B)
+    assert hausdorff(g, A, A) == 0
+    dac, dcb = hausdorff(g, A, C), hausdorff(g, C, B)
+    assert not is_infinite(dac)
+    if not is_infinite(dcb):
+        assert not is_infinite(dab)
+        assert dab <= dac + dcb
+
+
 def test_directed_zero_iff_subset(graphs):
     rng = random.Random(5150)
     for g in graphs.values():

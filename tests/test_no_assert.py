@@ -4,7 +4,8 @@ Invariants raise exceptions, so they survive ``python -O``; only the
 canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types, and
-nothing from ``sets.py`` beyond ``ClosedSubset``; the
+nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
+product of its element layouts; the
 Vietoris layer reads its regions' derived intervals and takes nothing from
 the metric beyond its value types either; numpy stays behind the oracle,
 which the package and the CLI load only on first use; and
@@ -103,6 +104,8 @@ def test_oracle_takes_only_closed_subset_from_sets():
     assert _taken_from(tree, "sets") == ["ClosedSubset"]
     names = {ident for node in ast.walk(tree) for ident in _names(node)}
     assert not names & {"in_cn", "component_count", "direction_set", "_grid_between"}
+    # layouts are combined one element at a time, never as a full itertools.product
+    assert "product" not in names
 
 
 def test_vietoris_takes_only_value_types_from_metric():

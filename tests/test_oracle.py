@@ -30,7 +30,6 @@ from rayspace.oracle import (
     _common_scale,
     _directed_exact,
     _element_configs,
-    _grid,
     _grid_samples,
     _layout_count,
     _scaled_graph,
@@ -164,11 +163,22 @@ def test_enumeration_prune_matches_unpruned_reference(graphs, monkeypatch):
     assert checked >= 30 and pruned >= 10
 
 
+def _coordinate_layouts(h, top, max_pieces, length):
+    """``_element_configs`` on the h-grid up to ``top``, its grid indices
+    mapped to coordinates."""
+    grid = [k * h for k in range(int(top / h) + 1)]
+    far = len(grid) - 1 if grid[-1] == length else None
+    return [
+        (tuple((grid[i], grid[j]) for i, j in runs), None if tail is None else grid[tail], interior)
+        for runs, tail, interior in _element_configs(len(grid), max_pieces, length is None, far)
+    ]
+
+
 def _accepted_over_layouts(g, h, T, n, mp):
     """Reference: every combination of the enumeration's own element layouts,
     built as a set and kept when ``in_cn`` accepts it."""
-    per = [(e.id, _element_configs(_grid(h, min(e.length, T)), mp, e.length)) for e in g.edges]
-    per += [(r.id, _element_configs(_grid(h, T), mp, None)) for r in g.rays]
+    per = [(e.id, _coordinate_layouts(h, min(e.length, T), mp, e.length)) for e in g.edges]
+    per += [(r.id, _coordinate_layouts(h, T, mp, None)) for r in g.rays]
     found = set()
     for combo in itertools.product(*(cfgs for _, cfgs in per)):
         intervals = {eid: list(ivs) for (eid, _), (ivs, _, _) in zip(per, combo) if ivs}
@@ -514,8 +524,8 @@ def _recursive_layouts(grid, max_pieces, length):
     ],
 )
 def test_element_layouts_match_recursive_reference(h, top, max_pieces, length):
-    grid = _grid(h, top)
-    got = _element_configs(grid, max_pieces, length)
+    grid = [k * h for k in range(int(top / h) + 1)]
+    got = _coordinate_layouts(h, top, max_pieces, length)
     want = _recursive_layouts(grid, max_pieces, length)
     assert len(set(got)) == len(got)
     assert sorted(got, key=repr) == sorted(want, key=repr)

@@ -1,4 +1,4 @@
-"""Golden values of path stages: kind, describe() and Lipschitz bound of every
+"""Golden values of path stages: kind, description and Lipschitz bound of every
 stage, sampled path values and the CLI rendering, pinned verbatim."""
 
 import pickle
@@ -27,7 +27,7 @@ MIXED_ROWS = [
 
 
 def rows(P):
-    return [(s.kind, s.describe(), s.lipschitz_bound) for s in P.stages]
+    return [(s.kind, s.desc, s.lipschitz_bound) for s in P.stages]
 
 
 def values(P, k):
