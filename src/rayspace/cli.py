@@ -232,15 +232,17 @@ def _cmd_vietoris(args) -> int:
     regions = [parse_region(spec, g) for spec in args.open]
     upper = member_upper(A, union_regions(regions))
     lowers = [member_lower(A, u) for u in regions]
-    print(f"upper={'true' if upper else 'false'}")
-    for i, lower in enumerate(lowers, start=1):
-        print(f"lower {i}={'true' if lower else 'false'}")
-    print(f"basic={'true' if upper and all(lowers) else 'false'}")
-    if args.witness is not None:
+    w = None
+    if args.witness is not None:  # before any stdout, so a failure prints only its error line
         t0 = parse_fraction(args.witness, "--witness")
         res = parse_fraction(args.res, "--res")
         P = vietoris_path(g, A, component_count(g, A))
         w = continuity_witness(P, t0, regions, res)
+    print(f"upper={'true' if upper else 'false'}")
+    for i, lower in enumerate(lowers, start=1):
+        print(f"lower {i}={'true' if lower else 'false'}")
+    print(f"basic={'true' if upper and all(lowers) else 'false'}")
+    if w is not None:
         if w.ok:
             print(f"witness delta={w.delta}")
         else:

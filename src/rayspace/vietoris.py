@@ -3,11 +3,12 @@
 An open region is a finite union of open metric balls, or the whole space.
 On an element of length L, d(x, c) is the least of |x - s| + d(s, c) over at
 most three spots s: the first end, the far end (edges only) and the centre c
-itself when it lies on the element.  So a ball is, per element, at most three
-clipped open intervals, merged into the region's derived form.  Both
-membership tests read that one cached form: upper membership is an
-interval-containment check, and lower membership is an overlap test between
-the set's pieces and the derived intervals, both exact.
+itself when it lies on the element.  So on [0, L] a ball is the union of the
+open intervals (s - reach, s + reach) with reach = r - d(s, c) > 0.  They are
+not cut to the element, so their ends may lie below 0 or past L.  Merged,
+they are the region's derived form, which both membership tests read with
+strict comparisons: upper membership is interval containment, and lower
+membership is an overlap of the set's pieces with the derived intervals.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph, parse_fraction, point_distance
+from .graph import GraphPoint, RayGraph, parse_fraction
 from .paths import HyperPath
 from .sets import ClosedSubset
 
@@ -26,8 +27,8 @@ from .sets import ClosedSubset
 # (about delta / resolution, largest in the first round).
 MAX_WITNESS_SAMPLES = 100_000
 
-# A derived interval: (lo, lo_open, hi, hi_open).
-DerivedInterval = tuple[Fraction, bool, Fraction, bool]
+# A derived interval: the open interval (lo, hi) of element coordinates.
+DerivedInterval = tuple[Fraction, Fraction]
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,8 @@ class OpenRegion:
     def contains_point(self, p: GraphPoint) -> bool:
         if self.all_space:
             return True
-        return any(point_distance(self.graph, p, c) < r for c, r in self.balls)
+        self.graph.validate_point(p)
+        return any(lo < p.coord < hi for lo, hi in self.derived.get(p.element, ()))
 
 
 def ball(g: RayGraph, p: GraphPoint, r: Fraction) -> OpenRegion:
@@ -80,21 +82,18 @@ def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:
 def _ball_intervals(
     g: RayGraph, center: GraphPoint, radius: Fraction
 ) -> dict[str, list[DerivedInterval]]:
-    """Each spot s with reach radius - d(s, center) > 0 covers (s - reach, s + reach),
-    clipped to the element; a clipped end is closed, every other end open."""
+    """Each spot s with reach radius - d(s, center) > 0 covers (s - reach, s + reach)."""
+    exits = g.exit_costs(center)
+    reach = {v: radius - min(c + g.vertex_distance(w, v) for w, c in exits) for v in g.vertices}
     out: dict[str, list[DerivedInterval]] = {}
     for el in g.edges + g.rays:
-        length = g.element_length(el.id)
-        spots = [Fraction(0)] if length is None else [Fraction(0), length]
-        reaches = [(s, radius - point_distance(g, GraphPoint(el.id, s), center)) for s in spots]
+        first, far = g.element_end_vertices(el.id)
+        spots = [(Fraction(0), reach[first])]
+        if far is not None:
+            spots.append((el.length, reach[far]))
         if center.element == el.id:
-            reaches.append((center.coord, radius))
-        ivs: list[DerivedInterval] = []
-        for s, reach in reaches:
-            if reach > 0:
-                lo, hi = s - reach, s + reach
-                hi_open = length is None or hi <= length
-                ivs.append((max(lo, Fraction(0)), lo >= 0, hi if hi_open else length, hi_open))
+            spots.append((center.coord, radius))
+        ivs = [(s - r, s + r) for s, r in spots if r > 0]
         if ivs:
             out[el.id] = ivs
     return out
@@ -103,48 +102,25 @@ def _ball_intervals(
 def _merged(
     forms: Iterable[dict[str, Sequence[DerivedInterval]]],
 ) -> dict[str, tuple[DerivedInterval, ...]]:
-    """One derived form for the union of several per-element interval forms."""
+    """One derived form for the union of several per-element interval forms.
+
+    Open intervals merge when one starts strictly before the other ends; two
+    that only touch leave their common end uncovered and stay apart.
+    """
     raw: dict[str, list[DerivedInterval]] = {}
     for form in forms:
         for eid, ivs in form.items():
             raw.setdefault(eid, []).extend(ivs)
-    return {eid: tuple(_merge_open(ivs)) for eid, ivs in raw.items()}
-
-
-def _merge_open(ivs: list[DerivedInterval]) -> list[DerivedInterval]:
-    """Merge coordinate intervals, honoring open/closed endpoint flags."""
-    out: list[DerivedInterval] = []
-    for lo, lo_open, hi, hi_open in sorted(ivs):  # closed starts sort before open ones
-        if out:
-            plo, plo_open, prev_hi, prev_hi_open = out[-1]
-            if lo < prev_hi or (lo == prev_hi and not (lo_open and prev_hi_open)):
-                if hi > prev_hi:
-                    out[-1] = (plo, plo_open, hi, hi_open)
-                elif hi == prev_hi:
-                    out[-1] = (plo, plo_open, hi, hi_open and prev_hi_open)
-                continue
-        out.append((lo, lo_open, hi, hi_open))
+    out: dict[str, tuple[DerivedInterval, ...]] = {}
+    for eid, ivs in raw.items():
+        merged: list[DerivedInterval] = []
+        for lo, hi in sorted(ivs):
+            if merged and lo < merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(hi, merged[-1][1]))
+            else:
+                merged.append((lo, hi))
+        out[eid] = tuple(merged)
     return out
-
-
-def _interval_inside(a: Fraction, b: Fraction, ivs: tuple[DerivedInterval, ...]) -> bool:
-    """Is the closed interval [a, b] inside the union of derived intervals?"""
-    for lo, lo_open, hi, hi_open in ivs:
-        lo_ok = lo < a or (lo == a and not lo_open)
-        hi_ok = hi > b or (hi == b and not hi_open)
-        if lo_ok and hi_ok:
-            return True
-    return False
-
-
-def _interval_meets(a: Fraction, b: Fraction | None, ivs: tuple[DerivedInterval, ...]) -> bool:
-    """Does [a, b], or the tail [a, inf) when b is None, meet a derived interval?"""
-    for lo, lo_open, hi, hi_open in ivs:
-        starts_ok = a < hi or (a == hi and not hi_open)
-        ends_ok = b is None or b > lo or (b == lo and not lo_open)
-        if starts_ok and ends_ok:
-            return True
-    return False
 
 
 def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
@@ -157,7 +133,7 @@ def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
             return False  # finite ball unions are bounded
         ivs = derived.get(eid, ())
         for a, b in ep.intervals:
-            if not _interval_inside(a, b, ivs):
+            if not any(lo < a and b < hi for lo, hi in ivs):
                 return False
     return True
 
@@ -176,9 +152,9 @@ def member_lower(A: ClosedSubset, V: OpenRegion) -> bool:
         ivs = derived.get(eid)
         if ivs is None:
             continue
-        if ep.tail is not None and _interval_meets(ep.tail, None, ivs):
+        if ep.tail is not None and ep.tail < ivs[-1][1]:
             return True
-        if any(_interval_meets(a, b, ivs) for a, b in ep.intervals):
+        if any(a < hi and lo < b for a, b in ep.intervals for lo, hi in ivs):
             return True
     return False
 
@@ -216,8 +192,9 @@ def continuity_witness(
     Starting from the largest delta that reaches an end of [0, 1], halve
     until every sampled t with |t - t0| <= delta (step = resolution) keeps
     the path value inside the basic open; report failure when delta would
-    drop below the resolution.  Raises ``CapExceededError`` when a round
-    would check more than ``MAX_WITNESS_SAMPLES`` offsets.
+    drop below the resolution.  The resolution may not exceed that first
+    delta, so at least one round is sampled.  Raises ``CapExceededError``
+    when a round would check more than ``MAX_WITNESS_SAMPLES`` offsets.
     """
     t0 = Fraction(t0)
     resolution = Fraction(resolution)
@@ -225,6 +202,9 @@ def continuity_witness(
         raise PreconditionError("resolution must be positive")
     if not 0 <= t0 <= 1:
         raise PreconditionError("t0 outside [0,1]")
+    delta = max(t0, 1 - t0)
+    if resolution > delta:
+        raise PreconditionError(f"resolution {resolution} exceeds the largest delta {delta}")
     if not member_basic(P.at(t0), Us):
         raise PreconditionError("path value at t0 is not in the basic open")
     union = union_regions(Us)  # built once, so its derived intervals serve every sample
@@ -236,7 +216,6 @@ def continuity_witness(
             memo[t] = member_upper(A, union) and all(member_lower(A, u) for u in Us)
         return memo[t]
 
-    delta = max(t0, 1 - t0)
     last_bad: Fraction | None = None
     while delta >= resolution:
         steps = int(delta / resolution)

@@ -348,6 +348,22 @@ def test_vietoris_witness_sample_cap(graph_file, capsys):
     assert err.startswith("error kind=cap") and "about 500000001 sample offsets" in err
 
 
+@pytest.mark.parametrize("region, t0, res, code", [
+    ("all", "abc", "1/4", 2),
+    ("all", "1/2", "x", 2),
+    ("all", "1/2", "1/1000000000", 4),  # the sample cap
+    ("ball R1:5 1/10", "1/2", "1/4", 3),  # the value at t0 is outside the basic open
+    ("all", "0", "2", 3),  # a resolution above the largest delta samples nothing
+])
+def test_failed_witness_prints_only_its_error_line(graph_file, capsys, region, t0, res, code):
+    argv = ["vietoris", "--graph", graph_file("G_LINE"), "--a", "R1:[0,1]", "--open", region,
+            "--witness", t0, "--res", res]
+    assert run(argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error kind=")
+
+
 def test_emit_path_samples_cap(graph_file, capsys, tmp_path):
     gf = graph_file("G_LINE")
     dump = tmp_path / "p.tsv"

@@ -4,7 +4,11 @@ import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from rayspace import (
+    component_count,
     direction_set,
     eval_path,
     hausdorff,
@@ -19,7 +23,7 @@ from rayspace import (
 from rayspace.graph import GraphPoint
 from rayspace.paths import covering_walk
 
-from conftest import random_subset
+from conftest import random_ray_graph, random_subset
 
 
 def test_loop_degenerate_aliases(graphs):
@@ -80,6 +84,19 @@ def test_classification_matches_direction_comparison(graphs):
         same_dirs = direction_set(g, A) == direction_set(g, B)
         assert res.same_component == same_dirs
         assert res.same_component == (not is_infinite(hausdorff(g, A, B)))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_classification_matches_direction_comparison_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    A = random_subset(g, rng)
+    B = random_subset(g, rng)
+    res = same_component_hausdorff(g, A, B, max(component_count(g, A), component_count(g, B)))
+    same_dirs = direction_set(g, A) == direction_set(g, B)
+    assert res.same_component == same_dirs
+    assert res.same_component == (not is_infinite(hausdorff(g, A, B)))
 
 
 def test_covering_walk_from_interior_point(graphs):

@@ -6,8 +6,9 @@ the per-element distance envelope stays private to ``metric.py``; the brute-forc
 takes nothing from the metric it cross-checks beyond its value types, and
 nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
 product of its element layouts; the
-Vietoris layer reads its regions' derived intervals and takes nothing from
-the metric beyond its value types either; numpy stays behind the oracle,
+Vietoris layer reads its regions' derived intervals, never names
+``point_distance`` and takes nothing from the metric beyond its value types
+either; numpy stays behind the oracle,
 which the package and the CLI load only on first use; and
 ``graph.count_classes`` is the package's one Python union-find.
 """
@@ -113,6 +114,15 @@ def test_vietoris_takes_only_value_types_from_metric():
     extra = set(_metric_imports(tree)) - {"INF", "ExtendedDistance"}
     assert not extra, f"vietoris.py imports {sorted(extra)} from metric"
     assert "dist_point_to_set" not in {ident for node in ast.walk(tree) for ident in _names(node)}
+
+
+def test_vietoris_never_names_point_distance():
+    found = [
+        f"vietoris.py:{node.lineno}"
+        for node in ast.walk(TREES["vietoris.py"])
+        if "point_distance" in _names(node)
+    ]
+    assert found == []
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

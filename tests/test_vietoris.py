@@ -13,8 +13,10 @@ from rayspace import (
     PreconditionError,
     ball,
     continuity_witness,
+    directed_hausdorff,
     dist_point_to_set,
     gamma_path,
+    is_infinite,
     member_basic,
     member_lower,
     member_upper,
@@ -34,26 +36,19 @@ from conftest import random_in_c3, random_point, random_ray_graph, random_subset
 
 
 def _in_derived(derived, x: GraphPoint) -> bool:
-    return any(
-        (lo < x.coord or (lo == x.coord and not lo_open))
-        and (x.coord < hi or (x.coord == hi and not hi_open))
-        for lo, lo_open, hi, hi_open in derived.get(x.element, ())
-    )
+    return any(lo < x.coord < hi for lo, hi in derived.get(x.element, ()))
 
 
 def test_ball_on_edge(graphs):
     g = graphs["G_I"]
     U = ball(g, GraphPoint("E1", F(1, 2)), F(3, 10))
-    assert U.derived == {"E1": ((F(1, 5), True, F(4, 5), True),)}
+    assert U.derived == {"E1": ((F(1, 5), F(4, 5)),)}
 
 
 def test_ball_at_vertex_spans_rays(graphs):
     g = graphs["G_LINE"]
     U = ball(g, GraphPoint("R1", F(0)), F(1))
-    assert U.derived == {
-        "R1": ((F(0), False, F(1), True),),
-        "R2": ((F(0), False, F(1), True),),
-    }
+    assert U.derived == {"R1": ((F(-1), F(1)),), "R2": ((F(-1), F(1)),)}
 
 
 def test_ball_wraps_loop_pointwise(graphs):
@@ -63,8 +58,9 @@ def test_ball_wraps_loop_pointwise(graphs):
     for k in range(21):
         x = GraphPoint("E1", F(k, 20))
         assert U.contains_point(x) == (point_distance(g, x, center) < F(3, 5))
-    # every loop point is within 3/5 of the vertex, so the ball is the whole loop
-    assert U.derived == {"E1": ((F(0), False, F(1), False),)}
+    # every loop point is within 3/5 of the vertex, so the ball is the whole
+    # loop: (-3/5, 3/5) around one end and (2/5, 8/5) around the other
+    assert U.derived == {"E1": ((F(-3, 5), F(8, 5)),)}
 
 
 def test_ball_correctness_random(graphs):
@@ -78,6 +74,28 @@ def test_ball_correctness_random(graphs):
             for _ in range(25):
                 x = random_point(g, rng)
                 assert _in_derived(U.derived, x) == (point_distance(g, x, p) < r)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_ball_correctness_on_random_graphs(seed):
+    """Centres are a random point and every alias of a random vertex; test
+    points are every element end and random points.  One radius is a
+    distance to an element end, which puts that end on the sphere."""
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    ends = [GraphPoint(e.id, F(0)) for e in g.edges + g.rays]
+    ends += [GraphPoint(e.id, e.length) for e in g.edges]
+    centers = [random_point(g, rng)]
+    centers += [GraphPoint(eid, c) for eid, c in g.vertex_representations(rng.choice(g.vertices))]
+    for p in centers:
+        radii = [F(rng.randint(1, 8), rng.choice((1, 2, 4))), point_distance(g, rng.choice(ends), p)]
+        for r in filter(None, radii):
+            U = ball(g, p, r)
+            for x in ends + [random_point(g, rng) for _ in range(8)]:
+                inside = point_distance(g, x, p) < r
+                assert U.contains_point(x) == inside
+                assert _in_derived(U.derived, x) == inside
 
 
 # ---- reference: the distance-envelope route to a ball ------------------------
@@ -164,15 +182,29 @@ def _random_balls(graphs, seed):
                 yield g, center, F(rng.randint(1, 24), rng.choice((1, 2, 3, 4, 6)))
 
 
+def _clipped(g, derived):
+    """The derived form cut to each element, an end closed where the cut applies,
+    in the reference's flagged form (lo, lo_open, hi, hi_open)."""
+    out = {}
+    for eid, ivs in derived.items():
+        length = g.element_length(eid)
+        cut = []
+        for lo, hi in ivs:
+            hi_open = length is None or hi <= length
+            cut.append((max(lo, F(0)), lo >= 0, hi if hi_open else length, hi_open))
+        out[eid] = tuple(_ref_merge_open(cut))
+    return out
+
+
 def test_derived_matches_envelope_reference(graphs):
     for g, center, r in _random_balls(graphs, 90210):
-        assert ball(g, center, r).derived == _ref_derived(g, [(center, r)])
+        assert _clipped(g, ball(g, center, r).derived) == _ref_derived(g, [(center, r)])
     rng = random.Random(4711)
     for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(20)]:
         for _ in range(4):
             balls = [(random_point(g, rng), F(rng.randint(1, 12), 4)) for _ in range(3)]
             region = union_regions([ball(g, c, r) for c, r in balls])
-            assert region.derived == _ref_derived(g, balls)
+            assert _clipped(g, region.derived) == _ref_derived(g, balls)
 
 
 def test_derived_endpoints_pointwise(graphs):
@@ -181,8 +213,10 @@ def test_derived_endpoints_pointwise(graphs):
         points = [GraphPoint(e.id, F(0)) for e in g.edges + g.rays]
         points += [GraphPoint(e.id, e.length) for e in g.edges]
         for eid, ivs in derived.items():
-            for lo, _, hi, _ in ivs:
-                points += [GraphPoint(eid, lo), GraphPoint(eid, hi)]
+            length = g.element_length(eid)
+            for lo, hi in ivs:
+                hi = hi if length is None else min(hi, length)
+                points += [GraphPoint(eid, max(lo, F(0))), GraphPoint(eid, hi)]
         for x in points:
             assert _in_derived(derived, x) == (point_distance(g, x, center) < r)
 
@@ -259,13 +293,15 @@ def _ref_lower(A, V) -> bool:
 
 
 def _boundary_sets(g, V):
-    """Sets that touch V's derived interval ends: points on each end, pieces
-    running up to a start or out of an end, and tails out of an end on rays.
-    At an open end such a set lies at distance exactly r from its ball."""
+    """Sets that touch V's derived interval ends, cut to the element: points
+    on each end, pieces running up to a start or out of an end, and tails out
+    of an end on rays.  At an open end such a set lies at distance exactly r
+    from its ball."""
     raws = []
     for eid, ivs in V.derived.items():
         length = g.element_length(eid)
-        for lo, _, hi, _ in ivs:
+        for lo, hi in ivs:
+            lo, hi = max(lo, F(0)), hi if length is None else min(hi, length)
             raws += [({eid: [(lo, lo)]}, {}), ({eid: [(hi, hi)]}, {})]
             if lo > 0:
                 raws.append(({eid: [(lo / 2, lo)]}, {}))
@@ -314,6 +350,21 @@ def test_member_lower_matches_distance_reference_on_random_graphs(seed):
     _check_lower_against_reference(random_ray_graph(rng), rng)
 
 
+def test_member_upper_matches_distance_reference(graphs):
+    """A lies in one ball exactly when its farthest point is nearer the centre
+    than the radius; the boundary sets put a piece end on each open end."""
+    rng = random.Random(7070)
+    for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(10)]:
+        for _ in range(3):
+            c, r = random_point(g, rng), F(rng.randint(1, 12), rng.choice((1, 2, 3, 4)))
+            U = ball(g, c, r)
+            center = ClosedSubset.from_pieces(g, {c.element: [(c.coord, c.coord)]})
+            sets = [random_subset(g, rng, bounded=True) for _ in range(4)] + _vertex_sets(g)
+            for A in sets + _boundary_sets(g, U):
+                far = directed_hausdorff(g, A, center)
+                assert member_upper(A, U) == (not is_infinite(far) and far < r), (A, c, r)
+
+
 def test_member_lower_boundary_examples(graphs):
     g = graphs["G_LINE"]
     V = ball(g, GraphPoint("R1", F(1)), F(1, 2))  # R1 (1/2, 3/2)
@@ -321,7 +372,7 @@ def test_member_lower_boundary_examples(graphs):
     assert not member_lower(parse_set("R1:[3/2,inf)", g), V)
     assert member_lower(parse_set("R1:[0,2/3]", g), V)
     W = ball(g, GraphPoint("R2", F(1, 2)), F(1))  # holds the vertex, stored on R1
-    assert W.derived["R1"] == ((F(0), False, F(1, 2), True),)
+    assert W.derived["R1"] == ((F(-1, 2), F(1, 2)),)
     assert member_lower(parse_set("R2:{0}", g), W)
     assert not member_lower(parse_set("R2:{0}", g), ball(g, GraphPoint("R2", F(1, 2)), F(1, 2)))
 
@@ -450,6 +501,17 @@ def test_witness_constant_path(graphs):
     P = HyperPath(g, (F0(g, X, ()),))
     res = continuity_witness(P, F(0), [OpenRegion(g, (), all_space=True)], F(1, 100))
     assert res.ok and res.delta == 1
+
+
+def test_witness_resolution_above_the_largest_delta_is_refused(graphs):
+    g = graphs["G_LINE"]
+    P = vietoris_path(g, parse_set("R1:[0,1]", g), 1)
+    all_x = [OpenRegion(g, (), all_space=True)]
+    with pytest.raises(PreconditionError, match="exceeds the largest delta 1"):
+        continuity_witness(P, F(0), all_x, F(2))  # no round would be sampled
+    with pytest.raises(PreconditionError, match="exceeds the largest delta 1/2"):
+        continuity_witness(P, F(1, 2), all_x, F(3, 4))
+    assert continuity_witness(P, F(1, 2), all_x, F(1, 2)) == WitnessResult(True, delta=F(1, 2))
 
 
 def test_witness_precondition(graphs):
