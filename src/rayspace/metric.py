@@ -143,6 +143,8 @@ def _sup_on_spans(prof: DistanceProfile, spans: list[tuple[Fraction, Fraction]])
 
 def dist_point_to_set(g: RayGraph, p: GraphPoint, B: ClosedSubset) -> Fraction:
     """Exact distance from a point to a nonempty closed subset (always attained)."""
+    if B.graph is not g and B.graph != g:
+        raise PreconditionError("subset does not belong to the given graph")
     g.validate_point(p)
     return DistanceProfile(g, p.element, B, {}).eval(p.coord)
 

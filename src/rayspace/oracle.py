@@ -271,6 +271,8 @@ def oracle_hausdorff(
     h, T = Fraction(h), Fraction(T)
     if h <= 0:
         raise PreconditionError("grid step h must be positive")
+    if A.graph != g or B.graph != g:
+        raise PreconditionError("subset does not belong to the given graph")
     if _directions(g, A) != _directions(g, B):
         return INF
     scale, pa, pb = _grid_samples(g, A, B, h, T)

@@ -228,6 +228,11 @@ def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     return _canonicalize(A.graph, intervals, tails)
 
 
+def _check_graph(g: RayGraph, A: ClosedSubset) -> None:
+    if A.graph is not g and A.graph != g:  # identity first: queries run per sample
+        raise PreconditionError("subset does not belong to the given graph")
+
+
 def component_count(g: RayGraph, A: ClosedSubset) -> int:
     """Number of connected components of A as a subspace of the graph.
 
@@ -238,6 +243,7 @@ def component_count(g: RayGraph, A: ClosedSubset) -> int:
     the count is the loose pieces plus the classes of ``A.vertices`` under
     the whole edges' end pairs.
     """
+    _check_graph(g, A)
     loose = 0
     links: list[tuple[str, str]] = []
     for eid, ep in A.pieces:
@@ -261,6 +267,7 @@ def in_cn(g: RayGraph, A: ClosedSubset, n: int) -> bool:
 
 def direction_set(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
     """Indices (1-based) of the rays carrying an unbounded tail of A."""
+    _check_graph(g, A)
     return frozenset(g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None)
 
 
@@ -292,6 +299,7 @@ def whole_space(g: RayGraph) -> ClosedSubset:
 
 def contains_point(g: RayGraph, A: ClosedSubset, p: GraphPoint) -> bool:
     """Exact membership of a point in A (vertex aliases resolved)."""
+    _check_graph(g, A)
     g.validate_point(p)
     v = g.vertex_at(p.element, p.coord)
     if v is not None:
@@ -304,17 +312,6 @@ def contains_point(g: RayGraph, A: ClosedSubset, p: GraphPoint) -> bool:
 
 
 def is_subset(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> bool:
-    """Structural test that A is contained in B (both canonical)."""
-    for eid, ep in A.pieces:
-        bt = B.tail_on(eid)
-        bivs = B.intervals_on(eid)
-        if ep.tail is not None and (bt is None or bt > ep.tail):
-            return False
-        for a, b in ep.intervals:
-            if a == b and contains_point(g, B, GraphPoint(eid, a)):
-                continue
-            if bt is not None and a >= bt:
-                continue
-            if not any(a2 <= a and b <= b2 for a2, b2 in bivs):
-                return False
-    return True
+    """A is contained in B: adding A to B leaves B's canonical form unchanged."""
+    _check_graph(g, A)
+    return union(A, B) == B

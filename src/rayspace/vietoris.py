@@ -47,9 +47,9 @@ class OpenRegion:
         return _merged(_ball_intervals(self.graph, c, r) for c, r in self.balls)
 
     def contains_point(self, p: GraphPoint) -> bool:
+        self.graph.validate_point(p)
         if self.all_space:
             return True
-        self.graph.validate_point(p)
         return any(lo < p.coord < hi for lo, hi in self.derived.get(p.element, ()))
 
 
@@ -123,8 +123,14 @@ def _merged(
     return out
 
 
+def _check_same_graph(A: ClosedSubset, U: OpenRegion) -> None:
+    if A.graph is not U.graph and A.graph != U.graph:  # identity first: called per sample
+        raise PreconditionError("subset and region live on different graphs")
+
+
 def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
     """A lies entirely inside the open region (the upper Vietoris condition)."""
+    _check_same_graph(A, U)
     if U.all_space:
         return True
     derived = U.derived
@@ -145,6 +151,7 @@ def member_lower(A: ClosedSubset, V: OpenRegion) -> bool:
     element.  A vertex point needs no alias lookup: when the vertex lies in
     V, every incident element's derived form holds that vertex end.
     """
+    _check_same_graph(A, V)
     if V.all_space:
         return True
     derived = V.derived

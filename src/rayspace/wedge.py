@@ -3,8 +3,11 @@
 A model is an inventory of pieces (formal products of base cells), the
 containment locus of the wedge point with its distinguished single-point
 marker, and gluing identifications.  Composing two models crosses their
-containment loci and reattaches each original model along the marker slice,
-which reproduces the classical drawings for nooses, n-ods and lines.
+containment loci into a product layer; one pass over the two sides then
+glues each locus component to its marker slice, or absorbs the piece it
+fills.  This reproduces the classical drawings for nooses, n-ods and lines.
+Tests check each model against the star ray-graph it draws, so this module
+imports nothing of the package but the errors and ``graph.count_classes``.
 """
 
 from __future__ import annotations
@@ -153,80 +156,66 @@ def wedge(m1: HModel, m2: HModel) -> HModel:
     classical piece inventories (cube plus fins, etc.).  Raises
     ``CapExceededError`` beyond ``MAX_LOCUS_PRODUCT`` product pieces.
     """
-    if not m1.containment or not m2.containment:
-        raise PreconditionError("wedge needs containment loci on both models")
-    c1s, c2s = m1.containment, m2.containment
-    estimate = len(c1s) * len(c2s)
+    estimate = len(m1.containment) * len(m2.containment)
     if estimate > MAX_LOCUS_PRODUCT:
         raise CapExceededError(
             f"wedge would build {estimate} product pieces (cap {MAX_LOCUS_PRODUCT}); "
             "use a smaller wedge expression"
         )
-    m1_star, m2_star = m1.marker_component, m2.marker_component
-
-    def relabel(m: HModel, tag: str):
-        pieces = tuple(Piece(f"{tag}.{p.id}", p.factors) for p in m.pieces)
-        loci = tuple(
-            LocusComponent(
-                f"{tag}.{c.id}", f"{tag}.{c.piece}", c.face, c.factors, c.marker, c.whole_piece
-            )
-            for c in m.containment
-        )
-        glues = tuple(
-            Gluing((f"{tag}.{gl.left[0]}", gl.left[1]), (f"{tag}.{gl.right[0]}", gl.right[1]))
-            for gl in m.gluings
-        )
-        return pieces, loci, glues
-
-    p1, l1, g1 = relabel(m1, "1")
-    p2, l2, g2 = relabel(m2, "2")
-
-    def prod_id(c1: LocusComponent, c2: LocusComponent) -> str:
-        return f"[{c1.id}x{c2.id}]"
-
-    prod_pieces = tuple(
-        Piece(prod_id(c1, c2), c1.factors + c2.factors) for c1 in c1s for c2 in c2s
+    star1, star2 = m1.marker_component, m2.marker_component
+    products = tuple(
+        Piece(f"[{c1.id}x{c2.id}]", c1.factors + c2.factors)
+        for c1 in m1.containment
+        for c2 in m2.containment
     )
-    absorbed: dict[str, str] = {}  # old piece id -> product piece it is identified with
-    glues = list(g1 + g2)
-    for c1, l1c in zip(c1s, l1):
-        target = prod_id(c1, m2_star)
-        if c1.whole_piece:
-            absorbed[l1c.piece] = target
-        else:
-            glues.append(Gluing((l1c.piece, l1c.face), (target, f"{c1.id} x {{p}} slice")))
-    for c2, l2c in zip(c2s, l2):
-        target = prod_id(m1_star, c2)
-        if c2.whole_piece:
-            absorbed[l2c.piece] = target
-        else:
-            glues.append(Gluing((l2c.piece, l2c.face), (target, f"{{p}} x {c2.id} slice")))
+    marked = f"[{star1.id}x{star2.id}]"
+    containment = tuple(
+        LocusComponent(
+            f"Cp{p.id}",
+            p.id,
+            "entire product piece",
+            p.factors,
+            marker="(p,p)" if p.id == marked else None,
+            whole_piece=True,
+        )
+        for p in products
+    )
+
+    # Each side's locus component c meets the product layer in its marker
+    # slice: c x {p} for the first side, {p} x c for the second.
+    sides = (
+        ("1", m1, lambda c: (f"[{c.id}x{star2.id}]", f"{c.id} x {{p}} slice")),
+        ("2", m2, lambda c: (f"[{star1.id}x{c.id}]", f"{{p}} x {c.id} slice")),
+    )
+    kept: list[Piece] = []
+    inner: list[Gluing] = []
+    slices: list[Gluing] = []
+    absorbed: dict[str, str] = {}  # tagged piece id -> product piece it is identified with
+    for tag, m, marker_slice in sides:
+        name = {p.id: f"{tag}.{p.id}" for p in m.pieces}
+        kept += [Piece(name[p.id], p.factors) for p in m.pieces]
+        inner += [
+            Gluing((name[gl.left[0]], gl.left[1]), (name[gl.right[0]], gl.right[1]))
+            for gl in m.gluings
+        ]
+        for c in m.containment:
+            target, face = marker_slice(c)
+            if c.whole_piece:
+                absorbed[name[c.piece]] = target
+            else:
+                slices.append(Gluing((name[c.piece], c.face), (target, face)))
 
     def redirect(end: tuple[str, str]) -> tuple[str, str]:
         pid, face = end
         if pid in absorbed:
             return (absorbed[pid], f"{face} (inside absorbed {pid})")
-        return (pid, face)
+        return end
 
-    glues = [Gluing(redirect(gl.left), redirect(gl.right)) for gl in glues]
-    kept = tuple(p for p in p1 + p2 if p.id not in absorbed)
-    containment = tuple(
-        LocusComponent(
-            f"Cp{prod_id(c1, c2)}",
-            prod_id(c1, c2),
-            "entire product piece",
-            c1.factors + c2.factors,
-            marker="(p,p)" if (c1 is m1_star and c2 is m2_star) else None,
-            whole_piece=True,
-        )
-        for c1 in c1s
-        for c2 in c2s
-    )
     return HModel(
         f"({m1.name} v {m2.name})",
-        kept + prod_pieces,
+        tuple(p for p in kept if p.id not in absorbed) + products,
         containment,
-        tuple(glues),
+        tuple(Gluing(redirect(gl.left), redirect(gl.right)) for gl in inner + slices),
     )
 
 

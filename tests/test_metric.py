@@ -2,6 +2,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from rayspace import (
     INF,
     ClosedSubset,
     GraphPoint,
+    PreconditionError,
     direction_set,
     directed_hausdorff,
     dist_point_to_set,
@@ -33,6 +35,16 @@ def test_dist_point_to_set_examples(graphs):
     assert dist_point_to_set(gr, GraphPoint("R1", F(0)), parse_set("R1:[1,inf)", gr)) == 1
     gl = graphs["G_LOOP"]
     assert dist_point_to_set(gl, GraphPoint("E1", F(1, 2)), parse_set("E1:{0}", gl)) == F(1, 2)
+
+
+def test_distances_refuse_a_set_of_another_graph(graphs):
+    g, other = graphs["G_LINE"], graphs["G_STAR3"]
+    mine, theirs = parse_set("R1:[0,1]", g), parse_set("R1:[0,1]", other)
+    with pytest.raises(PreconditionError, match="given graph"):
+        dist_point_to_set(g, GraphPoint("R1", F(5)), theirs)
+    for A, B in ((mine, theirs), (theirs, mine)):
+        with pytest.raises(PreconditionError, match="given graph"):
+            hausdorff(g, A, B)
 
 
 def test_directed_hausdorff_examples(graphs):

@@ -9,8 +9,10 @@ product of its element layouts; the
 Vietoris layer reads its regions' derived intervals, never names
 ``point_distance`` and takes nothing from the metric beyond its value types
 either; numpy stays behind the oracle,
-which the package and the CLI load only on first use; and
-``graph.count_classes`` is the package's one Python union-find.
+which the package and the CLI load only on first use;
+``graph.count_classes`` is the package's one Python union-find; and the wedge
+models take nothing from the package but its errors and ``count_classes``, so
+checking them against ray-graphs compares independent computations.
 """
 
 import ast
@@ -135,6 +137,25 @@ def _imported_modules(node: ast.AST) -> list[str]:
             base = "rayspace" + (f".{base}" if base else "")
         return [base] + [f"{base}.{a.name}" for a in node.names]
     return []
+
+
+def test_wedge_takes_only_errors_and_count_classes():
+    taken = []
+    for node in ast.walk(TREES["wedge.py"]):
+        if isinstance(node, ast.ImportFrom):
+            base = _imported_modules(node)[0]
+            taken += [(base, a.name) for a in node.names]
+        elif isinstance(node, ast.Import):
+            taken += [(a.name, None) for a in node.names]
+    found = [
+        (module, name)
+        for module, name in taken
+        if _is(module, "rayspace")
+        and module != "rayspace.errors"
+        and (module, name) != ("rayspace.graph", "count_classes")
+    ]
+    assert found == []
+    assert ("rayspace.graph", "count_classes") in taken
 
 
 def _outside_functions(node: ast.AST):

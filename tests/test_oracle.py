@@ -306,6 +306,15 @@ def test_oracle_hausdorff_examples(graphs):
     assert oracle_hausdorff(g, A, A, F(1, 10), F(2)) == 0
 
 
+def test_oracle_hausdorff_refuses_a_set_of_another_graph(graphs):
+    g, other = graphs["G_LINE"], graphs["G_STAR3"]
+    mine = parse_set("R1:[0,2]", g)
+    for theirs in (parse_set("R1:[0,1]", other), parse_set("R3:[0,1]", other)):
+        for A, B in ((mine, theirs), (theirs, mine)):
+            with pytest.raises(PreconditionError, match="given graph"):
+                oracle_hausdorff(g, A, B, F(1, 2), F(2))
+
+
 def test_oracle_hausdorff_tails_beyond_T(graphs):
     # caps widen to the tail starts, so the answer stays within h even when
     # the tails begin beyond the nominal truncation radius

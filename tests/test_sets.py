@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from rayspace import (
     ClosedSubset,
     ParseError,
+    PreconditionError,
     canonical_element,
     component_count,
     contains_point,
@@ -88,6 +89,28 @@ def test_direction_set_examples(graphs):
     assert direction_set(g, parse_set("R1:[2,inf)", g)) == {1}
     assert direction_set(g, whole_space(g)) == {1, 2}
     assert direction_set(g, parse_set("R1:[0,3]", g)) == frozenset()
+
+
+def test_direction_set_refuses_a_set_of_another_graph(graphs):
+    line = graphs["G_LINE"]
+    for A in (parse_set("R2:[0,inf)", line), parse_set("R1:[0,inf)", line)):
+        with pytest.raises(PreconditionError, match="given graph"):
+            direction_set(graphs["G_R"], A)
+
+
+def test_set_queries_refuse_a_set_of_another_graph(graphs):
+    g = graphs["G_LINE"]
+    A = parse_set("R1:[0,1] R2:[3,4]", graphs["G_STAR3"])
+    queries = [
+        lambda: component_count(g, A),
+        lambda: in_cn(g, A, 1),
+        lambda: contains_point(g, A, GraphPoint("R1", F(1, 2))),
+        lambda: is_subset(g, A, A),
+        lambda: is_subset(g, parse_set("R1:{0}", g), A),
+    ]
+    for query in queries:
+        with pytest.raises(PreconditionError, match="given graph|different graphs"):
+            query()
 
 
 def test_canonical_element_examples(graphs):

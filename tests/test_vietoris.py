@@ -377,6 +377,32 @@ def test_member_lower_boundary_examples(graphs):
     assert not member_lower(parse_set("R2:{0}", g), ball(g, GraphPoint("R2", F(1, 2)), F(1, 2)))
 
 
+def test_all_space_contains_point_validates_the_point(graphs):
+    g = graphs["G_LINE"]
+    everything = OpenRegion(g, (), all_space=True)
+    assert everything.contains_point(GraphPoint("R2", F(5)))
+    with pytest.raises(PreconditionError, match="unknown element"):
+        everything.contains_point(GraphPoint("NOPE", F(-1)))
+
+
+def _regions_on(g):
+    return [ball(g, GraphPoint("R1", F(0)), F(2)), OpenRegion(g, (), all_space=True)]
+
+
+def test_member_upper_refuses_a_set_of_another_graph(graphs):
+    A = parse_set("R1:[0,1]", graphs["G_STAR3"])
+    for U in _regions_on(graphs["G_LINE"]):
+        with pytest.raises(PreconditionError, match="different graphs"):
+            member_upper(A, U)
+
+
+def test_member_lower_refuses_a_set_of_another_graph(graphs):
+    A = parse_set("R1:[0,1]", graphs["G_STAR3"])
+    for V in _regions_on(graphs["G_LINE"]):
+        with pytest.raises(PreconditionError, match="different graphs"):
+            member_lower(A, V)
+
+
 def _ref_witness(P, t0, Us, resolution):
     """The sampled witness with the lower test measured by point-to-set distance.
 

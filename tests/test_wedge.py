@@ -1,4 +1,5 @@
 from collections import Counter
+from fractions import Fraction as F
 
 import pytest
 
@@ -7,9 +8,11 @@ from rayspace import (
     PreconditionError,
     base_model,
     component_count_formula,
+    enumerate_sets,
     model_components,
     model_report,
     model_stats,
+    oracle_components,
     parse_graph,
     parse_wedge_expr,
     wedge,
@@ -137,3 +140,75 @@ def test_model_marker_invariant_enforced():
         HModel("broken", (t,), (unmarked,), ())
     with pytest.raises(PreconditionError):
         HModel("no locus", (t,), (), ())
+
+
+def _star_graph(expr: str):
+    """The star ray-graph a wedge expression draws, every atom wedged at p.
+
+    ``interval`` is an edge from p to a new leaf, ``circle`` a loop at p and
+    ``ray`` a ray at p.
+    """
+    vertices, elements = ["p"], []
+    atoms = expr.replace("(", " ").replace(")", " ").split()
+    for k, atom in enumerate(a for a in atoms if a in ("interval", "circle", "ray")):
+        if atom == "interval":
+            vertices.append(f"L{k}")
+            elements.append(f"edge E{k} p L{k}")
+        elif atom == "circle":
+            elements.append(f"edge E{k} p p")
+        else:
+            elements.append(f"ray R{k} p")
+    return parse_graph("; ".join([f"vertex {' '.join(vertices)}"] + elements))
+
+
+def _differences(values: list[int], order: int) -> list[int]:
+    for _ in range(order):
+        values = [b - a for a, b in zip(values, values[1:])]
+    return values
+
+
+STAR_EXPRESSIONS = [
+    "interval",
+    "circle",
+    "ray",
+    "(interval v interval)",
+    "(circle v ray)",
+    "(ray v ray)",
+    "((interval v interval) v interval)",
+    "((ray v ray) v ray)",
+]
+# Four-atom stars reach the enumeration cap before the polynomial has enough
+# points, so they are held to the component and compactness checks.
+FOUR_ATOM_EXPRESSIONS = [
+    "((circle v ray) v (interval v ray))",
+    "((ray v ray) v (ray v ray))",
+    "((circle v interval) v (interval v interval))",
+]
+
+
+def test_models_match_their_star_graphs():
+    """Each model agrees with the star ray-graph it draws.
+
+    Components: the model's count, the Hausdorff formula and the grid census
+    at n = 1.  Dimension: the order of p, or 2 for an arc or a circle (Duda,
+    Fund. Math. 62, 1968: dim C(G) is the largest vertex order), and the
+    number of connected grid subsets at step 1/m is a polynomial in m of that
+    degree.  Compactness: no ray.  Loops need two pieces to wrap through p.
+    """
+    for expr in STAR_EXPRESSIONS + FOUR_ATOM_EXPRESSIONS:
+        m, g = parse_wedge_expr(expr), _star_graph(expr)
+        max_pieces = 2 if "circle" in expr else 1
+        census = oracle_components(g, F(1, 2), F(1), F(3, 5), 1, max_pieces).count
+        assert model_components(m) == component_count_formula(g, 1) == census, expr
+        stats = model_stats(m)
+        assert stats.compact == (g.ray_count == 0), expr
+        order = sum((e.u == "p") + (e.v == "p") for e in g.edges) + g.ray_count
+        assert stats.max_dim == max(order, 2), expr
+        if expr in FOUR_ATOM_EXPRESSIONS:
+            continue
+        counts = [
+            len(enumerate_sets(g, F(1, k), F(1), 1, max_pieces))
+            for k in range(1, stats.max_dim + 4)
+        ]
+        assert all(d != 0 for d in _differences(counts, stats.max_dim)), (expr, counts)
+        assert _differences(counts, stats.max_dim + 1) == [0, 0], (expr, counts)
