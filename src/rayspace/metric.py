@@ -1,18 +1,20 @@
 """Exact extended-valued Hausdorff distance between closed subsets.
 
-On one element of length L, d(x, B) is the least of x + d(end0, B), of
-L - x + d(end1, B) and of the distance from x to B's own pieces there: a
-1-D L1 distance transform, piecewise-linear with slopes in {-1, 0, +1}.
-Its breakpoints lie among O(c) candidates for c pieces: 0 and L, B's piece
-ends and the midpoints of the gaps between them, (a - d0)/2 for each piece
-start a, (L + d1 + b)/2 for each piece end b, and (L + d1 - d0)/2 where the
-two end lines cross.  :class:`DistanceProfile` evaluates d(x, B) directly,
-by one bisect into B's pieces, and sorts the candidates once.  The directed
-sup walks A's sorted spans and those candidates together once, evaluating at
-each span end and at each candidate inside a span; the function is linear
-between candidates, so that max is exact, and an element costs O(c log c).
-Every finite answer is an exact rational; infinity (a plain ``float('inf')``)
-appears exactly when one set is unbounded on a ray where the other is not.
+On one element of length L, d(x, B) is the least of x + d0 with
+d0 = d(end0, B), of L - x + d1 with d1 = d(end1, B) (edges only) and of the
+distance from x to B's own spans there: a lower envelope of slope-±1 lines, a
+1-D L1 distance transform.  :class:`DistanceProfile` evaluates it directly, by
+one bisect into B's spans.  Such an envelope peaks only where a rising line
+meets a falling one, and between two neighbouring spans, or a span and an end,
+one pair is always lowest: before the first span start s, x + d0 and s - x;
+in a gap (b, a), x - b and a - x; after the last span end b on an edge,
+x - b and L - x + d1; on an edge where B has no span, the two end lines.  So
+an element with c spans has at most c + 1 interior peaks, built in order.
+The directed sup walks A's sorted spans and those peaks together once,
+evaluating at each span end and at each peak inside a span; that max is
+exact, and an element costs O(c log c).  Every finite answer is an exact
+rational; infinity (a plain ``float('inf')``) appears exactly when one set is
+unbounded on a ray where the other is not.
 """
 
 from __future__ import annotations
@@ -35,23 +37,17 @@ def is_infinite(d: ExtendedDistance) -> bool:
 
 
 def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
-    """Exact distance from a vertex to a nonempty closed subset."""
+    """Exact distance from a vertex to a nonempty closed subset: on each
+    element only B's first start (via end0) and last end (via end1) can be nearest."""
     best: Fraction | None = None
     for eid, ep in B.pieces:
         end0, end1 = g.element_end_vertices(eid)
-        length = g.element_length(eid)
-        d0 = g.vertex_distance(v, end0)
-        d1 = g.vertex_distance(v, end1) if end1 is not None else None
-        for a, b in ep.intervals:
-            cand = d0 + a
-            if d1 is not None:
-                cand = min(cand, d1 + (length - b))
-            if best is None or cand < best:
-                best = cand
-        if ep.tail is not None:
-            cand = d0 + ep.tail
-            if best is None or cand < best:
-                best = cand
+        cand = g.vertex_distance(v, end0) + (ep.intervals[0][0] if ep.intervals else ep.tail)
+        if end1 is not None:
+            far = g.element_length(eid) - ep.intervals[-1][1]
+            cand = min(cand, g.vertex_distance(v, end1) + far)
+        if best is None or cand < best:
+            best = cand
     if best is None:
         raise RayspaceError(f"vertex {v} has no distance to an empty set")
     return best
@@ -60,7 +56,7 @@ def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
 class DistanceProfile:
     """x -> d((eid, x), B) on one element: the least of the line x + d0 out
     through the first end, the line L - x + d1 out through the far end (edges
-    only) and the 1-D distance from x to B's own pieces on the element."""
+    only) and the 1-D distance from x to B's own spans on the element."""
 
     def __init__(self, g: RayGraph, eid: str, B: ClosedSubset, vcache: dict[str, Fraction]):
         end0, end1 = g.element_end_vertices(eid)
@@ -90,26 +86,17 @@ class DistanceProfile:
 
     @cached_property
     def xs(self) -> list[Fraction]:
-        """Sorted abscissas containing every breakpoint of the envelope.
-
-        Every candidate has slope -1, 0 or +1, so a breakpoint is a piece end,
-        a gap midpoint or a crossing of an end line with a piece's nearest arm.
-        """
-        length, d0, d1 = self.length, self.d0, self.d1
-        xs = {Fraction(0)}
-        if length is not None:
-            xs.update((length, (length + d1 - d0) / 2))
-        prev = None
-        for a, b in zip(self.starts, self.ends):
-            xs.update((a, (a - d0) / 2))
-            if prev is not None:
-                xs.add((prev + a) / 2)
-            if b is not None:
-                xs.add(b)
-                if length is not None:
-                    xs.add((length + d1 + b) / 2)
-            prev = b
-        return sorted(x for x in xs if x >= 0 and (length is None or x <= length))
+        """The envelope's possible interior maxima, strictly inside (0, L) and
+        increasing: one before the first span, one per gap and, on an edge,
+        one after the last span (or one in all if B has no span here)."""
+        length, d0, d1, starts, ends = self.length, self.d0, self.d1, self.starts, self.ends
+        if starts:
+            xs = [(starts[0] - d0) / 2, *((b + a) / 2 for b, a in zip(ends, starts[1:]))]
+            if length is not None:
+                xs.append((length + d1 + ends[-1]) / 2)
+        else:
+            xs = [] if length is None else [(length + d1 - d0) / 2]
+        return [x for x in xs if 0 < x and (length is None or x < length)]
 
 
 def distance_profile(
@@ -120,10 +107,10 @@ def distance_profile(
 
 
 def _sup_on_spans(prof: DistanceProfile, spans: list[tuple[Fraction, Fraction]]) -> Fraction:
-    """Max of the profile over sorted disjoint closed spans, in one walk over its breakpoints.
+    """Max of the profile over sorted disjoint closed spans, in one walk over its peaks.
 
-    Between consecutive breakpoints the profile is linear, so its max on a
-    span is its value at a span end or at a breakpoint inside the span.
+    On a span the profile's max is at a span end or at an interior peak,
+    and every interior peak is among ``prof.xs``.
     """
     xs, f = prof.xs, prof.eval
     n, k = len(xs), 0

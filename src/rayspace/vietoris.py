@@ -39,6 +39,12 @@ class OpenRegion:
     balls: tuple[tuple[GraphPoint, Fraction], ...]
     all_space: bool = False
 
+    def __post_init__(self) -> None:
+        for center, radius in self.balls:
+            self.graph.validate_point(center)
+            if radius <= 0:
+                raise PreconditionError("ball radius must be positive")
+
     @cached_property
     def derived(self) -> dict[str, tuple[DerivedInterval, ...]]:
         """Exact per-element open-interval form of a union of balls."""
@@ -55,11 +61,7 @@ class OpenRegion:
 
 def ball(g: RayGraph, p: GraphPoint, r: Fraction) -> OpenRegion:
     """The open metric ball around p with radius r, as an OpenRegion."""
-    r = Fraction(r)
-    if r <= 0:
-        raise PreconditionError("ball radius must be positive")
-    g.validate_point(p)
-    return OpenRegion(g, ((g.normalize_point(p), r),))
+    return OpenRegion(g, ((g.normalize_point(p), Fraction(r)),))
 
 
 def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:

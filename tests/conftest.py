@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -15,7 +16,7 @@ from rayspace import (
     in_cn,
     parse_graph,
 )
-from rayspace.graph import GraphPoint
+from rayspace.graph import GraphPoint, point_distance
 
 
 GRAPH_TEXTS = {
@@ -148,3 +149,82 @@ def brute_force_vertex_distance(g: RayGraph, source: str, target: str) -> Fracti
 
     walk(source, frozenset(), Fraction(0))
     return best[0]
+
+
+# ---- reference: the pairwise-crossing envelope -----------------------------
+# Every candidate (the two end lines and one vee per piece of B) is a closure,
+# and every pair of candidates is intersected on every segment between the
+# candidates' own breakpoints: O(c^3) per element, every breakpoint of the
+# envelope, and no code of metric.py.  Vertex-to-set distances come from
+# point_distance.  test_metric.py checks the metric against it, and
+# test_vietoris.py cuts its reference balls from it.
+
+
+def _ref_vertex_to_set(g, v, B):
+    p = GraphPoint(*g.vertex_representations(v)[0])
+    ends = [(eid, c) for eid, ep in B.pieces for iv in ep.intervals for c in iv]
+    ends += [(eid, ep.tail) for eid, ep in B.pieces if ep.tail is not None]
+    return min(point_distance(g, p, GraphPoint(eid, c)) for eid, c in ends)
+
+
+@dataclass(frozen=True)
+class _RefPL:
+    """A PL function by its breakpoints and values; past the last breakpoint
+    (rays only) it continues linearly with ``final_slope``."""
+
+    xs: tuple
+    vals: tuple
+    final_slope: int
+
+    def eval(self, x):
+        xs, vals = self.xs, self.vals
+        if x >= xs[-1]:
+            return vals[-1] + self.final_slope * (x - xs[-1])
+        lo, hi = 0, len(xs) - 1
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if xs[mid] <= x:
+                lo = mid
+            else:
+                hi = mid
+        x1, x2 = xs[lo], xs[hi]
+        v1, v2 = vals[lo], vals[hi]
+        return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
+
+
+def _ref_profile(g, eid, B) -> _RefPL:
+    end0, end1 = g.element_end_vertices(eid)
+    length = g.element_length(eid)
+    d0 = _ref_vertex_to_set(g, end0, B)
+    cands = [(lambda x: x + d0, ())]
+    if end1 is not None:
+        d1 = _ref_vertex_to_set(g, end1, B)
+        cands.append((lambda x: length - x + d1, ()))
+    ep = B.by_element.get(eid)
+    for a, b in ep.intervals if ep is not None else ():
+        cands.append((lambda x, a=a, b=b: max(a - x, x - b, Fraction(0)), (a, b)))
+    if ep is not None and ep.tail is not None:
+        cands.append((lambda x, s=ep.tail: max(s - x, Fraction(0)), (ep.tail,)))
+
+    def envelope(x):
+        return min(f(x) for f, _ in cands)
+
+    xs = sorted({Fraction(0)} | ({length} if length is not None else set())
+                | {bp for _, bps in cands for bp in bps})
+    segments = list(zip(xs, xs[1:])) + ([(xs[-1], None)] if length is None else [])
+    crossings = set()
+    for x1, x2 in segments:
+        probe = x2 if x2 is not None else x1 + 1
+        lines = [(f(x1), (f(probe) - f(x1)) / (probe - x1)) for f, _ in cands]
+        for i, (v_i, m_i) in enumerate(lines):
+            for v_j, m_j in lines[i + 1:]:
+                if m_i != m_j:
+                    x = x1 + (v_j - v_i) / (m_i - m_j)
+                    if x1 < x and (x2 is None or x < x2):
+                        crossings.add(x)
+    all_xs = sorted(set(xs) | crossings)
+    vals = [envelope(x) for x in all_xs]
+    final_slope = 0
+    if length is None and envelope(all_xs[-1] + 1) > vals[-1]:
+        final_slope = 1
+    return _RefPL(tuple(all_xs), tuple(vals), final_slope)

@@ -1,29 +1,43 @@
-"""Adversarial canonicalization cases, cross-module consistency, concurrency smoke."""
+"""Adversarial canonicalization cases, cross-module consistency, concurrency smoke,
+and the public refusals no other test reaches."""
 
 import random
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayspace import (
+    ParseError,
+    PreconditionError,
+    ball,
+    canonical_element,
     component_count,
+    component_count_formula,
     direction_set,
     eval_path,
+    gamma_path,
     hausdorff,
     is_infinite,
+    member_basic,
     oracle_components,
+    oracle_hausdorff,
+    parse_region,
     parse_set,
+    parse_wedge_expr,
     path_to_canonical,
     point_distance,
     same_component_hausdorff,
     union,
+    union_regions,
 )
+from rayspace.cli import run
 from rayspace.graph import GraphPoint
 from rayspace.paths import covering_walk
 
-from conftest import random_ray_graph, random_subset
+from conftest import GRAPH_TEXTS, random_ray_graph, random_subset
 
 
 def test_loop_degenerate_aliases(graphs):
@@ -152,3 +166,56 @@ def test_point_distance_on_long_loop(graphs):
     p, q = GraphPoint("L1", F(1, 4)), GraphPoint("L1", F(7, 4))
     assert point_distance(g, p, q) == F(1, 2)  # through v, not the long way
     assert point_distance(g, p, GraphPoint("L1", F(1))) == F(3, 4)
+
+
+# ---- refusals --------------------------------------------------------------
+# Each case takes the fixture graphs; G_LINE has two rays, so index 7 is unknown.
+
+
+@pytest.mark.parametrize(
+    "call, error, fragment",
+    [
+        (lambda gs: union_regions([]), PreconditionError, "union of zero regions"),
+        (lambda gs: union_regions([ball(gs["G_LINE"], GraphPoint("R1", 1), 1),
+                                   ball(gs["G_STAR3"], GraphPoint("R1", 1), 1)]),
+         PreconditionError, "regions live on different graphs"),
+        (lambda gs: member_basic(parse_set("R1:[0,1]", gs["G_LINE"]), []),
+         PreconditionError, "at least one region"),
+        (lambda gs: parse_region("", gs["G_LINE"]), ParseError, "empty open-region literal"),
+        (lambda gs: parse_region("ball E1 1", gs["G_LINE"]), ParseError, "(at token 2)"),
+        (lambda gs: covering_walk(gs["G_LINE"], GraphPoint("R1", 1)),
+         PreconditionError, "inside the rayless subgraph"),
+        (lambda gs: component_count_formula(gs["G_LINE"], 0), PreconditionError, "positive integer"),
+        (lambda gs: parse_set("R1:[1,2)", gs["G_LINE"]), ParseError, "half-open atom"),
+        (lambda gs: canonical_element(gs["G_LINE"], frozenset({7})),
+         PreconditionError, "unknown ray indices [7]"),
+        (lambda gs: gamma_path(gs["G_LINE"], frozenset({7})),
+         PreconditionError, "unknown ray indices [7]"),
+        (lambda gs: oracle_hausdorff(gs["G_I"], parse_set("E1:[0,1]", gs["G_I"]),
+                                     parse_set("E1:{0}", gs["G_I"]), F(0), F(4)),
+         PreconditionError, "grid step h must be positive"),
+        (lambda gs: parse_wedge_expr("(interval ray)"), ParseError, "expected '∨'"),
+        (lambda gs: parse_wedge_expr("(interval v ray"), ParseError, "expected ')'"),
+    ],
+)
+def test_public_refusals(graphs, call, error, fragment):
+    with pytest.raises(error) as info:
+        call(graphs)
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "argv, code, fragment",
+    [
+        (["validate", "--graph", "{dir}/missing.graph"], 2, "cannot read graph file"),
+        (["validate", "--graph", "{dir}"], 2, "cannot read graph file"),
+        (["path", "--graph", "{graph}", "--a", "R1:{{0}}", "-n", "1",
+          "--emit-path", "{dir}/p.tsv", "--samples", "0"], 3, "--samples must be at least 1"),
+    ],
+)
+def test_cli_refusals(tmp_path, capsys, argv, code, fragment):
+    graph = tmp_path / "line.graph"
+    graph.write_text(GRAPH_TEXTS["G_LINE"].replace("; ", "\n") + "\n")
+    assert run([a.format(dir=tmp_path, graph=graph) for a in argv]) == code
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=") and fragment in err[0]

@@ -1,5 +1,4 @@
 import random
-from dataclasses import dataclass
 from fractions import Fraction as F
 
 import pytest
@@ -26,7 +25,7 @@ from rayspace import (
 
 from rayspace.metric import distance_profile
 
-from conftest import random_point, random_ray_graph, random_subset
+from conftest import _ref_profile, random_point, random_ray_graph, random_subset
 
 
 def test_dist_point_to_set_examples(graphs):
@@ -186,82 +185,7 @@ def test_oracle_agreement_on_bounded_pairs(graphs):
             assert abs(approx - exact) <= h
 
 
-# ---- reference: the pairwise-crossing envelope -----------------------------
-# Every candidate (the two end lines and one vee per piece of B) is a closure,
-# and every pair of candidates is intersected on every segment between the
-# candidates' own breakpoints: O(c^3) per element, but independent of the
-# O(c) candidate set in metric.py.  Vertex-to-set distances come from
-# point_distance.
-
-
-def _ref_vertex_to_set(g, v, B):
-    p = GraphPoint(*g.vertex_representations(v)[0])
-    ends = [(eid, c) for eid, ep in B.pieces for iv in ep.intervals for c in iv]
-    ends += [(eid, ep.tail) for eid, ep in B.pieces if ep.tail is not None]
-    return min(point_distance(g, p, GraphPoint(eid, c)) for eid, c in ends)
-
-
-@dataclass(frozen=True)
-class _RefPL:
-    """A PL function by its breakpoints and values; past the last breakpoint
-    (rays only) it continues linearly with ``final_slope``."""
-
-    xs: tuple
-    vals: tuple
-    final_slope: int
-
-    def eval(self, x):
-        xs, vals = self.xs, self.vals
-        if x >= xs[-1]:
-            return vals[-1] + self.final_slope * (x - xs[-1])
-        lo, hi = 0, len(xs) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if xs[mid] <= x:
-                lo = mid
-            else:
-                hi = mid
-        x1, x2 = xs[lo], xs[hi]
-        v1, v2 = vals[lo], vals[hi]
-        return v1 + (v2 - v1) * (x - x1) / (x2 - x1)
-
-
-def _ref_profile(g, eid, B) -> _RefPL:
-    end0, end1 = g.element_end_vertices(eid)
-    length = g.element_length(eid)
-    d0 = _ref_vertex_to_set(g, end0, B)
-    cands = [(lambda x: x + d0, ())]
-    if end1 is not None:
-        d1 = _ref_vertex_to_set(g, end1, B)
-        cands.append((lambda x: length - x + d1, ()))
-    ep = B.by_element.get(eid)
-    for a, b in ep.intervals if ep is not None else ():
-        cands.append((lambda x, a=a, b=b: max(a - x, x - b, F(0)), (a, b)))
-    if ep is not None and ep.tail is not None:
-        cands.append((lambda x, s=ep.tail: max(s - x, F(0)), (ep.tail,)))
-
-    def envelope(x):
-        return min(f(x) for f, _ in cands)
-
-    xs = sorted({F(0)} | ({length} if length is not None else set())
-                | {bp for _, bps in cands for bp in bps})
-    segments = list(zip(xs, xs[1:])) + ([(xs[-1], None)] if length is None else [])
-    crossings = set()
-    for x1, x2 in segments:
-        probe = x2 if x2 is not None else x1 + 1
-        lines = [(f(x1), (f(probe) - f(x1)) / (probe - x1)) for f, _ in cands]
-        for i, (v_i, m_i) in enumerate(lines):
-            for v_j, m_j in lines[i + 1:]:
-                if m_i != m_j:
-                    x = x1 + (v_j - v_i) / (m_i - m_j)
-                    if x1 < x and (x2 is None or x < x2):
-                        crossings.add(x)
-    all_xs = sorted(set(xs) | crossings)
-    vals = [envelope(x) for x in all_xs]
-    final_slope = 0
-    if length is None and envelope(all_xs[-1] + 1) > vals[-1]:
-        final_slope = 1
-    return _RefPL(tuple(all_xs), tuple(vals), final_slope)
+# ---- reference: the pairwise-crossing envelope of conftest.py ---------------
 
 
 def _ref_directed(g, A, B):
@@ -288,10 +212,31 @@ def test_profile_matches_pairwise_reference(graphs):
                 B = random_subset(g, rng, max_pieces=max_pieces)
                 for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
                     prof, ref = distance_profile(g, eid, B), _ref_profile(g, eid, B)
-                    far = max(prof.xs[-1], ref.xs[-1]) + 2
+                    far = max([*prof.xs, *ref.xs]) + 2
                     for x in set(prof.xs) | set(ref.xs) | {far}:
                         if g.element_length(eid) is None or x <= g.element_length(eid):
                             assert prof.eval(x) == ref.eval(x), (eid, B, x)
+
+
+def test_profile_candidates_are_the_reference_peaks(graphs):
+    """``xs`` holds every interior strict local max of the reference envelope,
+    strictly increasing inside (0, L), at most one more than B's spans there."""
+    rng = random.Random(8128)
+    cases = [(g, m) for g in graphs.values() for m in (1, 2, 3, 4)]
+    cases += [(random_ray_graph(rng), 3) for _ in range(20)]
+    for g, max_pieces in cases:
+        for _ in range(4):
+            B = random_subset(g, rng, max_pieces=max_pieces)
+            for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
+                xs, ref = distance_profile(g, eid, B).xs, _ref_profile(g, eid, B)
+                length = g.element_length(eid)
+                spans = len(B.intervals_on(eid)) + (B.tail_on(eid) is not None)
+                assert len(xs) <= spans + 1, (eid, B, xs)
+                assert all(x < y for x, y in zip(xs, xs[1:])), (eid, B, xs)
+                assert all(0 < x and (length is None or x < length) for x in xs), (eid, B, xs)
+                v = ref.vals
+                peaks = {ref.xs[i] for i in range(1, len(v) - 1) if v[i - 1] < v[i] > v[i + 1]}
+                assert peaks <= set(xs), (eid, B, peaks, xs)
 
 
 def test_directed_hausdorff_matches_pairwise_reference(graphs):

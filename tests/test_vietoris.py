@@ -28,11 +28,10 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
-from rayspace.metric import distance_profile
 from rayspace.paths import F0, HyperPath
 from rayspace.vietoris import WitnessResult
 
-from conftest import random_in_c3, random_point, random_ray_graph, random_subset
+from conftest import _ref_profile, random_in_c3, random_point, random_ray_graph, random_subset
 
 
 def _in_derived(derived, x: GraphPoint) -> bool:
@@ -137,21 +136,19 @@ def _ref_merge_open(ivs):
 
 
 def _ref_ball_intervals(g, center, radius):
-    """B(center, radius) per element, cut from the PL distance envelope to {center}."""
+    """B(center, radius) per element, cut from the reference envelope to {center}."""
     target = ClosedSubset.from_pieces(g, {center.element: [(center.coord, center.coord)]})
     out = {}
-    vcache = {}
     for eid in [e.id for e in g.edges] + [r.id for r in g.rays]:
-        prof = distance_profile(g, eid, target, vcache)
-        xs = prof.xs
-        vals = [prof.eval(x) for x in xs]
+        prof = _ref_profile(g, eid, target)
+        xs, vals = prof.xs, prof.vals
         if min(vals) >= radius:
             continue
         ivs = []
         for k in range(len(xs) - 1):
             _ref_sublevel_segment(xs[k], vals[k], xs[k + 1], vals[k + 1], radius, ivs)
         if g.element_length(eid) is None and vals[-1] < radius:
-            assert prof.eval(xs[-1] + 1) == vals[-1] + 1
+            assert prof.final_slope == 1
             ivs.append((xs[-1], False, xs[-1] + (radius - vals[-1]), True))
         merged = _ref_merge_open(ivs)
         if merged:
@@ -383,6 +380,20 @@ def test_all_space_contains_point_validates_the_point(graphs):
     assert everything.contains_point(GraphPoint("R2", F(5)))
     with pytest.raises(PreconditionError, match="unknown element"):
         everything.contains_point(GraphPoint("NOPE", F(-1)))
+
+
+@pytest.mark.parametrize(
+    "center, radius, msg",
+    [
+        (GraphPoint("R1", F(-3)), F(1), "negative coordinate"),
+        (GraphPoint("R1", F(1)), F(-1), "ball radius must be positive"),
+        (GraphPoint("R1", F(1)), F(0), "ball radius must be positive"),
+    ],
+)
+def test_open_region_validates_its_balls_when_built(graphs, center, radius, msg):
+    g = graphs["G_LINE"]
+    with pytest.raises(PreconditionError, match=msg):
+        OpenRegion(g, ((center, radius),))
 
 
 def _regions_on(g):
