@@ -81,7 +81,7 @@ class RayGraph:
         for e in self.edges:
             if e.u not in vset or e.v not in vset:
                 raise InvalidGraphError(f"edge {e.id} references unknown vertex")
-            if e.length <= 0:
+            if as_fraction(e.length) <= 0:
                 raise InvalidGraphError(f"edge {e.id} has nonpositive length")
         for r in self.rays:
             if r.attach not in vset:
@@ -200,8 +200,10 @@ class RayGraph:
     # ---- points --------------------------------------------------------
 
     def validate_point(self, p: GraphPoint) -> None:
+        if not isinstance(p, GraphPoint):
+            raise PreconditionError(f"expected a GraphPoint, got {type(p).__name__}")
         el = self.element(p.element)
-        if p.coord < 0:
+        if as_fraction(p.coord) < 0:
             raise PreconditionError(f"negative coordinate on {p.element}")
         if isinstance(el, Edge) and p.coord > el.length:
             raise PreconditionError(
@@ -251,8 +253,7 @@ def count_classes(nodes: Iterable[str], links: Iterable[tuple[str, str]]) -> int
 
 def point_distance(g: RayGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     """Exact length of the shortest path in the graph between two points."""
-    g.validate_point(p)
-    g.validate_point(q)
+    check_graph(g, p, q)
     best: Fraction | None = None
     if p.element == q.element:
         best = abs(p.coord - q.coord)
@@ -266,12 +267,48 @@ def point_distance(g: RayGraph, p: GraphPoint, q: GraphPoint) -> Fraction:
     return best
 
 
-# ---- parsing -----------------------------------------------------------
+# ---- input gates: every public entry decides what it accepts here -------
 
 
 def as_fraction(x) -> Fraction:
-    """x as an exact Fraction; a Fraction is returned as it is, not re-wrapped."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    """x exact: a Fraction as it is, an int wrapped; anything else (a bool too) refused."""
+    if isinstance(x, Fraction):
+        return x
+    if type(x) is not int:
+        raise PreconditionError(f"expected an int or a Fraction, got {type(x).__name__}")
+    return Fraction(x)
+
+
+def as_count(n, what: str) -> int:
+    """n as a positive int (not a bool): the bound n and the oracle's other counts."""
+    if type(n) is not int or n < 1:
+        raise PreconditionError(f"{what} must be a positive integer")
+    return n
+
+
+def check_graph(g: RayGraph, *objs) -> None:
+    """g is a RayGraph and each point, set or region in objs lies on it (identity first)."""
+    if not isinstance(g, RayGraph):
+        raise PreconditionError(f"expected a RayGraph, got {type(g).__name__}")
+    for obj in objs:
+        if isinstance(obj, GraphPoint):
+            g.validate_point(obj)
+        elif (h := getattr(obj, "graph", None)) is not g and h != g:
+            raise PreconditionError(f"{type(obj).__name__} does not belong to the given graph")
+
+
+def as_direction_set(g: RayGraph, delta) -> frozenset[int]:
+    """delta, a set or frozenset of g's 1-based ray indices (ints, not bools), frozen."""
+    check_graph(g)
+    if not isinstance(delta, (set, frozenset)):
+        raise PreconditionError(f"a direction set is a set, got {type(delta).__name__}")
+    bad = sorted(map(repr, (i for i in delta if type(i) is not int or i not in g.ray_by_index)))
+    if bad:
+        raise PreconditionError(f"direction set references unknown ray indices [{', '.join(bad)}]")
+    return frozenset(delta)
+
+
+# ---- parsing -----------------------------------------------------------
 
 
 def parse_fraction(tok: str, where: str) -> Fraction:
@@ -339,16 +376,8 @@ def parse_graph(text: str) -> RayGraph:
     return RayGraph(tuple(vertices), tuple(edges), tuple(rays))
 
 
-def graph_from_parts(
-    vertices: Iterable[str],
-    edges: Iterable[tuple] = (),
-    rays: Iterable[tuple[str, str]] = (),
-) -> RayGraph:
+def graph_from_parts(vertices: Iterable[str], edges: Iterable[tuple] = (),
+                     rays: Iterable[tuple[str, str]] = ()) -> RayGraph:
     """Programmatic constructor: edges as (id, u, v[, length]), rays as (id, v)."""
-    es = []
-    for spec in edges:
-        if len(spec) == 3:
-            es.append(Edge(spec[0], spec[1], spec[2]))
-        else:
-            es.append(Edge(spec[0], spec[1], spec[2], Fraction(spec[3])))
+    es = [Edge(*spec[:3], *map(as_fraction, spec[3:4])) for spec in edges]
     return RayGraph(tuple(vertices), tuple(es), tuple(Ray(i, v) for i, v in rays))

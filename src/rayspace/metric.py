@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Union
 
-from .errors import PreconditionError, RayspaceError
-from .graph import GraphPoint, RayGraph
+from .errors import RayspaceError
+from .graph import GraphPoint, RayGraph, check_graph
 from .sets import ClosedSubset
 
 INF = float("inf")
@@ -130,16 +130,13 @@ def _sup_on_spans(prof: DistanceProfile, spans: list[tuple[Fraction, Fraction]])
 
 def dist_point_to_set(g: RayGraph, p: GraphPoint, B: ClosedSubset) -> Fraction:
     """Exact distance from a point to a nonempty closed subset (always attained)."""
-    if B.graph is not g and B.graph != g:
-        raise PreconditionError("subset does not belong to the given graph")
-    g.validate_point(p)
+    check_graph(g, B, p)
     return DistanceProfile(g, p.element, B, {}).eval(p.coord)
 
 
 def directed_hausdorff(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> ExtendedDistance:
     """sup over a in A of d(a, B); infinite iff A has a tail on a ray where B has none."""
-    if A.graph != g or B.graph != g:
-        raise PreconditionError("subset does not belong to the given graph")
+    check_graph(g, A, B)
     for eid, ep in A.pieces:
         if ep.tail is not None and B.tail_on(eid) is None:
             return INF

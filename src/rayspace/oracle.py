@@ -26,11 +26,13 @@ import numpy as np
 
 from ._kernels import BIG, backend, component_labels, directed_maxmin, distance_matrix
 from .errors import CapExceededError, PreconditionError
-from .graph import GraphPoint, RayGraph, count_classes, point_distance
+from .graph import (GraphPoint, RayGraph, as_count, as_fraction, check_graph, count_classes,
+                    point_distance)
 from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset
 
 _SAFE_MAGNITUDE = int(BIG) // 8  # headroom: distances add three scaled terms
+MAX_GRID_PAIRS = 4_000_000  # grid Hausdorff: sample pairs, each a cell of the kernel's matrix
 
 
 # ---- enumeration ------------------------------------------------------------
@@ -130,13 +132,14 @@ def enumerate_sets(
     points and so extend to the same sets.  Only an accepted final key becomes
     a ``ClosedSubset``.
     """
-    h, T = Fraction(h), Fraction(T)
+    check_graph(g)
+    h, T = as_fraction(h), as_fraction(T)
     if h <= 0:
         raise PreconditionError("grid step h must be positive")
     if T < 0 or (T / h).denominator != 1:
         raise PreconditionError("truncation radius T must be a nonnegative multiple of h")
-    if n < 1 or max_pieces < 1:
-        raise PreconditionError("n and max_pieces must be positive")
+    n, max_pieces = as_count(n, "n"), as_count(max_pieces, "max_pieces")
+    cap = as_count(cap, "cap")
 
     elements = [(e.id, e.length) for e in g.edges] + [(r.id, None) for r in g.rays]
     sizes = [(T if length is None else min(length, T)) // h + 1 for _, length in elements]
@@ -241,6 +244,8 @@ def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T:
     spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
              + [(eid, ep.tail, caps[eid]) for eid, ep in S.pieces if ep.tail is not None]
              for S in (A, B)]
+    if math.prod(sum((b - a) / h + 2 for _, a, b in sp) for sp in spans) > MAX_GRID_PAIRS:
+        raise CapExceededError(f"grid Hausdorff would compare over {MAX_GRID_PAIRS} sample pairs")
     ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
     scale = _common_scale(g, [h.denominator, T.denominator, *ends])
     H = _scaled(h, scale)
@@ -268,11 +273,10 @@ def oracle_hausdorff(
     value provided T reaches every tail start (the caps are widened to the
     actual tail starts, so the guarantee does not depend on T being large).
     """
-    h, T = Fraction(h), Fraction(T)
+    h, T = as_fraction(h), as_fraction(T)
     if h <= 0:
         raise PreconditionError("grid step h must be positive")
-    if A.graph != g or B.graph != g:
-        raise PreconditionError("subset does not belong to the given graph")
+    check_graph(g, A, B)
     if _directions(g, A) != _directions(g, B):
         return INF
     scale, pa, pb = _grid_samples(g, A, B, h, T)
@@ -314,7 +318,7 @@ def oracle_components(
     Two sets join when their grid Hausdorff distance is <= delta; cross
     direction-class distances are infinite, so classes are processed
     independently."""
-    h, T, delta = Fraction(h), Fraction(T), Fraction(delta)
+    h, T, delta = as_fraction(h), as_fraction(T), as_fraction(delta)
     if delta < h + h / 5:
         raise PreconditionError(
             f"delta={delta} is below the grid connectivity margin h+h/5={h + h / 5}; "

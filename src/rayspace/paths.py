@@ -20,7 +20,7 @@ from functools import cached_property
 from typing import Callable
 
 from .errors import PreconditionError, RayspaceError
-from .graph import GraphPoint, RayGraph, as_fraction
+from .graph import GraphPoint, RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset, add_pieces, canonical_element, direction_set, in_cn
 
@@ -286,11 +286,7 @@ def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stag
     """F0, F1 and F2 from A to the canonical element of its direction class."""
     if not in_cn(g, A, n):
         raise PreconditionError(f"set has more than {n} components")
-    grows = tuple(
-        (eid, ep.tail)
-        for eid, ep in A.pieces
-        if ep.tail is not None and ep.tail > 0
-    )
+    grows = tuple((eid, ep.tail) for eid, ep in A.pieces if ep.tail is not None and ep.tail > 0)
     f0 = F0(g, A, grows)
     a1 = f0.at(1)
 
@@ -308,18 +304,13 @@ def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stag
             keep_intervals[eid] = list(ep.intervals)
         if ep.tail is not None:
             keep_tails[eid] = ep.tail
-    base1 = (
-        ClosedSubset.from_pieces(g, keep_intervals, keep_tails)
-        if keep_intervals or keep_tails
-        else None
-    )
+    base1 = None
+    if keep_intervals or keep_tails:
+        base1 = ClosedSubset.from_pieces(g, keep_intervals, keep_tails)
     f1 = F1(g, base1, tuple(moving))
     a2 = f1.at(1)
 
-    if g.edges:
-        walk = covering_walk(g, _least_core_point(g, a2))
-    else:
-        walk = Walk(())
+    walk = covering_walk(g, _least_core_point(g, a2)) if g.edges else Walk(())
     return f0, f1, F2(g, a2, walk)
 
 
@@ -336,7 +327,7 @@ def vietoris_path(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:
 
 def gamma_path(g: RayGraph, delta: frozenset[int] | set[int]) -> HyperPath:
     """Just the growth stage from a canonical element out to the whole space."""
-    return HyperPath(g, (GAMMA(g, frozenset(delta)),))
+    return HyperPath(g, (GAMMA(g, delta),))
 
 
 @dataclass(frozen=True)
@@ -373,6 +364,6 @@ def same_component_hausdorff(
 
 def component_count_formula(g: RayGraph, n: int) -> int:
     """Number of path-components of (C_n(X), d_H): 2**(ray count), independent of n."""
-    if n < 1:
-        raise PreconditionError("n must be a positive integer")
+    check_graph(g)
+    as_count(n, "n")
     return 2 ** g.ray_count

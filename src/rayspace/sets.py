@@ -24,7 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph, as_fraction, count_classes, parse_fraction
+from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, check_graph,
+                    count_classes, parse_fraction)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -60,6 +61,7 @@ class ClosedSubset:
         tails: dict[str, Fraction] | None = None,
     ) -> "ClosedSubset":
         """Build and canonicalize a subset from raw per-element data."""
+        check_graph(g)
         raw = {
             eid: [(as_fraction(a), as_fraction(b)) for a, b in ivs]
             for eid, ivs in (intervals or {}).items()
@@ -219,18 +221,12 @@ def add_pieces(
 
 def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     """Canonical union of two subsets of the same graph."""
-    if A.graph != B.graph:
-        raise PreconditionError("union of subsets of different graphs")
+    check_graph(getattr(A, "graph", None), B)
     intervals: dict[str, list[Interval]] = {}
     tails: dict[str, Fraction] = {}
     add_pieces(A, intervals, tails)
     add_pieces(B, intervals, tails)
     return _canonicalize(A.graph, intervals, tails)
-
-
-def _check_graph(g: RayGraph, A: ClosedSubset) -> None:
-    if A.graph is not g and A.graph != g:  # identity first: queries run per sample
-        raise PreconditionError("subset does not belong to the given graph")
 
 
 def component_count(g: RayGraph, A: ClosedSubset) -> int:
@@ -243,7 +239,7 @@ def component_count(g: RayGraph, A: ClosedSubset) -> int:
     the count is the loose pieces plus the classes of ``A.vertices`` under
     the whole edges' end pairs.
     """
-    _check_graph(g, A)
+    check_graph(g, A)
     loose = 0
     links: list[tuple[str, str]] = []
     for eid, ep in A.pieces:
@@ -260,31 +256,20 @@ def component_count(g: RayGraph, A: ClosedSubset) -> int:
 
 def in_cn(g: RayGraph, A: ClosedSubset, n: int) -> bool:
     """Membership in C_n(X): at most n connected components."""
-    if n < 1:
-        raise PreconditionError("n must be a positive integer")
-    return component_count(g, A) <= n
+    return component_count(g, A) <= as_count(n, "n")
 
 
 def direction_set(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
     """Indices (1-based) of the rays carrying an unbounded tail of A."""
-    _check_graph(g, A)
+    check_graph(g, A)
     return frozenset(g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None)
-
-
-def validate_direction_set(g: RayGraph, delta: frozenset[int]) -> None:
-    bad = [i for i in delta if i not in g.ray_by_index]
-    if bad:
-        raise PreconditionError(f"direction set references unknown ray indices {sorted(bad)}")
 
 
 def canonical_element(g: RayGraph, delta: frozenset[int] | set[int]) -> ClosedSubset:
     """The connected default element of a direction class: every edge and
     vertex of the rayless subgraph, plus the full rays indexed by delta."""
-    delta = frozenset(delta)
-    validate_direction_set(g, delta)
-    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {
-        e.id: [(Fraction(0), e.length)] for e in g.edges
-    }
+    delta = as_direction_set(g, delta)
+    intervals = {e.id: [(Fraction(0), e.length)] for e in g.edges}
     tails = {g.ray_by_index[i].id: Fraction(0) for i in delta}
     # vertices not covered by an edge or chosen ray still belong to the set
     for v in g.vertices:
@@ -294,13 +279,13 @@ def canonical_element(g: RayGraph, delta: frozenset[int] | set[int]) -> ClosedSu
 
 
 def whole_space(g: RayGraph) -> ClosedSubset:
+    check_graph(g)
     return canonical_element(g, frozenset(g.ray_index.values()))
 
 
 def contains_point(g: RayGraph, A: ClosedSubset, p: GraphPoint) -> bool:
     """Exact membership of a point in A (vertex aliases resolved)."""
-    _check_graph(g, A)
-    g.validate_point(p)
+    check_graph(g, A, p)
     v = g.vertex_at(p.element, p.coord)
     if v is not None:
         return v in A.vertices
@@ -313,5 +298,5 @@ def contains_point(g: RayGraph, A: ClosedSubset, p: GraphPoint) -> bool:
 
 def is_subset(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> bool:
     """A is contained in B: adding A to B leaves B's canonical form unchanged."""
-    _check_graph(g, A)
+    check_graph(g, A, B)
     return union(A, B) == B

@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph, parse_fraction
+from .graph import GraphPoint, RayGraph, as_fraction, check_graph, parse_fraction
 from .paths import HyperPath
 from .sets import ClosedSubset
 
@@ -40,10 +40,9 @@ class OpenRegion:
     all_space: bool = False
 
     def __post_init__(self) -> None:
-        for center, radius in self.balls:
-            self.graph.validate_point(center)
-            if radius <= 0:
-                raise PreconditionError("ball radius must be positive")
+        check_graph(self.graph, *(center for center, _ in self.balls))
+        if any(as_fraction(radius) <= 0 for _, radius in self.balls):
+            raise PreconditionError("ball radius must be positive")
 
     @cached_property
     def derived(self) -> dict[str, tuple[DerivedInterval, ...]]:
@@ -61,17 +60,17 @@ class OpenRegion:
 
 def ball(g: RayGraph, p: GraphPoint, r: Fraction) -> OpenRegion:
     """The open metric ball around p with radius r, as an OpenRegion."""
-    return OpenRegion(g, ((g.normalize_point(p), Fraction(r)),))
+    check_graph(g)
+    return OpenRegion(g, ((g.normalize_point(p), as_fraction(r)),))
 
 
 def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:
     if not regions:
         raise PreconditionError("union of zero regions")
+    g = getattr(regions[0], "graph", None)
+    check_graph(g, *regions)
     if len(regions) == 1:
         return regions[0]
-    g = regions[0].graph
-    if any(u.graph != g for u in regions):
-        raise PreconditionError("regions live on different graphs")
     if any(u.all_space for u in regions):
         return OpenRegion(g, (), all_space=True)
     union = OpenRegion(g, tuple(b for u in regions for b in u.balls))
@@ -125,14 +124,9 @@ def _merged(
     return out
 
 
-def _check_same_graph(A: ClosedSubset, U: OpenRegion) -> None:
-    if A.graph is not U.graph and A.graph != U.graph:  # identity first: called per sample
-        raise PreconditionError("subset and region live on different graphs")
-
-
 def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
     """A lies entirely inside the open region (the upper Vietoris condition)."""
-    _check_same_graph(A, U)
+    check_graph(getattr(U, "graph", None), A)
     if U.all_space:
         return True
     derived = U.derived
@@ -153,7 +147,7 @@ def member_lower(A: ClosedSubset, V: OpenRegion) -> bool:
     element.  A vertex point needs no alias lookup: when the vertex lies in
     V, every incident element's derived form holds that vertex end.
     """
-    _check_same_graph(A, V)
+    check_graph(getattr(V, "graph", None), A)
     if V.all_space:
         return True
     derived = V.derived
@@ -205,8 +199,7 @@ def continuity_witness(
     delta, so at least one round is sampled.  Raises ``CapExceededError``
     when a round would check more than ``MAX_WITNESS_SAMPLES`` offsets.
     """
-    t0 = Fraction(t0)
-    resolution = Fraction(resolution)
+    t0, resolution = as_fraction(t0), as_fraction(resolution)
     if resolution <= 0:
         raise PreconditionError("resolution must be positive")
     if not 0 <= t0 <= 1:
@@ -254,6 +247,7 @@ def continuity_witness(
 
 def parse_region(text: str, g: RayGraph) -> OpenRegion:
     """Parse an open-region literal: ``all`` or ``ball ELEM:coord radius`` atoms."""
+    check_graph(g)
     toks = text.split()
     if not toks:
         raise ParseError("empty open-region literal")
@@ -276,9 +270,8 @@ def parse_region(text: str, g: RayGraph) -> OpenRegion:
         if r <= 0:
             raise ParseError("ball radius must be positive", f"token {i + 3}")
         try:
-            g.validate_point(p)
+            balls.append((g.normalize_point(p), r))
         except PreconditionError as exc:
             raise ParseError(str(exc), f"token {i + 2}") from None
-        balls.append((g.normalize_point(p), r))
         i += 3
     return OpenRegion(g, tuple(balls))

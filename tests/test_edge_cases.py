@@ -10,18 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rayspace import (
+    CapExceededError,
+    ClosedSubset,
+    Edge,
+    OpenRegion,
     ParseError,
     PreconditionError,
+    RayGraph,
     ball,
     canonical_element,
     component_count,
     component_count_formula,
     direction_set,
+    enumerate_sets,
     eval_path,
     gamma_path,
     hausdorff,
+    in_cn,
     is_infinite,
     member_basic,
+    member_upper,
     oracle_components,
     oracle_hausdorff,
     parse_region,
@@ -178,7 +186,7 @@ def test_point_distance_on_long_loop(graphs):
         (lambda gs: union_regions([]), PreconditionError, "union of zero regions"),
         (lambda gs: union_regions([ball(gs["G_LINE"], GraphPoint("R1", 1), 1),
                                    ball(gs["G_STAR3"], GraphPoint("R1", 1), 1)]),
-         PreconditionError, "regions live on different graphs"),
+         PreconditionError, "OpenRegion does not belong"),
         (lambda gs: member_basic(parse_set("R1:[0,1]", gs["G_LINE"]), []),
          PreconditionError, "at least one region"),
         (lambda gs: parse_region("", gs["G_LINE"]), ParseError, "empty open-region literal"),
@@ -196,6 +204,38 @@ def test_point_distance_on_long_loop(graphs):
          PreconditionError, "grid step h must be positive"),
         (lambda gs: parse_wedge_expr("(interval ray)"), ParseError, "expected '∨'"),
         (lambda gs: parse_wedge_expr("(interval v ray"), ParseError, "expected ')'"),
+        # inputs of the wrong kind: each escaped or gave an inexact answer before
+        (lambda gs: canonical_element(gs["G_LINE"], 7), PreconditionError, "is a set, got int"),
+        (lambda gs: gamma_path(gs["G_LINE"], 7), PreconditionError, "a direction set is a set"),
+        (lambda gs: canonical_element(gs["G_LINE"], {True}),
+         PreconditionError, "unknown ray indices [True]"),
+        (lambda gs: ball(gs["G_LINE"], GraphPoint("R1", 0.1), F(1)),
+         PreconditionError, "an int or a Fraction, got float"),
+        (lambda gs: OpenRegion(gs["G_LINE"], ((GraphPoint("R1", F(1)), 0.5),)),
+         PreconditionError, "expected an int or a Fraction"),
+        (lambda gs: in_cn(gs["G_LINE"], parse_set("R1:[0,1]", gs["G_LINE"]), 2.5),
+         PreconditionError, "n must be a positive integer"),
+        (lambda gs: eval_path(gamma_path(gs["G_LINE"], frozenset()), 0.5),
+         PreconditionError, "got float"),
+        (lambda gs: ClosedSubset.from_pieces(gs["G_LINE"], {"R1": [(0.0, 1.5)]}),
+         PreconditionError, "Fraction, got float"),
+        (lambda gs: oracle_components(gs["G_R"], 0.5, F(2), F(3, 5), 1, 1),
+         PreconditionError, "or a Fraction, got float"),
+        # escapes the library fuzzer (test_fuzz_api.py) found
+        (lambda gs: union(None, parse_set("R1:[0,1]", gs["G_LINE"])),
+         PreconditionError, "expected a RayGraph, got NoneType"),
+        (lambda gs: point_distance(None, GraphPoint("R1", 1), GraphPoint("R2", 1)),
+         PreconditionError, "expected a RayGraph"),
+        (lambda gs: member_upper(parse_set("R1:[0,1]", gs["G_LINE"]), None),
+         PreconditionError, "a RayGraph, got NoneType"),
+        (lambda gs: union_regions([None]), PreconditionError, "RayGraph, got NoneType"),
+        (lambda gs: RayGraph(("u", "v"), (Edge("E1", "u", "v", 0.5),), ()),
+         PreconditionError, "int or a Fraction, got float"),
+        (lambda gs: enumerate_sets(gs["G_R"], F(1, 2), F(1), 1, 1, None),
+         PreconditionError, "cap must be a positive integer"),
+        (lambda gs: oracle_hausdorff(gs["G_R"], parse_set("R1:[1,inf)", gs["G_R"]),
+                                     parse_set("R1:[2,inf)", gs["G_R"]), F(1, 2), F(10**30)),
+         CapExceededError, "sample pairs"),
     ],
 )
 def test_public_refusals(graphs, call, error, fragment):

@@ -1,0 +1,182 @@
+"""Wrong-kind fuzzing of every public library call: the twin of test_fuzz_cli.
+
+Each case is a public callable with a valid call.  One argument of a gated
+kind (a rational, a count, a direction set, or a graph, set, region or point)
+is replaced by a drawn wrong value of that kind.  The call must still return
+an exact answer or raise a ``RayspaceError``: any other exception escapes the
+input gates, and a float anywhere in a result other than ``INF`` means an
+exact layer went inexact.  Calls with no argument of a gated kind (the wedge
+models, ``parse_graph``, ``lipschitz_bound``, ``is_infinite``) are left out.
+"""
+
+import dataclasses
+from fractions import Fraction as F
+from typing import Callable, NamedTuple
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import rayspace as rs
+from rayspace import INF, RayspaceError
+from rayspace.graph import Edge, GraphPoint, RayGraph
+
+from conftest import GRAPH_TEXTS
+
+G = rs.parse_graph(GRAPH_TEXTS["G_MIXED"])  # edges u-v, a loop at v, rays R1 at u, R2 at v
+OTHER = rs.parse_graph(GRAPH_TEXTS["G_STAR3"])  # rays R1-R3 at one vertex
+SMALL = rs.parse_graph(GRAPH_TEXTS["G_R"])  # the oracle's graph: one ray
+
+A = rs.parse_set("E1:[0,1/2] L1:{1} R1:[1,inf)", G)
+B = rs.parse_set("E2:[1/2,1] R1:[2,inf) R2:[0,1]", G)
+P_, Q = GraphPoint("E2", F(1, 2)), GraphPoint("R2", F(3))
+U = rs.ball(G, GraphPoint("E1", F(0)), F(5))
+V = rs.parse_region("ball R1:1 1/2", G)
+PATH = rs.gamma_path(G, frozenset())
+ORACLE_SET = rs.parse_set("R1:[0,1/2] R1:[1,inf)", SMALL)
+
+
+class Case(NamedTuple):
+    call: Callable
+    kinds: tuple[str, ...]  # the kind of each positional argument
+    args: tuple  # a valid call
+
+
+CASES = {
+    "point_distance": Case(rs.point_distance, ("graph", "point", "point"), (G, P_, Q)),
+    "graph_from_parts length": Case(
+        lambda x: rs.graph_from_parts(["u", "v"], [("E1", "u", "v", x)], [("R1", "v")]),
+        ("number",), (F(3, 2),)),
+    "RayGraph length": Case(
+        lambda x: RayGraph(("u", "v"), (Edge("E1", "u", "v", x),), ()), ("number",), (F(2),)),
+    "from_pieces": Case(
+        lambda g, a, b, s: rs.ClosedSubset.from_pieces(g, {"E2": [(a, b)]}, {"R2": s}),
+        ("graph", "number", "number", "number"), (G, F(1, 3), F(1), F(2))),
+    "canonical_element": Case(rs.canonical_element, ("graph", "dirs"), (G, frozenset({2}))),
+    "whole_space": Case(rs.whole_space, ("graph",), (G,)),
+    "component_count": Case(rs.component_count, ("graph", "set"), (G, A)),
+    "in_cn": Case(rs.in_cn, ("graph", "set", "count"), (G, A, 2)),
+    "direction_set": Case(rs.direction_set, ("graph", "set"), (G, A)),
+    "contains_point": Case(rs.contains_point, ("graph", "set", "point"), (G, A, P_)),
+    "point coordinate": Case(
+        lambda c: rs.contains_point(G, B, GraphPoint("R2", c)), ("number",), (F(1, 2),)),
+    "is_subset": Case(rs.is_subset, ("graph", "set", "set"), (G, A, B)),
+    "union": Case(rs.union, ("set", "set"), (A, B)),
+    "parse_set": Case(lambda g: rs.parse_set("E1:[0,1] R2:{2}", g), ("graph",), (G,)),
+    "dist_point_to_set": Case(rs.dist_point_to_set, ("graph", "point", "set"), (G, Q, A)),
+    "directed_hausdorff": Case(rs.directed_hausdorff, ("graph", "set", "set"), (G, A, B)),
+    "hausdorff": Case(rs.hausdorff, ("graph", "set", "set"), (G, A, B)),
+    "path_to_canonical": Case(rs.path_to_canonical, ("graph", "set", "count"), (G, A, 3)),
+    "vietoris_path": Case(rs.vietoris_path, ("graph", "set", "count"), (G, B, 3)),
+    "same_component_hausdorff": Case(
+        rs.same_component_hausdorff, ("graph", "set", "set", "count"), (G, A, B, 3)),
+    "gamma_path": Case(rs.gamma_path, ("graph", "dirs"), (G, frozenset({1}))),
+    "component_count_formula": Case(
+        rs.component_count_formula, ("graph", "count"), (G, 2)),
+    "eval_path": Case(lambda t: rs.eval_path(PATH, t), ("number",), (F(1, 3),)),
+    "ball": Case(rs.ball, ("graph", "point", "number"), (G, P_, F(1))),
+    "OpenRegion": Case(
+        lambda g, p, r: rs.OpenRegion(g, ((p, r),)), ("graph", "point", "number"), (G, Q, F(2))),
+    "parse_region": Case(lambda g: rs.parse_region("ball E2:1/2 1", g), ("graph",), (G,)),
+    "union_regions": Case(lambda u, v: rs.union_regions([u, v]), ("region", "region"), (U, V)),
+    "member_upper": Case(rs.member_upper, ("set", "region"), (A, U)),
+    "member_lower": Case(rs.member_lower, ("set", "region"), (B, V)),
+    "member_basic": Case(
+        lambda a, u, v: rs.member_basic(a, [u, v]), ("set", "region", "region"), (A, U, V)),
+    "continuity_witness": Case(
+        lambda t0, u, res: rs.continuity_witness(PATH, t0, [u], res),
+        ("number", "region", "number"), (F(1, 2), U, F(1, 8))),
+    "enumerate_sets": Case(
+        rs.enumerate_sets, ("graph", "number", "number", "count", "count", "count"),
+        (SMALL, F(1, 2), F(1), 1, 1, 500)),
+    "oracle_components": Case(
+        rs.oracle_components,
+        ("graph", "number", "number", "number", "count", "count", "count"),
+        (SMALL, F(1, 2), F(1), F(3, 5), 1, 1, 500)),
+    "oracle_hausdorff": Case(
+        rs.oracle_hausdorff, ("graph", "set", "set", "number", "number"),
+        (SMALL, ORACLE_SET, rs.parse_set("R1:[1/4,inf)", SMALL), F(1, 4), F(2))),
+}
+
+_ints = st.integers(-10**6, 10**6)
+WRONG = {
+    "number": st.one_of(
+        st.floats(),
+        st.booleans(),
+        st.none(),
+        st.text(max_size=4),
+        st.fractions(max_value=F(-1, 12), max_denominator=12),
+        st.builds(lambda k, e, d: F(k * 10**e, d), st.integers(1, 9), st.integers(12, 40),
+                  st.sampled_from([1, 3, 7])),
+    ),
+    "count": st.one_of(
+        st.integers(max_value=0), st.booleans(), st.floats(), st.text(max_size=3), st.none()),
+    "dirs": st.one_of(
+        _ints,
+        st.text(max_size=3),
+        st.none(),
+        st.sampled_from([{True}, frozenset({False}), {1.0}, [1], (2,)]),
+        st.sets(st.text(max_size=2), min_size=1, max_size=2),
+        st.sets(st.one_of(_ints.filter(lambda i: i not in (1, 2)), st.sampled_from([1, 2])),
+                min_size=1, max_size=3).filter(lambda s: not s <= {1, 2}),
+    ),
+    "graph": st.sampled_from([None, OTHER]),
+    "set": st.sampled_from(
+        [None, rs.parse_set("R1:[0,1]", OTHER), rs.parse_set("R3:[0,inf)", OTHER)]),
+    "region": st.sampled_from(
+        [None, rs.ball(OTHER, GraphPoint("R3", F(1)), F(1)), rs.OpenRegion(OTHER, (), True)]),
+    "point": st.sampled_from([None, GraphPoint("R3", F(1)), GraphPoint("L9", F(0))]),
+}
+
+calls = st.sampled_from(sorted(CASES)).flatmap(
+    lambda name: st.integers(0, len(CASES[name].kinds) - 1).flatmap(
+        lambda i: st.tuples(st.just(name), st.just(i), WRONG[CASES[name].kinds[i]])))
+
+
+def _floats(value, seen=None) -> list:
+    """Every float other than INF reachable from a result."""
+    seen = set() if seen is None else seen
+    if isinstance(value, float):
+        return [] if value == INF else [value]
+    if isinstance(value, (str, int, F, type(None))) or callable(value):
+        return []
+    if id(value) in seen:
+        return []
+    seen.add(id(value))
+    if isinstance(value, dict):
+        parts = [*value.keys(), *value.values()]
+    elif isinstance(value, (list, tuple, set, frozenset)):
+        parts = list(value)
+    elif dataclasses.is_dataclass(value):
+        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+        if isinstance(value, rs.OpenRegion) and not value.all_space:
+            parts.append(value.derived)
+        if isinstance(value, rs.HyperPath):
+            parts.append(value.at(F(1, 3)))
+    else:
+        raise TypeError(f"unexpected result part {value!r}")
+    return [x for part in parts for x in _floats(part, seen)]
+
+
+def check_wrong_argument(name: str, i: int, wrong) -> None:
+    case = CASES[name]
+    args = list(case.args)
+    args[i] = wrong
+    try:
+        result = case.call(*args)
+    except RayspaceError:
+        return
+    assert _floats(result) == [], (name, i, wrong)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_valid_calls_answer_exactly(name):
+    case = CASES[name]
+    assert len(case.kinds) == len(case.args)
+    assert _floats(case.call(*case.args)) == []
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(call=calls)
+def test_wrong_arguments_are_refused_or_answered_exactly(call):
+    check_wrong_argument(*call)

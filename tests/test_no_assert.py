@@ -1,6 +1,8 @@
 """Static checks over the package source.
 
-Invariants raise exceptions, so they survive ``python -O``; only the
+Invariants raise exceptions, so they survive ``python -O``; the input gates
+in ``graph.py`` are the one place that turns a single value into a
+``Fraction`` or compares a set's or region's ``.graph``; only the
 canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types, and
@@ -207,3 +209,38 @@ def _find_owners(node: ast.AST, owner: str | None = None) -> list[str | None]:
 def test_count_classes_is_the_only_union_find():
     found = [f"{name}:{owner}" for name, tree in TREES.items() for owner in _find_owners(tree)]
     assert found == ["graph.py:count_classes"]
+
+
+def _is_literal(node: ast.AST) -> bool:
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def test_only_the_graph_gates_coerce_rationals_and_compare_graphs():
+    coerced = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "graph.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _names(node.func) == ["Fraction"]
+        and len(node.args) == 1
+        and not node.keywords
+        and not _is_literal(node.args[0])
+    ]
+    assert coerced == []
+    compared = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "graph.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and any(isinstance(sub, ast.Attribute) and sub.attr == "graph" for sub in ast.walk(node))
+    ]
+    assert compared == []
+    graph_tree = TREES["graph.py"]
+    gates = {n.name for n in ast.walk(graph_tree) if isinstance(n, ast.FunctionDef)}
+    assert {"as_fraction", "as_count", "as_direction_set", "check_graph"} <= gates

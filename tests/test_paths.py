@@ -299,10 +299,16 @@ def test_path_invariants_on_random_graphs(seed):
 def test_exact_values_pass_through_unwrapped(graphs):
     half = F(1, 2)
     assert as_fraction(half) is half
-    assert as_fraction("1/2") == as_fraction(0.5) == half
+    assert as_fraction(2) == F(2) and type(as_fraction(2)) is F
+    for inexact in ("1/2", 0.5, True):
+        with pytest.raises(PreconditionError, match="expected an int or a Fraction"):
+            as_fraction(inexact)
     g = graphs["G_R"]
-    # ints and strings are still accepted where a Fraction is expected
-    A = ClosedSubset.from_pieces(g, {"R1": [(0, "1/2")]}, {"R1": 2})
+    # ints are accepted where a Fraction is expected; strings and floats are not
+    A = ClosedSubset.from_pieces(g, {"R1": [(0, half)]}, {"R1": 2})
     assert A == parse_set("R1:[0,1/2] R1:[2,inf)", g)
     P = path_to_canonical(g, parse_set("R1:[2,inf)", g), 1)
-    assert eval_path(P, "1/6") == eval_path(P, F(1, 6)) and eval_path(P, 1) == eval_path(P, F(1))
+    assert eval_path(P, 1) == eval_path(P, F(1))
+    for inexact in ("1/6", 1 / 6, False):
+        with pytest.raises(PreconditionError):
+            eval_path(P, inexact)

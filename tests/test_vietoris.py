@@ -403,14 +403,14 @@ def _regions_on(g):
 def test_member_upper_refuses_a_set_of_another_graph(graphs):
     A = parse_set("R1:[0,1]", graphs["G_STAR3"])
     for U in _regions_on(graphs["G_LINE"]):
-        with pytest.raises(PreconditionError, match="different graphs"):
+        with pytest.raises(PreconditionError, match="given graph"):
             member_upper(A, U)
 
 
 def test_member_lower_refuses_a_set_of_another_graph(graphs):
     A = parse_set("R1:[0,1]", graphs["G_STAR3"])
     for V in _regions_on(graphs["G_LINE"]):
-        with pytest.raises(PreconditionError, match="different graphs"):
+        with pytest.raises(PreconditionError, match="given graph"):
             member_lower(A, V)
 
 
