@@ -1,17 +1,19 @@
-"""Integer-scaled distance kernels backing the brute-force oracle.
+"""Distance kernels backing the brute-force oracle, in exact Python ints.
 
-Coordinates arrive pre-scaled to int64 (a common denominator clears all
-fractions), so max-min Hausdorff sweeps and pairwise adjacency are exact
-vectorized numpy integer arithmetic.
-
-Point tables: ``pe``/``pc`` are parallel arrays of element index and scaled
-coordinate.  Element tables: ``end_vertex[e, 0]`` is the vertex at coord 0,
-``end_vertex[e, 1]`` the far-end vertex or -1 on a ray; ``elem_len[e]`` is the
-scaled edge length or -1 on a ray; ``dvert`` is the scaled all-pairs vertex
-distance matrix.
+A point is ``(e, c)``: an element index and a coordinate scaled to an int by
+the oracle's common denominator.  Per element, ``sg.ends[e]`` is the vertex
+at 0 and the far-end vertex (None on a ray) and ``sg.lengths[e]`` the scaled
+length (None on a ray); ``sg.dvert`` is the scaled vertex distance table.  A
+point reaches another along their shared element or out through an end of
+its own and in through an end of the other's; both kernels take the second
+route from per-vertex costs, a distance transform over the vertices, so no
+pair is compared through the vertices.  numpy is left only in the census's
+union-find labels and the int64 table they read.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -26,46 +28,55 @@ def backend() -> str:
     return "numpy"
 
 
-def _vertex_costs(pe, pc, end_vertex, elem_len, dvert):
-    """cv[i, v] = cheapest way from point i to vertex v (through an endpoint)."""
-    ev0 = end_vertex[pe, 0]
-    cv = pc[:, None] + dvert[ev0]
-    ev1 = end_vertex[pe, 1]
-    m = ev1 >= 0
-    if m.any():
-        exit1 = elem_len[pe[m]] - pc[m]
-        cv[m] = np.minimum(cv[m], exit1[:, None] + dvert[ev1[m]])
-    return cv
+def _exits(sg, e: int, c: int) -> list[tuple[int, int]]:
+    """(end vertex, scaled cost to it) for each end of element e from coordinate c."""
+    v0, v1 = sg.ends[e]
+    return [(v0, c)] if v1 is None else [(v0, c), (v1, sg.lengths[e] - c)]
 
 
-def _cross_distances(ae, ac, be, bc, end_vertex, elem_len, dvert):
-    """d[i, j] = scaled point distance from point i of A to point j of B."""
-    cv = _vertex_costs(ae, ac, end_vertex, elem_len, dvert)
-    ev0 = end_vertex[be, 0]
-    d = cv[:, ev0] + bc[None, :]
-    ev1 = end_vertex[be, 1]
-    m = ev1 >= 0
-    if m.any():
-        exit1 = elem_len[be[m]] - bc[m]
-        d[:, m] = np.minimum(d[:, m], cv[:, ev1[m]] + exit1[None, :])
-    same = ae[:, None] == be[None, :]
-    if same.any():
-        direct = np.abs(ac[:, None] - bc[None, :])
-        d = np.where(same, np.minimum(d, direct), d)
-    return d
+def _vertex_costs(sg, e: int, c: int) -> list[int]:
+    """The cheapest cost from the point (e, c) out through an end of e to every vertex."""
+    exits = _exits(sg, e, c)
+    return [min(x + row[w] for w, x in exits) for row in sg.dvert]
 
 
-def directed_maxmin(ae, ac, be, bc, end_vertex, elem_len, dvert) -> int:
-    """max over A of min over B of the scaled point distance."""
-    if ae.shape[0] == 0 or be.shape[0] == 0:
-        raise ValueError("empty point set")
-    d = _cross_distances(ae, ac, be, bc, end_vertex, elem_len, dvert)
-    return int(d.min(axis=1).max())
+def directed_maxmin(pa, pb, sg) -> int:
+    """max over the points pa of the scaled distance to the nearest point of pb.
+
+    pb reaches each vertex most cheaply from its first or last point on some
+    element, so only those points' vertex costs are taken; each point of pa
+    then takes the smaller of its exits plus those costs and its nearest
+    point of pb on its own element, found by bisection."""
+    on: dict[int, list[int]] = {}
+    for e, c in pb:
+        on.setdefault(e, []).append(c)
+    reach = None  # reach[v]: scaled distance from pb to vertex v
+    for e, cs in on.items():
+        cs.sort()
+        for c in (cs[0], cs[-1]):
+            costs = _vertex_costs(sg, e, c)
+            reach = costs if reach is None else list(map(min, reach, costs))
+    worst = 0
+    for e, c in pa:
+        best = min(x + reach[w] for w, x in _exits(sg, e, c))
+        cs = on.get(e, ())
+        k = bisect_left(cs, c)
+        if k < len(cs):
+            best = min(best, cs[k] - c)
+        if k:
+            best = min(best, c - cs[k - 1])
+        worst = max(worst, best)
+    return worst
 
 
-def distance_matrix(pe, pc, end_vertex, elem_len, dvert) -> np.ndarray:
-    """All-pairs scaled distances among a point universe."""
-    return _cross_distances(pe, pc, pe, pc, end_vertex, elem_len, dvert)
+def distance_matrix(points, sg) -> np.ndarray:
+    """All-pairs scaled distances among a point universe, as an int64 table."""
+    rows = []
+    for e, c in points:
+        costs = _vertex_costs(sg, e, c)
+        rows.append([min([abs(c - q)] * (e == f) + [x + costs[w] for w, x in _exits(sg, f, q)])
+                     for f, q in points])
+    return np.array(rows, dtype=np.int64)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:

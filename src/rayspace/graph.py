@@ -297,6 +297,13 @@ def check_graph(g: RayGraph, *objs) -> None:
             raise PreconditionError(f"{type(obj).__name__} does not belong to the given graph")
 
 
+def as_text(text, what: str) -> str:
+    """text as a str, the one kind the text parsers read; anything else refused."""
+    if not isinstance(text, str):
+        raise PreconditionError(f"{what} must be a str, got {type(text).__name__}")
+    return text
+
+
 def as_direction_set(g: RayGraph, delta) -> frozenset[int]:
     """delta, a set or frozenset of g's 1-based ray indices (ints, not bools), frozen."""
     check_graph(g)
@@ -342,7 +349,7 @@ def parse_graph(text: str) -> RayGraph:
     vertices: list[str] = []
     edges: list[Edge] = []
     rays: list[Ray] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(as_text(text, "graph text").splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for stmt in line.split(";"):
             toks = stmt.split()
@@ -379,5 +386,9 @@ def parse_graph(text: str) -> RayGraph:
 def graph_from_parts(vertices: Iterable[str], edges: Iterable[tuple] = (),
                      rays: Iterable[tuple[str, str]] = ()) -> RayGraph:
     """Programmatic constructor: edges as (id, u, v[, length]), rays as (id, v)."""
+    edges, rays = list(edges), list(rays)
+    shapes = [(spec, (3, 4)) for spec in edges] + [(spec, (2,)) for spec in rays]
+    if not all(isinstance(spec, (tuple, list)) and len(spec) in n for spec, n in shapes):
+        raise InvalidGraphError("an edge is (id, u, v[, length]) and a ray is (id, v)")
     es = [Edge(*spec[:3], *map(as_fraction, spec[3:4])) for spec in edges]
     return RayGraph(tuple(vertices), tuple(es), tuple(Ray(i, v) for i, v in rays))

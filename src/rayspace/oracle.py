@@ -11,8 +11,8 @@ element at a time, each distinct key so far extended once; components are
 counted once per distinct final key with the oracle's own vertex classes, and
 the key's point bits are its census mask.  Only ``ClosedSubset``
 comes from :mod:`rayspace.sets`, the code this checks.  Distances run through
-the integer-scaled kernels in :mod:`rayspace._kernels` on coordinates scaled
-to ints by one common denominator, so grid values are still exact rationals.
+the kernels in :mod:`rayspace._kernels` in Python ints, on coordinates scaled
+by one common denominator, so grid values are exact rationals at any scale.
 """
 
 from __future__ import annotations
@@ -26,13 +26,12 @@ import numpy as np
 
 from ._kernels import BIG, backend, component_labels, directed_maxmin, distance_matrix
 from .errors import CapExceededError, PreconditionError
-from .graph import (GraphPoint, RayGraph, as_count, as_fraction, check_graph, count_classes,
-                    point_distance)
+from .graph import RayGraph, as_count, as_fraction, check_graph, count_classes
 from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset
 
-_SAFE_MAGNITUDE = int(BIG) // 8  # headroom: distances add three scaled terms
-MAX_GRID_PAIRS = 4_000_000  # grid Hausdorff: sample pairs, each a cell of the kernel's matrix
+_SAFE_MAGNITUDE = int(BIG) // 8  # census int64 table headroom: distances add three scaled terms
+MAX_GRID_PAIRS = 4_000_000  # grid Hausdorff: cap on the product of the two sample counts
 
 
 # ---- enumeration ------------------------------------------------------------
@@ -184,9 +183,9 @@ def enumerate_sets(
 class _ScaledGraph:
     scale: int
     elem_index: dict[str, int]
-    end_vertex: np.ndarray
-    elem_len: np.ndarray
-    dvert: np.ndarray
+    ends: list[tuple[int, int | None]]  # per element: vertex at 0, far-end vertex or None
+    lengths: list[int | None]           # per element: scaled length, None on a ray
+    dvert: list[list[int]]              # scaled all-pairs vertex distances
 
 
 def _scaled(x: Fraction, scale: int) -> int:
@@ -199,33 +198,18 @@ def _common_scale(g: RayGraph, denominators: list[int]) -> int:
 
 
 def _fits(g: RayGraph, scale: int, top: int) -> bool:
-    """Whether scaled distances, with points up to ``top``, keep the kernels' headroom."""
+    """Whether scaled distances, with points up to ``top``, fit the census's int64 table."""
     extent = max([*(e.length for e in g.edges), *g.vertex_distances.values()], default=0)
     return max(top, extent * scale) < _SAFE_MAGNITUDE
 
 
 def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
     vidx = {v: i for i, v in enumerate(g.vertices)}
-    eids = [e.id for e in g.edges] + [r.id for r in g.rays]
-    eidx = {eid: i for i, eid in enumerate(eids)}
-    end_vertex = np.full((len(eids), 2), -1, dtype=np.int64)
-    elem_len = np.full(len(eids), -1, dtype=np.int64)
-    for e in g.edges:
-        end_vertex[eidx[e.id], 0] = vidx[e.u]
-        end_vertex[eidx[e.id], 1] = vidx[e.v]
-        elem_len[eidx[e.id]] = _scaled(e.length, scale)
-    for r in g.rays:
-        end_vertex[eidx[r.id], 0] = vidx[r.attach]
-    nv = len(g.vertices)
-    dvert = np.zeros((nv, nv), dtype=np.int64)
-    for (a, b), d in g.vertex_distances.items():
-        dvert[vidx[a], vidx[b]] = _scaled(d, scale)
-    return _ScaledGraph(scale, eidx, end_vertex, elem_len, dvert)
-
-
-def _scaled_points(sg: _ScaledGraph, pts: list[tuple[str, int]]) -> tuple[np.ndarray, np.ndarray]:
-    pe = np.array([sg.elem_index[eid] for eid, _ in pts], dtype=np.int64)
-    return pe, np.array([c for _, c in pts], dtype=np.int64)
+    eidx = {el.id: i for i, el in enumerate([*g.edges, *g.rays])}
+    ends = [(vidx[e.u], vidx[e.v]) for e in g.edges] + [(vidx[r.attach], None) for r in g.rays]
+    lengths = [_scaled(e.length, scale) for e in g.edges] + [None] * len(g.rays)
+    dvert = [[_scaled(g.vertex_distances[a, b], scale) for b in g.vertices] for a in g.vertices]
+    return _ScaledGraph(scale, eidx, ends, lengths, dvert)
 
 
 # ---- grid sampling ----------------------------------------------------------
@@ -236,9 +220,10 @@ def _directions(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
 
 
 def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T: Fraction):
-    """(scale, samples of A, samples of B).  A sample is (element, coordinate
-    times scale): each piece gives every multiple of h on it and both its
-    ends, and a tail runs to the larger of T and the tail starts on its ray."""
+    """(scaled graph, samples of A, samples of B).  A sample is (element
+    index, coordinate times scale): each piece gives every multiple of h on
+    it and both its ends, and a tail runs to the larger of T and the tail
+    starts on its ray."""
     caps = {eid: max(T, A.tail_on(eid) or 0, B.tail_on(eid) or 0)
             for S in (A, B) for eid, ep in S.pieces if ep.tail is not None}
     spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
@@ -247,21 +232,16 @@ def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T:
     if math.prod(sum((b - a) / h + 2 for _, a, b in sp) for sp in spans) > MAX_GRID_PAIRS:
         raise CapExceededError(f"grid Hausdorff would compare over {MAX_GRID_PAIRS} sample pairs")
     ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
-    scale = _common_scale(g, [h.denominator, T.denominator, *ends])
-    H = _scaled(h, scale)
+    sg = _scaled_graph(g, _common_scale(g, [h.denominator, T.denominator, *ends]))
+    H = _scaled(h, sg.scale)
 
     def between(a: Fraction, b: Fraction) -> set[int]:
-        lo, hi = _scaled(a, scale), _scaled(b, scale)
+        lo, hi = _scaled(a, sg.scale), _scaled(b, sg.scale)
         return {lo, hi, *range(-(-lo // H) * H, hi + 1, H)}
 
-    pa, pb = ([(eid, c) for eid, a, b in sp for c in between(a, b)] for sp in spans)
-    return scale, pa, pb
-
-
-def _directed_exact(g: RayGraph, pa, pb, scale: int) -> Fraction:
-    # slow Fraction path, used only when integer scaling would overflow
-    ps, qs = ([GraphPoint(eid, Fraction(c, scale)) for eid, c in pts] for pts in (pa, pb))
-    return max(min(point_distance(g, p, q) for q in qs) for p in ps)
+    pa, pb = ([(sg.elem_index[eid], c) for eid, a, b in sp for c in between(a, b)]
+              for sp in spans)
+    return sg, pa, pb
 
 
 def oracle_hausdorff(
@@ -279,16 +259,8 @@ def oracle_hausdorff(
     check_graph(g, A, B)
     if _directions(g, A) != _directions(g, B):
         return INF
-    scale, pa, pb = _grid_samples(g, A, B, h, T)
-    if not _fits(g, scale, max(c for _, c in pa + pb)):
-        return max(_directed_exact(g, pa, pb, scale), _directed_exact(g, pb, pa, scale))
-    sg = _scaled_graph(g, scale)
-    ae, ac = _scaled_points(sg, pa)
-    be, bc = _scaled_points(sg, pb)
-    args = (sg.end_vertex, sg.elem_len, sg.dvert)
-    d1 = directed_maxmin(ae, ac, be, bc, *args)
-    d2 = directed_maxmin(be, bc, ae, ac, *args)
-    return Fraction(max(d1, d2), sg.scale)
+    sg, pa, pb = _grid_samples(g, A, B, h, T)
+    return Fraction(max(directed_maxmin(pa, pb, sg), directed_maxmin(pb, pa, sg)), sg.scale)
 
 
 # ---- component census -------------------------------------------------------
@@ -329,10 +301,8 @@ def oracle_components(
     scale = _common_scale(g, [h.denominator, T.denominator])
     if not _fits(g, scale, _scaled(T, scale)):
         raise PreconditionError("grid parameters overflow the integer kernels")
-    sg = _scaled_graph(g, scale)
-    pe = np.repeat(np.arange(len(sets.sizes)), sets.sizes)
-    pc = np.array([k for m in sets.sizes for k in range(m)], dtype=np.int64) * _scaled(h, scale)
-    dmat = distance_matrix(pe, pc, sg.end_vertex, sg.elem_len, sg.dvert)
+    sg, H = _scaled_graph(g, scale), _scaled(h, scale)
+    dmat = distance_matrix([(e, k * H) for e, m in enumerate(sets.sizes) for k in range(m)], sg)
 
     # a set's mask row is its key's point bits
     size = sum(sets.sizes)

@@ -270,11 +270,15 @@ class HyperPath:
 
 def eval_path(P: HyperPath, t) -> ClosedSubset:
     """Value of the path at rational t in [0, 1]."""
+    if not isinstance(P, HyperPath):
+        raise PreconditionError(f"expected a HyperPath, got {type(P).__name__}")
     return P.at(t)
 
 
 def lipschitz_bound(P: HyperPath | Stage) -> ExtendedDistance:
     """Worst per-stage Lipschitz constant (stage-local parametrization)."""
+    if not isinstance(P, (HyperPath, Stage)):
+        raise PreconditionError(f"expected a HyperPath or a Stage, got {type(P).__name__}")
     stages = P.stages if isinstance(P, HyperPath) else (P,)
     bounds = [s.lipschitz_bound for s in stages]
     if any(b == INF for b in bounds):

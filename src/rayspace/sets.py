@@ -24,8 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 
 from .errors import ParseError, PreconditionError
-from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, check_graph,
-                    count_classes, parse_fraction)
+from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, as_text,
+                    check_graph, count_classes, parse_fraction)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -168,7 +168,7 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
     """Parse a set literal: whitespace-separated ``ELEM:[a,b]``, ``ELEM:[a,inf)``, ``ELEM:{a}``."""
     intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
     tails: dict[str, Fraction] = {}
-    atoms = text.split()
+    atoms = as_text(text, "a set literal").split()
     if not atoms:
         raise ParseError("empty set literal; elements of CL(X) are nonempty")
     for i, atom in enumerate(atoms, start=1):

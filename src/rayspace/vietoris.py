@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import CapExceededError, ParseError, PreconditionError
-from .graph import GraphPoint, RayGraph, as_fraction, check_graph, parse_fraction
+from .graph import GraphPoint, RayGraph, as_fraction, as_text, check_graph, parse_fraction
 from .paths import HyperPath
 from .sets import ClosedSubset
 
@@ -65,10 +65,14 @@ def ball(g: RayGraph, p: GraphPoint, r: Fraction) -> OpenRegion:
 
 
 def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:
+    if not isinstance(regions, (list, tuple)):
+        raise PreconditionError(f"regions come as a list or tuple, got {type(regions).__name__}")
     if not regions:
         raise PreconditionError("union of zero regions")
     g = getattr(regions[0], "graph", None)
     check_graph(g, *regions)
+    if not all(isinstance(u, OpenRegion) for u in regions):
+        raise PreconditionError("regions come as a list or tuple of OpenRegions")
     if len(regions) == 1:
         return regions[0]
     if any(u.all_space for u in regions):
@@ -199,6 +203,8 @@ def continuity_witness(
     delta, so at least one round is sampled.  Raises ``CapExceededError``
     when a round would check more than ``MAX_WITNESS_SAMPLES`` offsets.
     """
+    if not isinstance(P, HyperPath):
+        raise PreconditionError(f"expected a HyperPath, got {type(P).__name__}")
     t0, resolution = as_fraction(t0), as_fraction(resolution)
     if resolution <= 0:
         raise PreconditionError("resolution must be positive")
@@ -248,7 +254,7 @@ def continuity_witness(
 def parse_region(text: str, g: RayGraph) -> OpenRegion:
     """Parse an open-region literal: ``all`` or ``ball ELEM:coord radius`` atoms."""
     check_graph(g)
-    toks = text.split()
+    toks = as_text(text, "a region literal").split()
     if not toks:
         raise ParseError("empty open-region literal")
     if toks == ["all"]:

@@ -145,6 +145,12 @@ def base_model(kind: str) -> HModel:
     raise PreconditionError(f"unknown base space kind {kind!r}")
 
 
+def _check_models(*ms) -> None:
+    for m in ms:
+        if not isinstance(m, HModel):
+            raise PreconditionError(f"expected an HModel, got {type(m).__name__}")
+
+
 def wedge(m1: HModel, m2: HModel) -> HModel:
     """Model of C(X1 v X2) from models of C(X1) and C(X2).
 
@@ -156,6 +162,7 @@ def wedge(m1: HModel, m2: HModel) -> HModel:
     classical piece inventories (cube plus fins, etc.).  Raises
     ``CapExceededError`` beyond ``MAX_LOCUS_PRODUCT`` product pieces.
     """
+    _check_models(m1, m2)
     estimate = len(m1.containment) * len(m2.containment)
     if estimate > MAX_LOCUS_PRODUCT:
         raise CapExceededError(
@@ -221,11 +228,13 @@ def wedge(m1: HModel, m2: HModel) -> HModel:
 
 def model_components(m: HModel) -> int:
     """Connected components of the model: classes of pieces under the gluings."""
+    _check_models(m)
     glued = ((gl.left[0], gl.right[0]) for gl in m.gluings)
     return count_classes((p.id for p in m.pieces), glued)
 
 
 def model_stats(m: HModel) -> ModelStats:
+    _check_models(m)
     dims = tuple(sorted((p.dim for p in m.pieces), reverse=True))
     return ModelStats(
         max_dim=max(dims),
@@ -242,6 +251,8 @@ _WEDGE_TOKENS = ("∨", "v")
 
 def parse_wedge_expr(text: str) -> HModel:
     """Parse ``interval | circle | ray | (expr ∨ expr)`` and build the model."""
+    if not isinstance(text, str):  # the wedge models take no gate from graph.py
+        raise PreconditionError(f"a wedge expression must be a str, got {type(text).__name__}")
     toks = _tokenize(text)
     depth = 0
     for tok in toks:

@@ -13,6 +13,7 @@ from rayspace import (
     CapExceededError,
     ClosedSubset,
     Edge,
+    InvalidGraphError,
     OpenRegion,
     ParseError,
     PreconditionError,
@@ -21,17 +22,23 @@ from rayspace import (
     canonical_element,
     component_count,
     component_count_formula,
+    continuity_witness,
     direction_set,
     enumerate_sets,
+    base_model,
     eval_path,
     gamma_path,
+    graph_from_parts,
     hausdorff,
     in_cn,
     is_infinite,
+    lipschitz_bound,
     member_basic,
     member_upper,
+    model_report,
     oracle_components,
     oracle_hausdorff,
+    parse_graph,
     parse_region,
     parse_set,
     parse_wedge_expr,
@@ -40,6 +47,7 @@ from rayspace import (
     same_component_hausdorff,
     union,
     union_regions,
+    wedge,
 )
 from rayspace.cli import run
 from rayspace.graph import GraphPoint
@@ -236,6 +244,32 @@ def test_point_distance_on_long_loop(graphs):
         (lambda gs: oracle_hausdorff(gs["G_R"], parse_set("R1:[1,inf)", gs["G_R"]),
                                      parse_set("R1:[2,inf)", gs["G_R"]), F(1, 2), F(10**30)),
          CapExceededError, "sample pairs"),
+        # a text that is not a str, a lone region where a list belongs, and
+        # a model, path or edge of the wrong shape
+        (lambda gs: parse_graph(5), PreconditionError, "graph text must be a str, got int"),
+        (lambda gs: parse_set(5, gs["G_LINE"]), PreconditionError, "set literal must be a str"),
+        (lambda gs: parse_region(5, gs["G_LINE"]),
+         PreconditionError, "region literal must be a str"),
+        (lambda gs: parse_wedge_expr(5), PreconditionError, "wedge expression must be a str"),
+        (lambda gs: member_basic(parse_set("R1:[0,1]", gs["G_LINE"]),
+                                 ball(gs["G_LINE"], GraphPoint("R1", 1), 1)),
+         PreconditionError, "list or tuple, got OpenRegion"),
+        (lambda gs: union_regions(ball(gs["G_LINE"], GraphPoint("R1", 1), 1)),
+         PreconditionError, "list or tuple, got OpenRegion"),
+        (lambda gs: continuity_witness(gamma_path(gs["G_LINE"], frozenset()), F(1, 2),
+                                       ball(gs["G_LINE"], GraphPoint("R1", 1), 1), F(1, 8)),
+         PreconditionError, "list or tuple, got OpenRegion"),
+        (lambda gs: union_regions([ball(gs["G_LINE"], GraphPoint("R1", 1), 1),
+                                   parse_set("R1:[0,1]", gs["G_LINE"])]),
+         PreconditionError, "list or tuple of OpenRegions"),
+        (lambda gs: wedge(None, base_model("ray")), PreconditionError, "an HModel, got NoneType"),
+        (lambda gs: model_report(None), PreconditionError, "expected an HModel"),
+        (lambda gs: lipschitz_bound(None), PreconditionError, "a HyperPath or a Stage"),
+        (lambda gs: eval_path(None, 0), PreconditionError, "a HyperPath, got NoneType"),
+        (lambda gs: graph_from_parts(["u", "v"], [("E1", "u")]),
+         InvalidGraphError, "an edge is (id, u, v[, length])"),
+        (lambda gs: graph_from_parts(["u", "v"], [("E1", "u", "v")], [None]),
+         InvalidGraphError, "a ray is (id, v)"),
     ],
 )
 def test_public_refusals(graphs, call, error, fragment):

@@ -1,12 +1,12 @@
 """Wrong-kind fuzzing of every public library call: the twin of test_fuzz_cli.
 
 Each case is a public callable with a valid call.  One argument of a gated
-kind (a rational, a count, a direction set, or a graph, set, region or point)
-is replaced by a drawn wrong value of that kind.  The call must still return
-an exact answer or raise a ``RayspaceError``: any other exception escapes the
-input gates, and a float anywhere in a result other than ``INF`` means an
-exact layer went inexact.  Calls with no argument of a gated kind (the wedge
-models, ``parse_graph``, ``lipschitz_bound``, ``is_infinite``) are left out.
+kind (a rational, a count, a direction set, a text, a list of regions, or a
+graph, set, region, point, path or wedge model) is replaced by a drawn wrong
+value of that kind.  The call must still return an exact answer or raise a
+``RayspaceError``: any other exception escapes the input gates, and a float
+anywhere in a result other than ``INF`` means an exact layer went inexact.
+``is_infinite``, which takes any value, is left out.
 """
 
 import dataclasses
@@ -33,6 +33,7 @@ P_, Q = GraphPoint("E2", F(1, 2)), GraphPoint("R2", F(3))
 U = rs.ball(G, GraphPoint("E1", F(0)), F(5))
 V = rs.parse_region("ball R1:1 1/2", G)
 PATH = rs.gamma_path(G, frozenset())
+MODEL = rs.parse_wedge_expr("(ray ∨ interval)")
 ORACLE_SET = rs.parse_set("R1:[0,1/2] R1:[1,inf)", SMALL)
 
 
@@ -62,7 +63,7 @@ CASES = {
         lambda c: rs.contains_point(G, B, GraphPoint("R2", c)), ("number",), (F(1, 2),)),
     "is_subset": Case(rs.is_subset, ("graph", "set", "set"), (G, A, B)),
     "union": Case(rs.union, ("set", "set"), (A, B)),
-    "parse_set": Case(lambda g: rs.parse_set("E1:[0,1] R2:{2}", g), ("graph",), (G,)),
+    "parse_set": Case(rs.parse_set, ("text", "graph"), ("E1:[0,1] R2:{2}", G)),
     "dist_point_to_set": Case(rs.dist_point_to_set, ("graph", "point", "set"), (G, Q, A)),
     "directed_hausdorff": Case(rs.directed_hausdorff, ("graph", "set", "set"), (G, A, B)),
     "hausdorff": Case(rs.hausdorff, ("graph", "set", "set"), (G, A, B)),
@@ -73,19 +74,22 @@ CASES = {
     "gamma_path": Case(rs.gamma_path, ("graph", "dirs"), (G, frozenset({1}))),
     "component_count_formula": Case(
         rs.component_count_formula, ("graph", "count"), (G, 2)),
-    "eval_path": Case(lambda t: rs.eval_path(PATH, t), ("number",), (F(1, 3),)),
+    "eval_path": Case(rs.eval_path, ("path", "number"), (PATH, F(1, 3))),
+    "lipschitz_bound": Case(rs.lipschitz_bound, ("path",), (PATH,)),
     "ball": Case(rs.ball, ("graph", "point", "number"), (G, P_, F(1))),
     "OpenRegion": Case(
         lambda g, p, r: rs.OpenRegion(g, ((p, r),)), ("graph", "point", "number"), (G, Q, F(2))),
-    "parse_region": Case(lambda g: rs.parse_region("ball E2:1/2 1", g), ("graph",), (G,)),
+    "parse_region": Case(rs.parse_region, ("text", "graph"), ("ball E2:1/2 1", G)),
     "union_regions": Case(lambda u, v: rs.union_regions([u, v]), ("region", "region"), (U, V)),
+    "union_regions list": Case(rs.union_regions, ("regions",), ([U, V],)),
     "member_upper": Case(rs.member_upper, ("set", "region"), (A, U)),
     "member_lower": Case(rs.member_lower, ("set", "region"), (B, V)),
     "member_basic": Case(
         lambda a, u, v: rs.member_basic(a, [u, v]), ("set", "region", "region"), (A, U, V)),
+    "member_basic list": Case(rs.member_basic, ("set", "regions"), (A, (U, V))),
     "continuity_witness": Case(
-        lambda t0, u, res: rs.continuity_witness(PATH, t0, [u], res),
-        ("number", "region", "number"), (F(1, 2), U, F(1, 8))),
+        rs.continuity_witness, ("path", "number", "regions", "number"),
+        (PATH, F(1, 2), [U], F(1, 8))),
     "enumerate_sets": Case(
         rs.enumerate_sets, ("graph", "number", "number", "count", "count", "count"),
         (SMALL, F(1, 2), F(1), 1, 1, 500)),
@@ -96,6 +100,13 @@ CASES = {
     "oracle_hausdorff": Case(
         rs.oracle_hausdorff, ("graph", "set", "set", "number", "number"),
         (SMALL, ORACLE_SET, rs.parse_set("R1:[1/4,inf)", SMALL), F(1, 4), F(2))),
+    "parse_graph": Case(rs.parse_graph, ("text",), (GRAPH_TEXTS["G_MIXED"],)),
+    "base_model": Case(rs.base_model, ("text",), ("circle",)),
+    "parse_wedge_expr": Case(rs.parse_wedge_expr, ("text",), ("((ray ∨ ray) ∨ circle)",)),
+    "wedge": Case(rs.wedge, ("model", "model"), (MODEL, rs.base_model("circle"))),
+    "model_report": Case(rs.model_report, ("model",), (MODEL,)),
+    "model_stats": Case(rs.model_stats, ("model",), (MODEL,)),
+    "model_components": Case(rs.model_components, ("model",), (MODEL,)),
 }
 
 _ints = st.integers(-10**6, 10**6)
@@ -126,6 +137,16 @@ WRONG = {
     "region": st.sampled_from(
         [None, rs.ball(OTHER, GraphPoint("R3", F(1)), F(1)), rs.OpenRegion(OTHER, (), True)]),
     "point": st.sampled_from([None, GraphPoint("R3", F(1)), GraphPoint("L9", F(0))]),
+    "text": st.one_of(
+        st.text(alphabet="EVLR12:[],{}()/ -infbalvertxydgyc∨\n;#", max_size=12),
+        st.integers(), st.floats(), st.none(), st.binary(max_size=4),
+        st.lists(st.text(max_size=3), max_size=2)),
+    "regions": st.sampled_from(
+        [U, None, "ball R1:1 1", 7, [], [None], [A], [U, A], (U, rs.OpenRegion(OTHER, (), True)),
+         {0: U}, {U}, iter([U])]),
+    "path": st.sampled_from(
+        [None, "gamma", 0, A, U, PATH.stages[0], rs.gamma_path(OTHER, frozenset({3}))]),
+    "model": st.sampled_from([None, "ray", 3, A, PATH, rs.model_stats(MODEL)]),
 }
 
 calls = st.sampled_from(sorted(CASES)).flatmap(

@@ -7,7 +7,9 @@ canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types, and
 nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
-product of its element layouts; the
+product of its element layouts; neither the oracle nor its kernels name
+``point_distance``, so the reference their tests compare against stays
+outside them; the
 Vietoris layer reads its regions' derived intervals, never names
 ``point_distance`` and takes nothing from the metric beyond its value types
 either; numpy stays behind the oracle,
@@ -111,6 +113,16 @@ def test_oracle_takes_only_closed_subset_from_sets():
     assert not names & {"in_cn", "component_count", "direction_set", "_grid_between"}
     # layouts are combined one element at a time, never as a full itertools.product
     assert "product" not in names
+
+
+def test_oracle_and_kernels_never_name_point_distance():
+    found = [
+        f"{name}:{node.lineno}"
+        for name in ("oracle.py", "_kernels.py")
+        for node in ast.walk(TREES[name])
+        if "point_distance" in _names(node)
+    ]
+    assert found == []
 
 
 def test_vietoris_takes_only_value_types_from_metric():

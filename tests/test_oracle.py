@@ -28,12 +28,11 @@ from rayspace.cli import run
 from rayspace.graph import GraphPoint, point_distance
 from rayspace.oracle import (
     _common_scale,
-    _directed_exact,
     _element_configs,
+    _fits,
     _grid_samples,
     _layout_count,
     _scaled_graph,
-    _scaled_points,
 )
 
 from conftest import random_ray_graph, random_subset
@@ -342,6 +341,30 @@ def test_component_partition_refines_by_direction(graphs):
     assert res.count == sum(res.group_counts.values())
 
 
+def _exact_points(sg, pts):
+    """Kernel points (element index, scaled coordinate) as exact GraphPoints."""
+    eids = list(sg.elem_index)
+    return [GraphPoint(eids[e], F(c, sg.scale)) for e, c in pts]
+
+
+def _directed_exact(g, pa, pb, sg):
+    """Reference: max over pa of min over pb of ``point_distance``, in Fractions."""
+    qs = _exact_points(sg, pb)
+    return max(min(point_distance(g, p, q) for q in qs) for p in _exact_points(sg, pa))
+
+
+def _check_kernels(g, pa, pb, sg):
+    """Both kernels against ``point_distance`` on the kernel points pa and pb."""
+    for x, y in ((pa, pb), (pb, pa)):
+        assert F(directed_maxmin(x, y, sg), sg.scale) == _directed_exact(g, x, y, sg)
+    dmat = distance_matrix(pa + pb, sg)
+    assert dmat.dtype == np.int64 and dmat.shape == (len(pa + pb),) * 2
+    pts = _exact_points(sg, pa + pb)
+    for i, p in enumerate(pts):
+        for j, q in enumerate(pts):
+            assert dmat[i, j] == point_distance(g, p, q) * sg.scale
+
+
 def test_kernels_match_exact_reference(graphs):
     g = graphs["G_NOOSE"]
     h = F(1, 2)
@@ -349,19 +372,13 @@ def test_kernels_match_exact_reference(graphs):
     for _ in range(10):
         A = random_subset(g, rng, span=F(2))
         B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(2))
-        scale, pa, pb = _grid_samples(g, A, B, h, F(2))  # as oracle_hausdorff samples
-        sg = _scaled_graph(g, scale)
-        ae, ac = _scaled_points(sg, pa)
-        be, bc = _scaled_points(sg, pb)
-        d = directed_maxmin(ae, ac, be, bc, sg.end_vertex, sg.elem_len, sg.dvert)
-        assert F(d, sg.scale) == _directed_exact(g, pa, pb, sg.scale)
+        sg, pa, pb = _grid_samples(g, A, B, h, F(2))  # as oracle_hausdorff samples
+        _check_kernels(g, pa, pb, sg)
 
     sg = _scaled_graph(g, _common_scale(g, [h.denominator]))
-    args = (sg.end_vertex, sg.elem_len, sg.dvert)
     universe = [("E1", F(k, 2)) for k in range(3)] + [("R1", F(k, 2)) for k in range(5)]
     pts = [GraphPoint(eid, c) for eid, c in universe]
-    pe, pc = _scaled_points(sg, [(eid, int(c * sg.scale)) for eid, c in universe])
-    dmat = distance_matrix(pe, pc, *args)
+    dmat = distance_matrix([(sg.elem_index[eid], int(c * sg.scale)) for eid, c in universe], sg)
     assert dmat.dtype == np.int64
     for i, p in enumerate(pts):
         for j, q in enumerate(pts):
@@ -371,9 +388,9 @@ def test_kernels_match_exact_reference(graphs):
     masks = np.zeros((len(sets), len(universe)), dtype=bool)
     pos = {pt: i for i, pt in enumerate(universe)}
     for i, S in enumerate(sets):
-        scale, samples, _ = _grid_samples(g, S, S, h, F(2))
-        for eid, c in samples:
-            masks[i, pos[eid, F(c, scale)]] = True
+        ssg, samples, _ = _grid_samples(g, S, S, h, F(2))
+        for p in _exact_points(ssg, samples):
+            masks[i, pos[p.element, p.coord]] = True
 
     # 0 merges only sets with equal grid samples
     counts = _check_labels(g, pts, masks, dmat, sg.scale, (F(0), F(3, 5)))
@@ -384,8 +401,7 @@ def test_kernels_match_exact_reference(graphs):
     universe = [("E1", k * h) for k in range(21)] + [("R1", k * h) for k in range(61)]
     pts = [GraphPoint(eid, c) for eid, c in universe]
     sg = _scaled_graph(g, _common_scale(g, [h.denominator]))
-    pe, pc = _scaled_points(sg, [(eid, int(c * sg.scale)) for eid, c in universe])
-    dmat = distance_matrix(pe, pc, sg.end_vertex, sg.elem_len, sg.dvert)
+    dmat = distance_matrix([(sg.elem_index[eid], int(c * sg.scale)) for eid, c in universe], sg)
     masks = np.zeros((40, len(universe)), dtype=bool)
     for row in masks:  # one or two runs of grid points
         for _ in range(rng.randint(1, 2)):
@@ -476,24 +492,28 @@ def test_enumerate_postconditions(graphs):
                 assert (ep.tail / h).denominator == 1 and ep.tail <= T
 
 
-def test_oracle_hausdorff_falls_back_to_exact_on_overflow(graphs, monkeypatch):
+def test_oracle_hausdorff_is_exact_past_the_census_headroom(graphs, monkeypatch):
     # three primes near 10**6 as denominators push the common scale past the
-    # integer kernels' headroom, so both directions take the Fraction route
+    # census's int64 headroom; the one Python-int path still gives the exact
+    # grid value, through the kernel in both directions
     import rayspace.oracle
 
     calls = []
 
     def counted(*args):
         calls.append(args)
-        return _directed_exact(*args)
+        return directed_maxmin(*args)
 
-    monkeypatch.setattr(rayspace.oracle, "_directed_exact", counted)
+    monkeypatch.setattr(rayspace.oracle, "directed_maxmin", counted)
     g = graphs["G_I"]
     A = parse_set("E1:[1/1000033,1/1000003]", g)
     B = parse_set("E1:{1/1000037}", g)
     h = F(1, 2)
+    sg, pa, pb = _grid_samples(g, A, B, h, F(1))
+    assert not _fits(g, sg.scale, max(c for _, c in pa + pb))
     d = oracle_hausdorff(g, A, B, h, F(1))
     assert len(calls) == 2
+    assert d == max(_directed_exact(g, pa, pb, sg), _directed_exact(g, pb, pa, sg))
     assert abs(d - hausdorff(g, A, B)) <= h
 
 
@@ -557,3 +577,21 @@ def test_oracle_hausdorff_within_a_grid_step_on_random_graphs(seed):
         exact = hausdorff(g, A, B)
         assert not is_infinite(exact)
         assert abs(oracle_hausdorff(g, A, B, h, F(3)) - exact) <= h
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_kernels_match_exact_reference_on_random_graphs(seed):
+    # random_ray_graph draws a loop and a parallel edge every time; about
+    # half the points sit at an element end, so at a vertex on an edge
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    sg = _scaled_graph(g, _common_scale(g, [rng.choice((1, 2, 5, 12))]))
+
+    def point():
+        e = rng.randrange(len(sg.ends))
+        top = sg.lengths[e] if sg.lengths[e] is not None else 3 * sg.scale
+        return e, rng.choice((0, top, rng.randint(0, top), rng.randint(0, top)))
+
+    pa, pb = ([point() for _ in range(rng.randint(1, 6))] for _ in range(2))
+    _check_kernels(g, pa, pb, sg)
