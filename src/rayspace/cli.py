@@ -155,7 +155,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--open", action="append", required=True, metavar="SPEC",
                    help="open region: 'all' or 'ball ELEM:coord radius ...' (repeatable)")
     p.add_argument("--witness", metavar="T0", help="certify continuity of the growth path at t0")
-    p.add_argument("--res", default="1/1000", help="witness sampling resolution")
+    p.add_argument("--res", default="1/1000", help="smallest delta the witness reports")
 
     p = sub.add_parser("wedge", help="hyperspace model of a wedge expression")
     p.add_argument("--expr", required=True, help="e.g. '(circle ∨ ray)'")

@@ -70,10 +70,13 @@ class RayGraph:
     def __post_init__(self):
         if not self.vertices:
             raise InvalidGraphError("a ray-graph needs at least one vertex")
+        ids = [e.id for e in self.edges] + [r.id for r in self.rays]
+        for i in (*self.vertices, *ids):
+            if not isinstance(i, str) or not _ID_RE.match(i):
+                raise InvalidGraphError(f"bad identifier {i!r}")
         vset = set(self.vertices)
         if len(vset) != len(self.vertices):
             raise InvalidGraphError("duplicate vertex id")
-        ids = [e.id for e in self.edges] + [r.id for r in self.rays]
         if len(set(ids)) != len(ids):
             raise InvalidGraphError("duplicate element id across edges/rays")
         if vset & set(ids):
@@ -386,9 +389,11 @@ def parse_graph(text: str) -> RayGraph:
 def graph_from_parts(vertices: Iterable[str], edges: Iterable[tuple] = (),
                      rays: Iterable[tuple[str, str]] = ()) -> RayGraph:
     """Programmatic constructor: edges as (id, u, v[, length]), rays as (id, v)."""
-    edges, rays = list(edges), list(rays)
+    if not all(isinstance(part, Iterable) for part in (vertices, edges, rays)):
+        raise InvalidGraphError("vertices, edges and rays each come as an iterable")
+    vertices, edges, rays = tuple(vertices), list(edges), list(rays)
     shapes = [(spec, (3, 4)) for spec in edges] + [(spec, (2,)) for spec in rays]
     if not all(isinstance(spec, (tuple, list)) and len(spec) in n for spec, n in shapes):
         raise InvalidGraphError("an edge is (id, u, v[, length]) and a ray is (id, v)")
     es = [Edge(*spec[:3], *map(as_fraction, spec[3:4])) for spec in edges]
-    return RayGraph(tuple(vertices), tuple(es), tuple(Ray(i, v) for i, v in rays))
+    return RayGraph(vertices, tuple(es), tuple(Ray(i, v) for i, v in rays))

@@ -31,7 +31,7 @@ from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset
 
 _SAFE_MAGNITUDE = int(BIG) // 8  # census int64 table headroom: distances add three scaled terms
-MAX_GRID_PAIRS = 4_000_000  # grid Hausdorff: cap on the product of the two sample counts
+MAX_GRID_SAMPLES = 4_000_000  # grid Hausdorff: cap on the two sample counts together
 
 
 # ---- enumeration ------------------------------------------------------------
@@ -229,8 +229,8 @@ def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T:
     spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
              + [(eid, ep.tail, caps[eid]) for eid, ep in S.pieces if ep.tail is not None]
              for S in (A, B)]
-    if math.prod(sum((b - a) / h + 2 for _, a, b in sp) for sp in spans) > MAX_GRID_PAIRS:
-        raise CapExceededError(f"grid Hausdorff would compare over {MAX_GRID_PAIRS} sample pairs")
+    if sum((b - a) / h + 2 for sp in spans for _, a, b in sp) > MAX_GRID_SAMPLES:
+        raise CapExceededError(f"grid Hausdorff would take over {MAX_GRID_SAMPLES} samples")
     ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
     sg = _scaled_graph(g, _common_scale(g, [h.denominator, T.denominator, *ends]))
     H = _scaled(h, sg.scale)

@@ -7,9 +7,11 @@ of the global [0, 1].  Every stage has the one shape of :class:`Stage`: a
 fixed base united with the set a sweep builds at local time t.  The builders
 F0 (grow tails to their vertex), F1 (retract stray ray pieces), F2 (sweep the
 rayless core along a covering walk) and GAMMA (grow the missing rays via
-t/(1-t)) choose the sweep, its description and its Lipschitz bound.  Stage
-values chain exactly (checked at construction), and evaluation anywhere is
-exact rational arithmetic.
+t/(1-t)) choose the sweep and its description, and record each moving piece
+end once as a :class:`Motion`: their top speed is the stage's Lipschitz bound,
+and where they meet given coordinates are its critical times.  Stage values
+chain exactly (checked at construction), and evaluation anywhere is exact
+rational arithmetic.
 """
 
 from __future__ import annotations
@@ -158,21 +160,47 @@ def _grow_rays(t: Fraction, rays) -> tuple[dict, dict]:
 
 
 @dataclass(frozen=True)
+class Motion:
+    """A moving piece end on one element over the local times [start, stop]:
+    at a + b*t, or at t/(1 - t) when ``b`` is None (GAMMA's growing rays)."""
+
+    element: str
+    a: Fraction
+    b: Fraction | None
+    start: Fraction = Fraction(0)
+    stop: Fraction = Fraction(1)
+
+    def solve(self, c: Fraction) -> list[Fraction]:
+        """The local times in [start, stop] at which the end sits at c."""
+        if self.b is None:
+            t = c / (1 + c) if c >= 0 else None
+        else:
+            t = (c - self.a) / self.b if self.b else None
+        return [t] if t is not None and self.start <= t <= self.stop else []
+
+
+@dataclass(frozen=True)
 class Stage:
     """One path stage: ``base`` united with the raw pieces ``sweep(t, *args)``.
 
     With no sweep the stage is constant at ``base``; ``base`` is None when
-    everything moves.  ``backwards`` runs the local time from 1 down to 0.
+    everything moves.  ``motions`` are the sweep's moving piece ends;
+    ``backwards`` runs the local time from 1 down to 0.
     """
 
     kind: str
     graph: RayGraph
     base: ClosedSubset | None
     desc: str
-    lipschitz_bound: ExtendedDistance
     sweep: Callable[..., tuple[dict, dict]] | None = None
     args: tuple = ()
+    motions: tuple[Motion, ...] = ()
     backwards: bool = False
+
+    @property
+    def lipschitz_bound(self) -> ExtendedDistance:
+        """The top speed of the stage's motions; 0 when nothing moves."""
+        return max((INF if m.b is None else abs(m.b) for m in self.motions), default=Fraction(0))
 
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
@@ -187,6 +215,14 @@ class Stage:
             add_pieces(self.base, intervals, tails)
         return ClosedSubset.from_pieces(self.graph, intervals, tails)
 
+    def critical_times(self, ends: dict[str, set[Fraction]]) -> set[Fraction]:
+        """0, 1 and the local times at which a motion starts, stops or meets one
+        of ``ends`` on its own element: no piece end crosses those in between."""
+        times = {Fraction(0), Fraction(1)}
+        for m in self.motions:
+            times.update((m.start, m.stop), *(m.solve(c) for c in ends.get(m.element, ())))
+        return {1 - t for t in times} if self.backwards else times
+
     def reversed(self) -> "Stage":
         return replace(
             self,
@@ -199,9 +235,10 @@ class Stage:
 def F0(g: RayGraph, A: ClosedSubset, grows: tuple[tuple[str, Fraction], ...]) -> Stage:
     """Grow each unbounded tail (ray id, tail start) down to its attachment vertex."""
     if not grows:
-        return Stage("F0", g, A, "F0 (no tails to grow)", Fraction(0))
+        return Stage("F0", g, A, "F0 (no tails to grow)")
     desc = "F0 grow tails: " + ", ".join(f"{rid} from {a}" for rid, a in grows)
-    return Stage("F0", g, A, desc, max(a for _, a in grows), _grow_tails, (grows,))
+    motions = tuple(Motion(rid, a, -a) for rid, a in grows)
+    return Stage("F0", g, A, desc, _grow_tails, (grows,), motions)
 
 
 def F1(
@@ -209,17 +246,25 @@ def F1(
 ) -> Stage:
     """Shrink and slide bounded pieces on rays outside the direction set."""
     if not moving:
-        return Stage("F1", g, base, "F1 (no ray pieces to retract)", Fraction(0))
+        return Stage("F1", g, base, "F1 (no ray pieces to retract)")
     desc = "F1 retract ray pieces: " + ", ".join(f"{rid}:[{a},{b}]" for rid, a, b in moving)
-    bound = max(max(a, b) for _, a, b in moving)
-    return Stage("F1", g, base, desc, bound, _retract_pieces, (moving,))
+    motions = tuple(Motion(rid, c, -c) for rid, a, b in moving for c in (a, b))
+    return Stage("F1", g, base, desc, _retract_pieces, (moving,), motions)
 
 
 def F2(g: RayGraph, base: ClosedSubset, walk: Walk) -> Stage:
     """Grow along a covering walk until the whole rayless subgraph is included."""
     desc = f"F2 covering walk of length {walk.total_length} ({len(walk.legs)} legs)"
+    # each leg's end runs over the arcs [arc, arc + |b - a|] of the walk's
+    # length L, so it sits at a + sign * (t * L - arc)
+    motions, arc, length = [], Fraction(0), walk.total_length
+    for eid, a, b in walk.legs:
+        sign = 1 if b >= a else -1
+        motions.append(Motion(eid, a - sign * arc, sign * length, arc / length,
+                              (arc + abs(b - a)) / length))
+        arc += abs(b - a)
     sweep = _sweep_walk if walk.legs else None
-    return Stage("F2", g, base, desc, walk.total_length, sweep, (walk,))
+    return Stage("F2", g, base, desc, sweep, (walk,), tuple(motions))
 
 
 def GAMMA(g: RayGraph, delta: frozenset[int]) -> Stage:
@@ -227,10 +272,11 @@ def GAMMA(g: RayGraph, delta: frozenset[int]) -> Stage:
     start = canonical_element(g, delta)
     missing = tuple(r.id for i, r in g.ray_by_index.items() if i not in delta)
     if not missing:
-        return Stage("GAMMA", g, start, "GAMMA (direction set full; constant)", Fraction(0))
+        return Stage("GAMMA", g, start, "GAMMA (direction set full; constant)")
     # the growth is Hausdorff-discontinuous at t = 1
     desc = "GAMMA grow rays " + ", ".join(missing) + " via t/(1-t)"
-    return Stage("GAMMA", g, start, desc, INF, _grow_rays, (missing,))
+    motions = tuple(Motion(rid, Fraction(0), None) for rid in missing)
+    return Stage("GAMMA", g, start, desc, _grow_rays, (missing,), motions)
 
 
 # ---- composite paths -------------------------------------------------------
@@ -280,10 +326,7 @@ def lipschitz_bound(P: HyperPath | Stage) -> ExtendedDistance:
     if not isinstance(P, (HyperPath, Stage)):
         raise PreconditionError(f"expected a HyperPath or a Stage, got {type(P).__name__}")
     stages = P.stages if isinstance(P, HyperPath) else (P,)
-    bounds = [s.lipschitz_bound for s in stages]
-    if any(b == INF for b in bounds):
-        return INF
-    return max(bounds, default=Fraction(0))
+    return max(s.lipschitz_bound for s in stages)
 
 
 def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stage, Stage]:

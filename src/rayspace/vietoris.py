@@ -9,6 +9,8 @@ not cut to the element, so their ends may lie below 0 or past L.  Merged,
 they are the region's derived form, which both membership tests read with
 strict comparisons: upper membership is interval containment, and lower
 membership is an overlap of the set's pieces with the derived intervals.
+So along a path, membership in a basic open changes only where a moving
+piece end meets a derived end: the continuity witness checks only there.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import islice
 from typing import Iterable, Sequence
 
-from .errors import CapExceededError, ParseError, PreconditionError
+from .errors import ParseError, PreconditionError
 from .graph import GraphPoint, RayGraph, as_fraction, as_text, check_graph, parse_fraction
 from .paths import HyperPath
 from .sets import ClosedSubset
-
-# Hard limit on the sample offsets one round of a continuity witness checks
-# (about delta / resolution, largest in the first round).
-MAX_WITNESS_SAMPLES = 100_000
 
 # A derived interval: the open interval (lo, hi) of element coordinates.
 DerivedInterval = tuple[Fraction, Fraction]
@@ -185,7 +184,7 @@ class WitnessResult:
     def __str__(self) -> str:
         if self.ok:
             return f"delta={self.delta}"
-        return f"failure (no delta above resolution; first bad t={self.failed_at})"
+        return f"failure (no delta down to the resolution; nearest bad t={self.failed_at})"
 
 
 def continuity_witness(
@@ -194,14 +193,15 @@ def continuity_witness(
     Us: Sequence[OpenRegion],
     resolution: Fraction,
 ) -> WitnessResult:
-    """Sampled Vietoris-continuity certificate around t0.
+    """Exact Vietoris-continuity certificate around t0.
 
-    Starting from the largest delta that reaches an end of [0, 1], halve
-    until every sampled t with |t - t0| <= delta (step = resolution) keeps
-    the path value inside the basic open; report failure when delta would
-    drop below the resolution.  The resolution may not exceed that first
-    delta, so at least one round is sampled.  Raises ``CapExceededError``
-    when a round would check more than ``MAX_WITNESS_SAMPLES`` offsets.
+    P(t) can enter or leave <U1,...,Un> only at the stages' critical times
+    against the regions' derived ends, so membership, read once at each of
+    them and once inside each gap, outward from t0, gives the exact preimage.
+    The answer is the largest delta max(t0, 1 - t0) / 2**k, not below the
+    resolution, whose closed window [t0 - delta, t0 + delta] in [0, 1] lies in
+    it; else ``failed_at`` is the failure nearest t0 in the smallest window.
+    The resolution may not exceed the first delta.
     """
     if not isinstance(P, HyperPath):
         raise PreconditionError(f"expected a HyperPath, got {type(P).__name__}")
@@ -215,37 +215,35 @@ def continuity_witness(
         raise PreconditionError(f"resolution {resolution} exceeds the largest delta {delta}")
     if not member_basic(P.at(t0), Us):
         raise PreconditionError("path value at t0 is not in the basic open")
-    union = union_regions(Us)  # built once, so its derived intervals serve every sample
-    memo: dict[Fraction, bool] = {t0: True}
+    union = union_regions(Us)  # its derived ends are among its regions' own
+    ends: dict[str, set[Fraction]] = {}
+    for u in Us:
+        for eid, ivs in ({} if u.all_space else u.derived).items():
+            ends.setdefault(eid, set()).update(c for iv in ivs for c in iv)
+    times = sorted({t0}.union(*({lo + (hi - lo) * s for s in stage.critical_times(ends)}
+                                for lo, hi, stage in P.stage_spans())))
 
-    def ok_at(t: Fraction) -> bool:
-        if t not in memo:
-            A = P.at(t)
-            memo[t] = member_upper(A, union) and all(member_lower(A, u) for u in Us)
-        return memo[t]
+    def bad(t: Fraction) -> bool:
+        A = P.at(t)
+        return not (member_upper(A, union) and all(member_lower(A, u) for u in Us))
 
-    last_bad: Fraction | None = None
-    while delta >= resolution:
-        steps = int(delta / resolution)
-        if steps + 1 > MAX_WITNESS_SAMPLES:
-            raise CapExceededError(
-                f"continuity witness would check about {steps + 1} sample offsets "
-                f"(delta {delta}, resolution {resolution}); the cap is {MAX_WITNESS_SAMPLES}"
-            )
-        offsets = [delta] + [k * resolution for k in range(steps, 0, -1)]
-        bad = None
-        for off in offsets:  # outermost first: failures live near the ends
-            for t in (t0 - off, t0 + off):
-                if 0 <= t <= 1 and not ok_at(t):
-                    bad = t
-                    break
-            if bad is not None:
-                break
-        if bad is None:
-            return WitnessResult(True, delta=delta)
-        last_bad = bad
-        delta = delta / 2
-    return WitnessResult(False, failed_at=last_bad)
+    # the first bad cell on each side of t0: a gap (near, far), read at its
+    # midpoint and reached by windows past near, or a critical time (far, far)
+    i, stops = times.index(t0), []
+    for side in (times[i::-1], times[i:]):
+        cells = (c for near, far in zip(side, side[1:]) for c in ((near, far), (far, far)))
+        stops += islice((c for c in cells if bad(sum(c) / 2)), 1)
+
+    def hits(delta: Fraction) -> list:  # the bad cells the window of delta reaches, nearest first
+        return sorted((abs(near - t0), near, far) for near, far in stops
+                      if abs(near - t0) < delta or near == far and abs(near - t0) == delta)
+
+    while hits(delta) and delta / 2 >= resolution:
+        delta /= 2
+    if not hits(delta):
+        return WitnessResult(True, delta=delta)
+    _, near, far = hits(delta)[0]  # report the part of a gap inside the window by its midpoint
+    return WitnessResult(False, failed_at=(near + t0 + max(-delta, min(delta, far - t0))) / 2)
 
 
 # ---- parsing ----------------------------------------------------------------

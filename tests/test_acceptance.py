@@ -179,7 +179,7 @@ def test_criterion_5_vietoris_path_suite():
                 s, t = sorted((rng.choice(pool), rng.choice(pool)))
                 assert is_subset(g, cache[s], cache[t])
             assert eval_path(P, 1) == whole_space(g)
-        # sampled continuity witnesses
+        # exact continuity witnesses
         searches = 0
         for t0 in (F(1, 4), F(1, 2), F(3, 4)):
             for delta in (frozenset(), frozenset({1})):

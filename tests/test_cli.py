@@ -327,7 +327,7 @@ def test_path_vietoris_emit(graph_file, capsys, tmp_path):
 
 def test_vietoris_witness_failure_output(graph_file, capsys):
     # the composite path sits at {v} when t0=1/2, inside the tiny ball, but
-    # every sampled neighborhood contains values escaping it
+    # every window down to delta 1/4 holds values escaping it
     gf = graph_file("G_LINE")
     code = run(["vietoris", "--graph", gf, "--a", "R1:[0,1]",
                 "--open", "ball R1:0 1/1000",
@@ -337,23 +337,22 @@ def test_vietoris_witness_failure_output(graph_file, capsys):
     assert "witness=failure" in out and "first_bad_t=" in out
 
 
-def test_vietoris_witness_sample_cap(graph_file, capsys):
+def test_vietoris_witness_fine_resolution_is_fast(graph_file, capsys):
+    # the resolution only sets the smallest delta reported; nothing is sampled
     gf = graph_file("G_LINE")
     start = time.perf_counter()
     code = run(["vietoris", "--graph", gf, "--a", "R1:{0}", "--open", "all",
                 "--witness", "1/2", "--res", "1/1000000000"])
-    assert code == 4
+    assert code == 0
     assert time.perf_counter() - start < 1
-    err = capsys.readouterr().err
-    assert err.startswith("error kind=cap") and "about 500000001 sample offsets" in err
+    assert "witness delta=1/2" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("region, t0, res, code", [
     ("all", "abc", "1/4", 2),
     ("all", "1/2", "x", 2),
-    ("all", "1/2", "1/1000000000", 4),  # the sample cap
     ("ball R1:5 1/10", "1/2", "1/4", 3),  # the value at t0 is outside the basic open
-    ("all", "0", "2", 3),  # a resolution above the largest delta samples nothing
+    ("all", "0", "2", 3),  # a resolution above the largest delta is refused
 ])
 def test_failed_witness_prints_only_its_error_line(graph_file, capsys, region, t0, res, code):
     argv = ["vietoris", "--graph", graph_file("G_LINE"), "--a", "R1:[0,1]", "--open", region,

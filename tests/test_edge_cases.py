@@ -243,7 +243,7 @@ def test_point_distance_on_long_loop(graphs):
          PreconditionError, "cap must be a positive integer"),
         (lambda gs: oracle_hausdorff(gs["G_R"], parse_set("R1:[1,inf)", gs["G_R"]),
                                      parse_set("R1:[2,inf)", gs["G_R"]), F(1, 2), F(10**30)),
-         CapExceededError, "sample pairs"),
+         CapExceededError, "over 4000000 samples"),
         # a text that is not a str, a lone region where a list belongs, and
         # a model, path or edge of the wrong shape
         (lambda gs: parse_graph(5), PreconditionError, "graph text must be a str, got int"),
@@ -270,6 +270,11 @@ def test_point_distance_on_long_loop(graphs):
          InvalidGraphError, "an edge is (id, u, v[, length])"),
         (lambda gs: graph_from_parts(["u", "v"], [("E1", "u", "v")], [None]),
          InvalidGraphError, "a ray is (id, v)"),
+        # ids that are not identifiers, and no parts at all
+        (lambda gs: graph_from_parts([5]), InvalidGraphError, "bad identifier 5"),
+        (lambda gs: graph_from_parts(["u", "v"], [(5, "u", "v")]),
+         InvalidGraphError, "bad identifier 5"),
+        (lambda gs: graph_from_parts(None), InvalidGraphError, "each come as an iterable"),
     ],
 )
 def test_public_refusals(graphs, call, error, fragment):

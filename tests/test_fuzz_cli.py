@@ -47,7 +47,7 @@ def _rationals(top):
 
 
 rationals = _rationals(2)
-# a witness checks about delta / resolution samples a round: keep it coarse
+# valid resolutions, and malformed or out-of-range ones
 resolutions = st.one_of(
     st.sampled_from(["1/2", "1/10", "1/64", "0.05", "0", "-1/8", "1e-3", "x"]),
     st.lists(st.sampled_from(NUMBER_PARTS), min_size=1, max_size=4).map("".join),

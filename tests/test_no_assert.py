@@ -12,8 +12,9 @@ product of its element layouts; neither the oracle nor its kernels name
 outside them; the
 Vietoris layer reads its regions' derived intervals, never names
 ``point_distance`` and takes nothing from the metric beyond its value types
-either; numpy stays behind the oracle,
-which the package and the CLI load only on first use;
+either, and it takes only ``HyperPath`` from ``paths.py`` and never names a
+sweep or a ``Motion``, so how stages move stays in one module; numpy stays
+behind the oracle, which the package and the CLI load only on first use;
 ``graph.count_classes`` is the package's one Python union-find; and the wedge
 models take nothing from the package but its errors and ``count_classes``, so
 checking them against ray-graphs compares independent computations.
@@ -139,6 +140,15 @@ def test_vietoris_never_names_point_distance():
         if "point_distance" in _names(node)
     ]
     assert found == []
+
+
+def test_vietoris_takes_only_hyperpath_from_paths():
+    tree = TREES["vietoris.py"]
+    assert _taken_from(tree, "paths") == ["HyperPath"]
+    sweeps = {node.name for node in TREES["paths.py"].body
+              if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    named = {ident for node in ast.walk(tree) for ident in _names(node)}
+    assert not named & (sweeps | {"sweep", "motions", "Motion", "solve"})
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

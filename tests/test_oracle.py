@@ -323,6 +323,13 @@ def test_oracle_hausdorff_tails_beyond_T(graphs):
     assert abs(oracle_hausdorff(g, A, B, F(1, 4), F(2)) - 3) <= F(1, 4)
 
 
+def test_oracle_hausdorff_caps_the_sample_count_not_pairs(graphs):
+    # 4002 and 2002 samples: their product passes 4,000,000, their sum does not
+    g = graphs["G_I"]
+    A, B = parse_set("E1:[0,1]", g), parse_set("E1:[0,1/2]", g)
+    assert oracle_hausdorff(g, A, B, F(1, 4000), F(1)) == F(1, 2)
+
+
 def test_oracle_matches_exact_on_random_bounded_pairs(graphs):
     rng = random.Random(3210)
     h = F(1, 20)

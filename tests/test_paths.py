@@ -12,6 +12,7 @@ from rayspace import (
     canonical_element,
     component_count,
     component_count_formula,
+    contains_point,
     direction_set,
     eval_path,
     gamma_path,
@@ -294,6 +295,48 @@ def test_path_invariants_on_random_graphs(seed):
             for _ in range(4):
                 s, t = rng.sample(grid, 2)
                 assert hausdorff(g, values[s], values[t]) <= stage.lipschitz_bound * abs(s - t)
+
+
+def _flips(stage, holds, cells=16):
+    """Brackets [lo, hi], each narrower than 2**-20, around every change of
+    ``holds(stage.at(t))`` between two neighbouring grid times."""
+    out, ts = [], [F(k, cells) for k in range(cells + 1)]
+    for lo, hi in zip(ts, ts[1:]):
+        before = holds(stage.at(lo))
+        if holds(stage.at(hi)) == before:
+            continue
+        while hi - lo > F(1, 2**20):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if holds(stage.at(mid)) == before else (lo, mid)
+        out.append((lo, hi))
+    return out
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_motions_solve_where_stage_values_change(seed):
+    """A point of an element enters or leaves a stage's value only when one
+    of the stage's motions on that element solves for it, which makes it a
+    critical time of the stage, reversed or not; at every solution the
+    moving end, and so the point, lies in the value."""
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    A = random_subset(g, rng)
+    P = vietoris_path(g, A, max(component_count(g, A), 1))
+    assert [s.kind for s in P.stages] == ["F0", "F1", "F2", "GAMMA"]
+    for stage in P.stages:
+        for eid in sorted({m.element for m in stage.motions}):
+            for _ in range(3):
+                point = GraphPoint(eid, F(rng.randint(1, 47), 48) * (g.element_length(eid) or 4))
+                for m in stage.motions:
+                    if m.element == eid:
+                        for t in m.solve(point.coord):
+                            assert m.start <= t <= m.stop
+                            assert contains_point(g, stage.at(t), point)
+                for s in (stage, stage.reversed()):
+                    times = s.critical_times({eid: {point.coord}})
+                    for lo, hi in _flips(s, lambda val: contains_point(g, val, point)):
+                        assert any(lo <= t <= hi for t in times), (s.desc, point, lo, hi)
 
 
 def test_exact_values_pass_through_unwrapped(graphs):

@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction as F
 
 import pytest
@@ -28,7 +29,7 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
-from rayspace.paths import F0, HyperPath
+from rayspace.paths import F0, HyperPath, Motion, Stage
 from rayspace.vietoris import WitnessResult
 
 from conftest import _ref_profile, random_in_c3, random_point, random_ray_graph, random_subset
@@ -414,27 +415,29 @@ def test_member_lower_refuses_a_set_of_another_graph(graphs):
             member_lower(A, V)
 
 
-def _ref_witness(P, t0, Us, resolution):
-    """The sampled witness with the lower test measured by point-to-set distance.
-
-    None when the value at t0 is not in the basic open."""
+def _ref_ok(P, t, Us):
+    """P(t) lies in <Us>, with the lower test measured by point-to-set distance."""
     g = P.graph
     if any(u.all_space for u in Us):
         union_all = OpenRegion(g, (), all_space=True)
     else:
         union_all = OpenRegion(g, tuple(b for u in Us for b in u.balls))
+    A = P.at(t)
+    return member_upper(A, union_all) and all(_ref_lower(A, u) for u in Us)
 
-    def ok_at(t):
-        A = P.at(t)
-        return member_upper(A, union_all) and all(_ref_lower(A, u) for u in Us)
 
-    if not ok_at(t0):
+def _ref_witness(P, t0, Us, resolution):
+    """The sampled witness: every multiple of the resolution within delta of
+    t0, and delta itself, is checked with ``_ref_ok``.
+
+    None when the value at t0 is not in the basic open."""
+    if not _ref_ok(P, t0, Us):
         return None
     delta, last_bad = max(t0, 1 - t0), None
     while delta >= resolution:
         offsets = [delta] + [k * resolution for k in range(int(delta / resolution), 0, -1)]
         ts = [t for off in offsets for t in (t0 - off, t0 + off) if 0 <= t <= 1]
-        bad = next((t for t in ts if not ok_at(t)), None)
+        bad = next((t for t in ts if not _ref_ok(P, t, Us)), None)
         if bad is None:
             return WitnessResult(True, delta=delta)
         last_bad, delta = bad, delta / 2
@@ -469,8 +472,22 @@ def test_witness_matches_distance_reference_on_random_graphs(seed):
     if expected is None:
         with pytest.raises(PreconditionError):
             continuity_witness(P, t0, Us, resolution)
-    else:
-        assert continuity_witness(P, t0, Us, resolution) == expected
+        return
+    got = continuity_witness(P, t0, Us, resolution)
+    assert got.ok == expected.ok
+    if got.ok and got.delta != expected.delta:
+        # the exact preimage is smaller than the sampled one: the exact route
+        # must name a bad point inside the sampled window
+        missed = continuity_witness(P, t0, Us, expected.delta)
+        assert not missed.ok and abs(missed.failed_at - t0) <= expected.delta
+        assert not _ref_ok(P, missed.failed_at, Us)
+        warnings.warn(f"the sampler missed the bad t={missed.failed_at} (seed {seed})")
+    if not got.ok:
+        smallest = max(t0, 1 - t0)
+        while smallest / 2 >= resolution:
+            smallest /= 2
+        assert 0 <= got.failed_at <= 1 and abs(got.failed_at - t0) <= smallest
+        assert not _ref_ok(P, got.failed_at, Us)
 
 
 def test_gamma_upper_continuity_direction(graphs):
@@ -497,6 +514,14 @@ def test_witness_bounded_ball(graphs):
     assert res.ok and res.delta == F(1, 4)  # t=1 escapes any ball; first halving passes
 
 
+def test_witness_window_is_closed(graphs):
+    # the front leaves the ball at t = 2/3, exactly the first halving 1/3 away from t0
+    g = graphs["G_LINE"]
+    P = gamma_path(g, frozenset())
+    res = continuity_witness(P, F(1, 3), [ball(g, GraphPoint("R1", F(0)), F(2))], F(1, 100))
+    assert res == WitnessResult(True, delta=F(1, 6))
+
+
 def test_witness_ball_work_does_not_grow_with_resolution(graphs, monkeypatch):
     g = graphs["G_LINE"]
     P = vietoris_path(g, parse_set("R1:[0,1]", g), 1)
@@ -515,6 +540,28 @@ def test_witness_ball_work_does_not_grow_with_resolution(graphs, monkeypatch):
         assert continuity_witness(P, F(1, 2), [U], res).ok
         counts.append(len(calls))
     assert counts[0] == counts[1] <= 2
+
+
+def test_witness_path_work_does_not_depend_on_resolution(graphs, monkeypatch):
+    g = graphs["G_MIXED"]
+    P = vietoris_path(g, parse_set("R1:[2,inf) R2:[1,2] E2:[1/2,1]", g), 3)
+    # F1 slides R2:[1,2] down through the ball for t in (5/16, 15/32)
+    Us = [OpenRegion(g, (), all_space=True), parse_region("ball R2:1/2 1/4", g)]
+    calls = []
+    stage_at = Stage.at
+
+    def counting(self, t):
+        calls.append(t)
+        return stage_at(self, t)
+
+    monkeypatch.setattr(Stage, "at", counting)
+    counts, answers = [], []
+    for res in (F(1, 100), F(1, 10**6)):
+        calls.clear()
+        answers.append(continuity_witness(P, F(3, 8), Us, res))
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+    assert answers == [WitnessResult(True, delta=F(5, 128))] * 2
 
 
 def test_witness_works_out_each_ball_once(graphs, monkeypatch):
@@ -562,12 +609,27 @@ def test_witness_precondition(graphs):
 def test_witness_failure_reported(graphs):
     g = graphs["G_LINE"]
     P = gamma_path(g, frozenset())
-    # lower constraint satisfied only exactly at t0: ball around the moving
-    # front at t0=1/2 with tiny radius fails for any sampled neighborhood
+    # the front t/(1-t) meets the tiny ball around its value at t0 = 1/2 only
+    # after t = 1999/3999, and every window down to delta 1/8 reaches back there
     front = ball(g, GraphPoint("R1", F(1)), F(1, 2000))
     res = continuity_witness(P, F(1, 2), [OpenRegion(g, (), all_space=True), front], F(1, 8))
-    assert not res.ok
-    assert res.failed_at is not None
+    assert res == WitnessResult(False, failed_at=F(1999, 3999))
+
+
+def _jump(t):
+    """R1:[0,1] up to t = 1/4, then R1:[0,3]: a path that is not continuous."""
+    return {"R1": [(F(0), F(1) if t <= F(1, 4) else F(3))]}, {}
+
+
+def test_witness_does_not_assume_a_continuous_path(graphs):
+    # the motion puts a critical time at 1/4, where the value is still good;
+    # only the gap after it, read at its midpoint, shows the jump out of the
+    # ball, and a failure names the midpoint of the gap's part in the window
+    g = graphs["G_LINE"]
+    P = HyperPath(g, (Stage("JUMP", g, None, "jump", _jump, (), (Motion("R1", F(1), F(4)),)),))
+    Us = [ball(g, GraphPoint("R1", F(0)), F(2))]
+    assert continuity_witness(P, F(0), Us, F(1, 8)) == WitnessResult(True, delta=F(1, 4))
+    assert continuity_witness(P, F(0), Us, F(1, 2)) == WitnessResult(False, failed_at=F(3, 8))
 
 
 def test_parse_region(graphs):
