@@ -8,11 +8,16 @@ a layout on one element is its pieces' grid-index runs and a key (a bit per
 grid point, each vertex one point; a bit per covered grid segment; a tail bit
 per ray), and a set is the OR of its layouts' keys.  Layouts are combined one
 element at a time, each distinct key so far extended once; components are
-counted once per distinct final key with the oracle's own vertex classes, and
-the key's point bits are its census mask.  Only ``ClosedSubset``
-comes from :mod:`rayspace.sets`, the code this checks.  Distances run through
-the kernels in :mod:`rayspace._kernels` in Python ints, on coordinates scaled
-by one common denominator, so grid values are exact rationals at any scale.
+counted once per distinct final key with the oracle's own vertex classes.
+Accepted keys are put in ``ClosedSubset.sort_key`` order in index space,
+reading each coordinate k*h as k, so no set is built to order them.
+``enumerate_sets`` then builds one set per key; the census reads a key's
+point bits as its mask and its tail layouts as its direction class, and
+builds a set only for each component's representative.  Only
+``ClosedSubset`` comes from :mod:`rayspace.sets`, the code this checks.
+Distances run through the kernels in :mod:`rayspace._kernels` in Python
+ints, on coordinates scaled by one common denominator, so grid values are
+exact rationals at any scale.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,13 +79,27 @@ def _element_configs(m: int, max_pieces: int, ray: bool, far: int | None):
             yield runs, start, sum(i > 0 and j != far for i, j in runs) + bool(start)
 
 
+class _Layout(NamedTuple):
+    """One canonical layout on one element."""
+
+    key: int
+    interior: int  # pieces that reach neither element end
+    eid: str
+    pieces: tuple[tuple[Fraction, Fraction], ...]  # in coordinates, as from_pieces takes them
+    start: Fraction | None  # tail start
+    reached: tuple[str, ...]  # vertices the layout contains
+    held: tuple[str, ...]  # those a longer run, or a tail from 0, reaches
+    links: tuple[tuple[str, str], ...]  # the end pair of a whole-edge run
+    order: tuple | None  # (runs but the set-aside points, tail index or -1, no tail)
+
+
 def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_pieces: int):
     """For each element (id, length or None on a ray) with a grid of the given
-    size, its layouts as (key, interior, reached vertices, whole-edge end
-    pairs, id, pieces, tail), pieces and tail in coordinates.  A key has a bit
-    per universe point held, every vertex at the index of its least
-    representation on the grid, and past the universe a bit per grid segment
-    covered and a tail bit."""
+    size, its layouts.  A key has a bit per universe point held, every vertex
+    at the index of its least representation on the grid, and past the
+    universe a bit per grid segment covered and a tail bit.  ``held`` and
+    ``order`` read the layout as ``_canonicalize`` does, which sets a single
+    point at an element end aside as its vertex."""
     firsts = list(itertools.accumulate(sizes, initial=0))
     pos = {}
     for (eid, _), m, first in zip(elements, sizes, firsts):
@@ -100,36 +120,47 @@ def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_p
                 key |= ((1 << (j - i)) - 1) << (extra + i)
                 for p in points[i : j + 1]:
                     key |= 1 << p
-            reached = [end0] * (tail == 0) + [end0 for i, _ in runs if i == 0]
-            reached += [end1 for _, j in runs if j == far]
-            links = [(end0, end1) for i, j in runs if i == 0 and j == far]
+            kept = tuple((i, j) for i, j in runs if i < j or 0 < i != far)
+            held = (end0,) * (tail == 0 or any(i == 0 for i, _ in kept))
+            held += (end1,) * any(j == far for _, j in kept)
+            reached = held + tuple(end0 if i == 0 else end1
+                                   for i, j in runs if i == j and i in (0, far))
+            links = tuple((end0, end1) for i, j in runs if i == 0 and j == far)
             pieces = tuple((coord[i], coord[j]) for i, j in runs)
             start = None if tail is None else coord[tail]
-            layouts.append((key, interior, reached, links, eid, pieces, start))
+            order = None
+            if kept or tail is not None:
+                order = (kept, -1 if tail is None else tail, tail is None)
+            layouts.append(_Layout(key, interior, eid, pieces, start, reached, held, links, order))
         per_element.append(layouts)
     return per_element
 
 
-class _Enumeration(list):
-    """Enumerated sets; ``keys[i]`` is set i's key, ``sizes`` the grid size per element."""
+def _index_order(combo: tuple[_Layout, ...], stored: list[tuple[str, int]]) -> tuple:
+    """``ClosedSubset.sort_key`` of the combo's set with each coordinate k*h
+    read as k; ``stored`` places each set-aside vertex no layout holds."""
+    per = {lay.eid: lay.order for lay in combo if lay.order is not None}
+    for eid, i in stored:
+        runs, tail, bare = per.get(eid, ((), -1, True))
+        per[eid] = (tuple(sorted((*runs, (i, i)))), tail, bare)
+    return tuple((eid, *per[eid]) for eid in sorted(per))
 
 
-def enumerate_sets(
-    g: RayGraph,
-    h: Fraction,
-    T: Fraction,
-    n: int,
-    max_pieces: int,
-    cap: int = 200_000,
-) -> list[ClosedSubset]:
-    """Every canonical grid subset with component count <= n, deterministic order.
+def _enumerate_keys(
+    g: RayGraph, h: Fraction, T: Fraction, n: int, max_pieces: int, cap: int
+) -> tuple[list[int], list[tuple[int, tuple[_Layout, ...]]]]:
+    """(grid size per element, every accepted (key, layouts)) in the order
+    ``ClosedSubset.sort_key`` gives their sets, none of them built.
 
     The number of layout combinations is counted exactly, and checked against
     ``cap``, before any layout is built.  Layouts are combined one element at
     a time: each distinct key of the elements so far (the OR of their layouts'
     keys) keeps the first layouts that gave it, since equal keys hold the same
-    points and so extend to the same sets.  Only an accepted final key becomes
-    a ``ClosedSubset``.
+    points and so extend to the same sets.  A final key is accepted when its
+    pieces that reach no element end, plus its classes of vertices, number at
+    most n.  The order is read in index space: a set-aside vertex that no
+    layout holds sits at its least representation, index 0 or the far end's,
+    and at index m, past the grid, where the grid stops short of that end.
     """
     check_graph(g)
     h, T = as_fraction(h), as_fraction(T)
@@ -156,24 +187,54 @@ def enumerate_sets(
         grown: dict[int, tuple] = {}
         for key, (interior, combo) in first.items():
             for lay in layouts:
-                count, grown_key = interior + lay[1], key | lay[0]
+                count, grown_key = interior + lay.interior, key | lay.key
                 # past n pieces touching no element end means past n components
                 if count <= n and grown_key not in grown:
                     grown[grown_key] = (count, (*combo, lay))
         first = grown
     first.pop(0, None)  # no piece anywhere: CL(X) has no empty set
+
+    grid = {eid: m for (eid, _), m in zip(elements, sizes)}
+    stored_at = {}
+    for v in g.vertices:
+        eid, c = g.vertex_representations(v)[0]
+        m = grid[eid]
+        stored_at[v] = eid, 0 if c == 0 else m - 1 if (m - 1) * h == c else m
     found = []
     for key, (interior, combo) in first.items():
-        reached = {v for lay in combo for v in lay[2]}
-        links = [pair for lay in combo for pair in lay[3]]
+        reached = {v for lay in combo for v in lay.reached}
+        links = [pair for lay in combo for pair in lay.links]
         if interior + count_classes(reached, links) <= n:
-            intervals = {lay[4]: lay[5] for lay in combo if lay[5]}
-            tails = {lay[4]: lay[6] for lay in combo if lay[6] is not None}
-            found.append((ClosedSubset.from_pieces(g, intervals, tails), key))
-    found.sort(key=lambda item: item[0].sort_key())
-    sets = _Enumeration(A for A, _ in found)
-    sets.keys, sets.sizes = [key for _, key in found], sizes
-    return sets
+            reached.difference_update(v for lay in combo for v in lay.held)
+            order = _index_order(combo, [stored_at[v] for v in reached])
+            found.append((order, key, combo))
+    found.sort(key=lambda item: item[0])
+    return sizes, [(key, combo) for _, key, combo in found]
+
+
+def _build(g: RayGraph, combo: tuple[_Layout, ...]) -> ClosedSubset:
+    intervals = {lay.eid: lay.pieces for lay in combo if lay.pieces}
+    tails = {lay.eid: lay.start for lay in combo if lay.start is not None}
+    return ClosedSubset.from_pieces(g, intervals, tails)
+
+
+def enumerate_sets(
+    g: RayGraph,
+    h: Fraction,
+    T: Fraction,
+    n: int,
+    max_pieces: int,
+    cap: int = 200_000,
+) -> list[ClosedSubset]:
+    """Every canonical grid subset with component count <= n, in
+    ``ClosedSubset.sort_key`` order.
+
+    The layout combinations are counted exactly, and checked against ``cap``,
+    before any layout is built.  The sets are enumerated and ordered as keys;
+    each accepted key then becomes one ``ClosedSubset``.
+    """
+    _, found = _enumerate_keys(g, h, T, n, max_pieces, cap)
+    return [_build(g, combo) for _, combo in found]
 
 
 # ---- integer scaling --------------------------------------------------------
@@ -289,33 +350,39 @@ def oracle_components(
 
     Two sets join when their grid Hausdorff distance is <= delta; cross
     direction-class distances are infinite, so classes are processed
-    independently."""
+    independently.  The census works on the enumeration's keys: a key's
+    point bits are its set's mask, its tail layouts its direction class, and
+    a ``ClosedSubset`` is built only for the first key of each component.
+    A delta below the margin or a scale past the kernels is refused before
+    anything is enumerated."""
     h, T, delta = as_fraction(h), as_fraction(T), as_fraction(delta)
     if delta < h + h / 5:
         raise PreconditionError(
             f"delta={delta} is below the grid connectivity margin h+h/5={h + h / 5}; "
             "true neighbors may fail to connect"
         )
-    sets = enumerate_sets(g, h, T, n, max_pieces, cap=cap)
-
+    check_graph(g)
     scale = _common_scale(g, [h.denominator, T.denominator])
     if not _fits(g, scale, _scaled(T, scale)):
         raise PreconditionError("grid parameters overflow the integer kernels")
+    sizes, found = _enumerate_keys(g, h, T, n, max_pieces, cap)
+
     sg, H = _scaled_graph(g, scale), _scaled(h, scale)
-    dmat = distance_matrix([(e, k * H) for e, m in enumerate(sets.sizes) for k in range(m)], sg)
+    dmat = distance_matrix([(e, k * H) for e, m in enumerate(sizes) for k in range(m)], sg)
 
     # a set's mask row is its key's point bits
-    size = sum(sets.sizes)
+    size = sum(sizes)
     nbytes, low = -(-size // 8), (1 << size) - 1
-    rows = b"".join((key & low).to_bytes(nbytes, "little") for key in sets.keys)
-    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(sets), nbytes)
+    rows = b"".join((key & low).to_bytes(nbytes, "little") for key, _ in found)
+    bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(found), nbytes)
     masks = np.unpackbits(bits, axis=1, count=size, bitorder="little").view(bool)
 
     thr = int(delta * sg.scale)  # d <= delta  <=>  d_scaled <= floor(delta*scale)
 
     groups: dict[frozenset[int], list[int]] = {}
-    for i, A in enumerate(sets):
-        groups.setdefault(_directions(g, A), []).append(i)
+    for i, (_, combo) in enumerate(found):
+        dset = frozenset(g.ray_index[lay.eid] for lay in combo if lay.start is not None)
+        groups.setdefault(dset, []).append(i)
 
     reps: list[ClosedSubset] = []
     dirs: list[frozenset[int]] = []
@@ -328,13 +395,13 @@ def oracle_components(
             first_of.setdefault(int(lab), idx[k])
         group_counts[dset] = len(first_of)
         for _, global_i in sorted(first_of.items(), key=lambda kv: kv[1]):
-            reps.append(sets[global_i])
+            reps.append(_build(g, found[global_i][1]))
             dirs.append(dset)
     return OracleComponents(
         count=sum(group_counts.values()),
         representatives=tuple(reps),
         directions=tuple(dirs),
         group_counts=group_counts,
-        set_count=len(sets),
+        set_count=len(found),
         backend=backend(),
     )

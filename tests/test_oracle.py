@@ -14,6 +14,7 @@ from rayspace import (
     PreconditionError,
     canonical_element,
     component_count,
+    contains_point,
     direction_set,
     enumerate_sets,
     hausdorff,
@@ -261,10 +262,17 @@ def test_oracle_census_with_vertex_stored_off_the_grid(tmp_path, capsys, length)
 
 
 @pytest.mark.parametrize("lengths", ["length 10000000000000000000000",
+                                     "length 4611686018427387904; ray R2 u",
                                      "length 1/1000000000001; edge E2 u v length 1/1000000000003"])
-def test_oracle_census_refuses_scales_past_the_kernels(tmp_path, capsys, lengths):
+def test_oracle_census_refuses_scales_past_the_kernels(tmp_path, capsys, monkeypatch, lengths):
     # a long edge, or two coprime length denominators, put scaled distances
-    # past int64; the census refuses them before building any array
+    # past int64; the census refuses them before enumerating or building any array
+    import rayspace.oracle
+
+    def no_enumeration(*args, **kwargs):
+        raise AssertionError("enumerated a census the kernels cannot hold")
+
+    monkeypatch.setattr(rayspace.oracle, "_enumerate_keys", no_enumeration)
     path = tmp_path / "big.graph"
     path.write_text(f"vertex u v\nedge E1 u v {lengths}\nray R1 v\n".replace("; ", "\n"))
     argv = ["oracle", "--graph", str(path), "--step", "1", "--trunc", "2", "--delta", "6/5",
@@ -272,6 +280,70 @@ def test_oracle_census_refuses_scales_past_the_kernels(tmp_path, capsys, lengths
     assert run(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error kind=precondition") and "overflow" in err
+
+
+def _set_census(g, h, T, delta, n, mp):
+    """Reference: the census over built sets.  The sets of ``enumerate_sets``,
+    in ``sort_key`` order, are grouped by ``direction_set``; a set's mask
+    marks the grid points ``contains_point`` finds in it; the first set of
+    each label represents its component."""
+    sets = sorted(enumerate_sets(g, h, T, n, mp, cap=2500), key=ClosedSubset.sort_key)
+    tops = [(e.id, min(e.length, T)) for e in g.edges] + [(r.id, T) for r in g.rays]
+    universe = [GraphPoint(eid, k * h) for eid, top in tops for k in range(int(top / h) + 1)]
+    sg = _scaled_graph(g, _common_scale(g, [h.denominator, T.denominator]))
+    dmat = distance_matrix([(sg.elem_index[p.element], int(p.coord * sg.scale))
+                            for p in universe], sg)
+    masks = np.array([[contains_point(g, A, p) for p in universe] for A in sets], dtype=bool)
+    groups = {}
+    for i, A in enumerate(sets):
+        groups.setdefault(direction_set(g, A), []).append(i)
+    reps, dirs, counts = [], [], {}
+    for dset in sorted(groups, key=lambda s: (len(s), sorted(s))):
+        idx = groups[dset]
+        first_of = {}
+        for i, lab in zip(idx, component_labels(masks[idx], dmat, int(delta * sg.scale))):
+            first_of.setdefault(int(lab), i)
+        counts[dset] = len(first_of)
+        for i in sorted(first_of.values()):
+            reps.append(sets[i])
+            dirs.append(dset)
+    return sum(counts.values()), tuple(reps), tuple(dirs), counts, len(sets)
+
+
+def test_census_matches_a_census_over_built_sets(graphs):
+    cases = [(g, F(1, 2), F(1), F(3, 5), 2, 1) for g in graphs.values()]
+    cases += [(graphs[name], F(1, 2), F(3, 2), F(3, 5), 1, 2) for name in ("G_I", "G_TRIOD")]
+    rng = random.Random(4099)
+    for _ in range(150):  # about a fifth of the random graphs fit the cap
+        h = rng.choice((F(1), F(1, 2)))
+        delta = h * rng.choice((F(6, 5), F(2)))
+        cases.append((random_ray_graph(rng), h, h * rng.randint(1, 2), delta, rng.randint(1, 3),
+                      rng.randint(1, 2)))
+    checked = 0
+    for g, h, T, delta, n, mp in cases:
+        try:
+            want = _set_census(g, h, T, delta, n, mp)
+        except CapExceededError:
+            continue
+        res = oracle_components(g, h, T, delta, n, mp, cap=2500)
+        assert (res.count, res.representatives, res.directions, res.group_counts,
+                res.set_count) == want
+        checked += 1
+    assert checked >= 39
+
+
+def test_census_builds_one_set_per_component(graphs, monkeypatch):
+    built = [0]
+    from_pieces = ClosedSubset.from_pieces
+
+    def counting(*args):
+        built[0] += 1
+        return from_pieces(*args)
+
+    monkeypatch.setattr(ClosedSubset, "from_pieces", staticmethod(counting))
+    res = oracle_components(graphs["G_LINE"], F(1, 4), F(2), F(3, 5), 2, 1)
+    # building every enumerated set made 3004 calls
+    assert built[0] == res.count == 4 and res.set_count == 3004
 
 
 def test_oracle_components_deterministic(graphs):
@@ -288,7 +360,7 @@ def test_oracle_delta_warning(graphs, monkeypatch):
     def no_enumeration(*args, **kwargs):
         raise AssertionError("enumerated below the margin")
 
-    monkeypatch.setattr(rayspace.oracle, "enumerate_sets", no_enumeration)
+    monkeypatch.setattr(rayspace.oracle, "_enumerate_keys", no_enumeration)
     for delta in (F(1, 2), F(-1)):
         with pytest.raises(PreconditionError, match="connectivity margin"):
             oracle_components(graphs["G_R"], F(1, 2), F(1), delta, 1, 1)
