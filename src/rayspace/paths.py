@@ -4,14 +4,14 @@ of a direction class, and the Vietoris growth path out to the whole space.
 A path is a sequence of stages, each mapping a local parameter in [0, 1] to a
 canonical closed subset; the composite path gives every stage an equal share
 of the global [0, 1].  Every stage has the one shape of :class:`Stage`: a
-fixed base united with the set a sweep builds at local time t.  The builders
-F0 (grow tails to their vertex), F1 (retract stray ray pieces), F2 (sweep the
-rayless core along a covering walk) and GAMMA (grow the missing rays via
-t/(1-t)) choose the sweep and its description, and record each moving piece
-end once as a :class:`Motion`: their top speed is the stage's Lipschitz bound,
-and where they meet given coordinates are its critical times.  Stage values
-chain exactly (checked at construction), and evaluation anywhere is exact
-rational arithmetic.
+fixed base united with moving pieces, each given by its two ends as
+:class:`Motion` data.  The builders F0 (grow tails to their vertex), F1
+(retract stray ray pieces), F2 (sweep the rayless core along a covering walk)
+and GAMMA (grow the missing rays via t/(1-t)) state each piece once; a fixed
+end is a motion of speed 0.  The motions alone give the stage's value at t,
+its Lipschitz bound (their top speed) and its critical times (where they
+meet given coordinates).  Stage values chain exactly (checked at construction),
+and evaluation anywhere is exact rational arithmetic.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
 
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, as_count, as_fraction, check_graph
@@ -46,24 +45,6 @@ class Walk:
     @cached_property
     def total_length(self) -> Fraction:
         return sum((abs(b - a) for _, a, b in self.legs), Fraction(0))
-
-    def image_up_to(self, arc: Fraction) -> dict[str, list[tuple[Fraction, Fraction]]]:
-        """Per-element intervals swept after walking the first ``arc`` units."""
-        out: dict[str, list[tuple[Fraction, Fraction]]] = {}
-        remaining = arc
-        for eid, a, b in self.legs:
-            step = abs(b - a)
-            if remaining >= step:
-                lo, hi = min(a, b), max(a, b)
-                remaining -= step
-            else:
-                stop = a + remaining if b >= a else a - remaining
-                lo, hi = min(a, stop), max(a, stop)
-                remaining = Fraction(0)
-            out.setdefault(eid, []).append((lo, hi))
-            if remaining == 0:
-                break
-        return out
 
 
 def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
@@ -128,47 +109,29 @@ def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
 
 
 # ---- stages ----------------------------------------------------------------
-#
-# Sweeps return fresh ``(intervals, tails)`` for ``ClosedSubset.from_pieces``;
-# the stage adds its base's pieces to them in place.  Sweeps live at module
-# level, so stages compare, hash and pickle structurally.
-
-
-def _grow_tails(t: Fraction, grows) -> tuple[dict, dict]:
-    """F0: each ray's tail start slides from a to (1 - t) a."""
-    return {}, {rid: (1 - t) * a for rid, a in grows}
-
-
-def _retract_pieces(t: Fraction, moving) -> tuple[dict, dict]:
-    """F1: each ray piece [a, b] shrinks and slides to (1 - t) [a, b]."""
-    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    for rid, a, b in moving:
-        intervals.setdefault(rid, []).append(((1 - t) * a, (1 - t) * b))
-    return intervals, {}
-
-
-def _sweep_walk(t: Fraction, walk: Walk) -> tuple[dict, dict]:
-    """F2: what the covering walk has swept after the share t of its length."""
-    return walk.image_up_to(t * walk.total_length), {}
-
-
-def _grow_rays(t: Fraction, rays) -> tuple[dict, dict]:
-    """GAMMA: the missing rays grow as [0, t/(1-t)] and are whole at t = 1."""
-    if t == 1:
-        return {}, {rid: Fraction(0) for rid in rays}
-    return {rid: [(Fraction(0), t / (1 - t))] for rid in rays}, {}
 
 
 @dataclass(frozen=True)
 class Motion:
-    """A moving piece end on one element over the local times [start, stop]:
-    at a + b*t, or at t/(1 - t) when ``b`` is None (GAMMA's growing rays)."""
+    """A piece end on one element over the local times [start, stop]: at
+    a + b*t, or at t/(1 - t) when ``b`` is None (GAMMA's growing rays, whose
+    end is gone at t = 1).  From ``stop`` on the end rests where it stopped."""
 
     element: str
     a: Fraction
     b: Fraction | None
     start: Fraction = Fraction(0)
     stop: Fraction = Fraction(1)
+
+    @cached_property
+    def _rest(self) -> Fraction | None:
+        return None if self.b is None else self.a + self.b * self.stop
+
+    def at(self, t: Fraction) -> Fraction | None:
+        """Where the end sits at local time t >= start; None once unbounded."""
+        if t >= self.stop:
+            return self._rest
+        return t / (1 - t) if self.b is None else self.a + self.b * t
 
     def solve(self, c: Fraction) -> list[Fraction]:
         """The local times in [start, stop] at which the end sits at c."""
@@ -181,10 +144,13 @@ class Motion:
 
 @dataclass(frozen=True)
 class Stage:
-    """One path stage: ``base`` united with the raw pieces ``sweep(t, *args)``.
+    """One path stage: ``base`` united with its ``pieces`` at local time t.
 
-    With no sweep the stage is constant at ``base``; ``base`` is None when
-    everything moves.  ``motions`` are the sweep's moving piece ends;
+    A piece is (lower end, upper end) on the lower end's element, present
+    from the lower end's ``start``; it is a tail when the upper end is None
+    or unbounded.  Pieces come in order of start, so the first that has not
+    started ends the evaluation.  With no pieces the
+    stage is constant at ``base``; ``base`` is None when everything moves.
     ``backwards`` runs the local time from 1 down to 0.
     """
 
@@ -192,10 +158,13 @@ class Stage:
     graph: RayGraph
     base: ClosedSubset | None
     desc: str
-    sweep: Callable[..., tuple[dict, dict]] | None = None
-    args: tuple = ()
-    motions: tuple[Motion, ...] = ()
+    pieces: tuple[tuple[Motion, Motion | None], ...] = ()
     backwards: bool = False
+
+    @property
+    def motions(self) -> tuple[Motion, ...]:
+        """Every piece end, lower before upper, in piece order."""
+        return tuple(m for piece in self.pieces for m in piece if m is not None)
 
     @property
     def lipschitz_bound(self) -> ExtendedDistance:
@@ -206,11 +175,21 @@ class Stage:
         t = _check_t(t)
         if self.backwards:
             t = 1 - t
-        if self.sweep is None:
+        if not self.pieces:
             if self.base is None:
-                raise RayspaceError(f"{self.kind} stage has neither a base nor a sweep")
+                raise RayspaceError(f"{self.kind} stage has neither a base nor pieces")
             return self.base
-        intervals, tails = self.sweep(t, *self.args)
+        intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
+        tails: dict[str, Fraction] = {}
+        for lower, upper in self.pieces:
+            if t < lower.start:
+                break
+            lo = lower.at(t)
+            hi = None if upper is None else upper.at(t)
+            if hi is None:
+                tails[lower.element] = lo
+            else:
+                intervals.setdefault(lower.element, []).append((lo, hi))
         if self.base is not None:
             add_pieces(self.base, intervals, tails)
         return ClosedSubset.from_pieces(self.graph, intervals, tails)
@@ -237,8 +216,8 @@ def F0(g: RayGraph, A: ClosedSubset, grows: tuple[tuple[str, Fraction], ...]) ->
     if not grows:
         return Stage("F0", g, A, "F0 (no tails to grow)")
     desc = "F0 grow tails: " + ", ".join(f"{rid} from {a}" for rid, a in grows)
-    motions = tuple(Motion(rid, a, -a) for rid, a in grows)
-    return Stage("F0", g, A, desc, _grow_tails, (grows,), motions)
+    # each tail start slides from a to (1 - t) a
+    return Stage("F0", g, A, desc, tuple((Motion(rid, a, -a), None) for rid, a in grows))
 
 
 def F1(
@@ -248,23 +227,26 @@ def F1(
     if not moving:
         return Stage("F1", g, base, "F1 (no ray pieces to retract)")
     desc = "F1 retract ray pieces: " + ", ".join(f"{rid}:[{a},{b}]" for rid, a, b in moving)
-    motions = tuple(Motion(rid, c, -c) for rid, a, b in moving for c in (a, b))
-    return Stage("F1", g, base, desc, _retract_pieces, (moving,), motions)
+    # each piece [a, b] shrinks and slides to (1 - t) [a, b]
+    pieces = tuple((Motion(rid, a, -a), Motion(rid, b, -b)) for rid, a, b in moving)
+    return Stage("F1", g, base, desc, pieces)
 
 
 def F2(g: RayGraph, base: ClosedSubset, walk: Walk) -> Stage:
     """Grow along a covering walk until the whole rayless subgraph is included."""
     desc = f"F2 covering walk of length {walk.total_length} ({len(walk.legs)} legs)"
-    # each leg's end runs over the arcs [arc, arc + |b - a|] of the walk's
-    # length L, so it sits at a + sign * (t * L - arc)
-    motions, arc, length = [], Fraction(0), walk.total_length
+    # each leg runs over the arcs [arc, arc + |b - a|] of the walk's length L:
+    # its far end sits at a + sign * (t * L - arc), its near end stays at a,
+    # and the lower of the two comes first
+    pieces, arc, length = [], Fraction(0), walk.total_length
     for eid, a, b in walk.legs:
         sign = 1 if b >= a else -1
-        motions.append(Motion(eid, a - sign * arc, sign * length, arc / length,
-                              (arc + abs(b - a)) / length))
+        span = (arc / length, (arc + abs(b - a)) / length)
+        near = Motion(eid, a, Fraction(0), *span)
+        far = Motion(eid, a - sign * arc, sign * length, *span)
+        pieces.append((near, far) if sign > 0 else (far, near))
         arc += abs(b - a)
-    sweep = _sweep_walk if walk.legs else None
-    return Stage("F2", g, base, desc, sweep, (walk,), tuple(motions))
+    return Stage("F2", g, base, desc, tuple(pieces))
 
 
 def GAMMA(g: RayGraph, delta: frozenset[int]) -> Stage:
@@ -275,8 +257,9 @@ def GAMMA(g: RayGraph, delta: frozenset[int]) -> Stage:
         return Stage("GAMMA", g, start, "GAMMA (direction set full; constant)")
     # the growth is Hausdorff-discontinuous at t = 1
     desc = "GAMMA grow rays " + ", ".join(missing) + " via t/(1-t)"
-    motions = tuple(Motion(rid, Fraction(0), None) for rid in missing)
-    return Stage("GAMMA", g, start, desc, _grow_rays, (missing,), motions)
+    pieces = tuple((Motion(rid, Fraction(0), Fraction(0)), Motion(rid, Fraction(0), None))
+                   for rid in missing)
+    return Stage("GAMMA", g, start, desc, pieces)
 
 
 # ---- composite paths -------------------------------------------------------

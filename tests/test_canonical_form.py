@@ -246,7 +246,7 @@ def test_stage_with_base_canonicalizes_once(graphs, canonicalizations):
             paths.append(res.path)
             for P in paths:
                 for stage in P.stages:
-                    if stage.base is None or stage.sweep is None:
+                    if stage.base is None or not stage.pieces:
                         continue
                     for t in (F(0), F(1, 3), F(1, 2), F(1)):
                         canonicalizations.clear()

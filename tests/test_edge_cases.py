@@ -51,7 +51,7 @@ from rayspace import (
 )
 from rayspace.cli import run
 from rayspace.graph import GraphPoint
-from rayspace.paths import covering_walk
+from rayspace.paths import F2, covering_walk
 
 from conftest import GRAPH_TEXTS, random_ray_graph, random_subset
 
@@ -134,12 +134,8 @@ def test_covering_walk_from_interior_point(graphs):
     walk = covering_walk(g, GraphPoint("E1", F(1, 4)))
     assert walk.legs[0] == ("E1", F(1, 4), F(0))
     assert walk.total_length == F(1, 4) + 2
-    img = walk.image_up_to(walk.total_length)
-    assert img["E1"][0] == (0, F(1, 4)) or (0, 1) in [(a, b) for a, b in img["E1"]]
-    # the full sweep covers the edge
-    merged_hi = max(b for _, b in img["E1"])
-    merged_lo = min(a for a, _ in img["E1"])
-    assert (merged_lo, merged_hi) == (0, 1)
+    full = F2(g, parse_set("E1:{1/4}", g), walk).at(1)
+    assert full == parse_set("E1:[0,1]", g)
 
 
 def test_interior_start_path_reaches_core(graphs):

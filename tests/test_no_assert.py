@@ -12,8 +12,10 @@ product of its element layouts; neither the oracle nor its kernels name
 outside them; the
 Vietoris layer reads its regions' derived intervals, never names
 ``point_distance`` and takes nothing from the metric beyond its value types
-either, and it takes only ``HyperPath`` from ``paths.py`` and never names a
-sweep or a ``Motion``, so how stages move stays in one module; numpy stays
+either, and it takes only ``HyperPath`` from ``paths.py`` and never reads a
+stage's pieces or names a ``Motion``, so how stages move stays in one module;
+stages are plain data, with no callable field and no ``Callable`` in
+``paths.py``; numpy stays
 behind the oracle, which the package and the CLI load only on first use;
 ``graph.count_classes`` is the package's one Python union-find; and the wedge
 models take nothing from the package but its errors and ``count_classes``, so
@@ -145,10 +147,32 @@ def test_vietoris_never_names_point_distance():
 def test_vietoris_takes_only_hyperpath_from_paths():
     tree = TREES["vietoris.py"]
     assert _taken_from(tree, "paths") == ["HyperPath"]
-    sweeps = {node.name for node in TREES["paths.py"].body
-              if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
+    helpers = {node.name for node in TREES["paths.py"].body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
     named = {ident for node in ast.walk(tree) for ident in _names(node)}
-    assert not named & (sweeps | {"sweep", "motions", "Motion", "solve"})
+    assert not named & (helpers | {"motions", "Motion", "solve"})
+    # sets have pieces too: each ``.pieces`` it reads must be off a ClosedSubset argument
+    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "pieces"]
+    off_sets = {
+        id(n)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr == "pieces" and isinstance(n.value, ast.Name)
+        and n.value.id in {a.arg for a in fn.args.args
+                           if a.annotation and ast.unparse(a.annotation) == "ClosedSubset"}
+    }
+    assert reads and all(id(n) in off_sets for n in reads)
+
+
+def test_stages_are_plain_data():
+    tree = TREES["paths.py"]
+    assert "Callable" not in {ident for node in ast.walk(tree) for ident in _names(node)}
+    stage = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Stage")
+    fields = {node.target.id: ast.unparse(node.annotation)
+              for node in stage.body if isinstance(node, ast.AnnAssign)}
+    assert "pieces" in fields
+    assert [name for name, kind in fields.items() if "Callable" in kind] == []
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

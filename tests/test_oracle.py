@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from rayspace import (
     PreconditionError,
     canonical_element,
     component_count,
+    component_count_formula,
     contains_point,
     direction_set,
     enumerate_sets,
@@ -242,6 +244,28 @@ def test_oracle_components_census(graphs):
         assert len(res.representatives) == res.count
         for rep, ds in zip(res.representatives, res.directions):
             assert direction_set(graphs[name], rep) == ds
+
+
+def test_oracle_census_matches_the_formula_on_random_graphs():
+    # criterion 1 on random ray-graphs; T is the longest edge, since a shorter
+    # one would cut edges as well as rays and split the census into slices
+    fitting = with_rays = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        g = random_ray_graph(rng)
+        n = rng.randint(1, 2)
+        h = F(1, math.lcm(*(e.length.denominator for e in g.edges)))
+        T = max(e.length for e in g.edges)
+        try:
+            res = oracle_components(g, h, T, 6 * h / 5, n, 1, cap=20000)
+        except CapExceededError:  # the pre-fold estimate refuses before any work
+            continue
+        fitting += 1
+        with_rays += g.ray_count > 0
+        assert res.count == component_count_formula(g, n), seed
+        assert len(res.group_counts) == 2**g.ray_count, seed
+        assert set(res.group_counts.values()) == {1}, seed
+    assert fitting >= 20 and with_rays >= 4, (fitting, with_rays)
 
 
 @pytest.mark.parametrize("length", ["3", "3/2"])

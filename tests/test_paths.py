@@ -24,13 +24,14 @@ from rayspace import (
     parse_set,
     path_to_canonical,
     same_component_hausdorff,
+    union,
     vietoris_path,
     whole_space,
 )
-from rayspace.paths import F0, Stage, covering_walk, HyperPath
+from rayspace.paths import F0, F2, Stage, covering_walk, HyperPath
 from rayspace.graph import GraphPoint, as_fraction
 
-from conftest import random_in_c3, random_ray_graph, random_subset
+from conftest import rational, random_in_c3, random_ray_graph, random_subset
 
 
 def test_f0_formula_example(graphs):
@@ -337,6 +338,60 @@ def test_motions_solve_where_stage_values_change(seed):
                     times = s.critical_times({eid: {point.coord}})
                     for lo, hi in _flips(s, lambda val: contains_point(g, val, point)):
                         assert any(lo <= t <= hi for t in times), (s.desc, point, lo, hi)
+
+
+def _walk_image(walk, arc):
+    """Reference: per-element intervals swept after walking the first ``arc``
+    units of the walk, leg by leg."""
+    out, remaining = {}, arc
+    for eid, a, b in walk.legs:
+        step = abs(b - a)
+        if remaining >= step:
+            lo, hi = min(a, b), max(a, b)
+            remaining -= step
+        else:
+            stop = a + remaining if b >= a else a - remaining
+            lo, hi = min(a, stop), max(a, stop)
+            remaining = F(0)
+        out.setdefault(eid, []).append((lo, hi))
+        if remaining == 0:
+            break
+    return out
+
+
+def _check_f2_against_walk(g, base, walk):
+    """F2 and its reversal at each leg's start, midpoint and stop are the base
+    united with the walk's image up to that share of its length."""
+    stage, length, arc = F2(g, base, walk), walk.total_length, F(0)
+    times = set()
+    for _, a, b in walk.legs:
+        step = abs(b - a)
+        times.update((arc / length, (arc + step / 2) / length, (arc + step) / length))
+        arc += step
+    for t in sorted(times):
+        want = union(base, ClosedSubset.from_pieces(g, _walk_image(walk, t * length), {}))
+        assert stage.at(t) == want, (walk, t)
+        assert stage.reversed().at(1 - t) == want, (walk, t)
+
+
+def test_f2_follows_the_walk_image_on_fixtures(graphs):
+    for name in ("G_I", "G_LOOP", "G_NOOSE", "G_TRIOD", "G_MIXED"):
+        g = graphs[name]
+        starts = [GraphPoint(*g.vertex_representations(v)[0]) for v in g.vertices]
+        starts += [GraphPoint(e.id, e.length / 3) for e in g.edges]
+        for p in starts:
+            base = ClosedSubset.from_pieces(g, {p.element: [(p.coord, p.coord)]}, {})
+            _check_f2_against_walk(g, base, covering_walk(g, p))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_f2_follows_the_walk_image_on_random_graphs(seed):
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    e = rng.choice(g.edges)
+    walk = covering_walk(g, GraphPoint(e.id, rational(rng, 0, e.length)))
+    _check_f2_against_walk(g, random_subset(g, rng), walk)
 
 
 def test_exact_values_pass_through_unwrapped(graphs):

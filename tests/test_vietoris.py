@@ -616,9 +616,11 @@ def test_witness_failure_reported(graphs):
     assert res == WitnessResult(False, failed_at=F(1999, 3999))
 
 
-def _jump(t):
+class _Jump(Stage):
     """R1:[0,1] up to t = 1/4, then R1:[0,3]: a path that is not continuous."""
-    return {"R1": [(F(0), F(1) if t <= F(1, 4) else F(3))]}, {}
+
+    def at(self, t):
+        return parse_set("R1:[0,1]" if t <= F(1, 4) else "R1:[0,3]", self.graph)
 
 
 def test_witness_does_not_assume_a_continuous_path(graphs):
@@ -626,7 +628,7 @@ def test_witness_does_not_assume_a_continuous_path(graphs):
     # only the gap after it, read at its midpoint, shows the jump out of the
     # ball, and a failure names the midpoint of the gap's part in the window
     g = graphs["G_LINE"]
-    P = HyperPath(g, (Stage("JUMP", g, None, "jump", _jump, (), (Motion("R1", F(1), F(4)),)),))
+    P = HyperPath(g, (_Jump("JUMP", g, None, "jump", ((Motion("R1", F(1), F(4)), None),)),))
     Us = [ball(g, GraphPoint("R1", F(0)), F(2))]
     assert continuity_witness(P, F(0), Us, F(1, 8)) == WitnessResult(True, delta=F(1, 4))
     assert continuity_witness(P, F(0), Us, F(1, 2)) == WitnessResult(False, failed_at=F(3, 8))
