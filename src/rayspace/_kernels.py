@@ -7,8 +7,9 @@ length (None on a ray); ``sg.dvert`` is the scaled vertex distance table.  A
 point reaches another along their shared element or out through an end of
 its own and in through an end of the other's; both kernels take the second
 route from per-vertex costs, a distance transform over the vertices, so no
-pair is compared through the vertices.  numpy is left only in the census's
-union-find labels and the int64 table they read.
+pair is compared through the vertices.  The census compares each distance
+with its threshold in Python ints, so numpy holds only booleans and the
+union-find's index array.
 """
 
 from __future__ import annotations
@@ -17,14 +18,12 @@ from bisect import bisect_left
 
 import numpy as np
 
-BIG = np.int64(2**62)
-
-# Cells per block temporary in ``component_labels`` (half a megabyte of int64):
-# this bounds its extra memory, and larger blocks were no faster on the census.
+# Words per block temporary in ``component_labels``: bounds its memory; larger were no faster.
 _BLOCK_CELLS = 1 << 16
 
 
 def backend() -> str:
+    """The array library behind the census's bool tables and labels."""
     return "numpy"
 
 
@@ -69,22 +68,22 @@ def directed_maxmin(pa, pb, sg) -> int:
     return worst
 
 
-def distance_matrix(points, sg) -> np.ndarray:
-    """All-pairs scaled distances among a point universe, as an int64 table."""
+def distance_matrix(points, sg, thr: int) -> np.ndarray:
+    """The bool table d(p, q) <= thr over a point universe, compared in Python ints."""
     rows = []
     for e, c in points:
         costs = _vertex_costs(sg, e, c)
         rows.append([min([abs(c - q)] * (e == f) + [x + costs[w] for w, x in _exits(sg, f, q)])
-                     for f, q in points])
-    return np.array(rows, dtype=np.int64)
+                     <= thr for f, q in points])
+    return np.array(rows, dtype=bool)
 
 
 def _pack(bits: np.ndarray) -> np.ndarray:
     """Pack each boolean row into uint64 words (zero-padded to whole words)."""
     n, u = bits.shape
-    packed = np.zeros((n, -(-u // 64) * 8), dtype=np.uint8)
-    packed[:, : -(-u // 8)] = np.packbits(bits, axis=1)
-    return packed.view(np.uint64)
+    padded = np.zeros((n, -(-u // 64) * 64), dtype=bool)
+    padded[:, :u] = bits
+    return np.packbits(padded, axis=1).view(np.uint64)
 
 
 def _roots(parent: np.ndarray) -> np.ndarray:
@@ -107,25 +106,26 @@ def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
         np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
 
 
-def component_labels(masks, dmat, thr) -> np.ndarray:
+def component_labels(masks, links) -> np.ndarray:
     """Union-find labels over sets (bool masks into a shared point universe)
-    linked whenever their symmetric max-min distance is <= thr.
+    linked whenever each lies within the threshold of the other, given the
+    bool table ``links`` of point pairs within it.
 
-    With N_j the points within thr of S_j, S_i lies within thr of S_j iff
-    S_i is a subset of N_j; masks and neighbourhoods are packed into uint64
-    words, so each pair costs a few word operations.  Rows go in blocks of
-    about ``_BLOCK_CELLS`` temporaries, and each block's links are merged
-    before the next block is built."""
+    With N_j the points linked to a point of S_j, S_i lies within the
+    threshold of S_j iff S_i is a subset of N_j.  Masks, link rows and N_j
+    are packed into uint64 words, so each test is a few word operations.
+    Rows go in blocks of about ``_BLOCK_CELLS`` words; each block's links
+    are merged before the next block is built."""
     n, u = masks.shape
     parent = np.arange(n, dtype=np.int64)
     if n == 0:
         return parent
-    near = np.empty((n, u), dtype=bool)  # near[j, p]: min over q in S_j of d(p, q) <= thr
-    step = max(1, _BLOCK_CELLS // (u * u))
+    M, L = _pack(masks), _pack(links)
+    near = np.empty((n, u), dtype=bool)  # near[j, p]: p is linked to a point of S_j
+    step = max(1, _BLOCK_CELLS // (u * M.shape[1]))
     for lo in range(0, n, step):
-        block = masks[lo : lo + step, None, :]
-        near[lo : lo + step] = np.where(block, dmat[None], BIG).min(axis=2) <= thr
-    M, far = _pack(masks), ~_pack(near)
+        near[lo : lo + step] = (M[lo : lo + step, None, :] & L[None]).any(axis=2)
+    far = ~_pack(near)
     step = max(1, _BLOCK_CELLS // (n * M.shape[1]))
     for lo in range(0, n, step):
         hi = min(n, lo + step)

@@ -17,7 +17,7 @@ builds a set only for each component's representative.  Only
 ``ClosedSubset`` comes from :mod:`rayspace.sets`, the code this checks.
 Distances run through the kernels in :mod:`rayspace._kernels` in Python
 ints, on coordinates scaled by one common denominator, so grid values are
-exact rationals at any scale.
+exact at any scale; numpy holds only the census's booleans.
 """
 
 from __future__ import annotations
@@ -30,13 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._kernels import BIG, backend, component_labels, directed_maxmin, distance_matrix
+from ._kernels import backend, component_labels, directed_maxmin, distance_matrix
 from .errors import CapExceededError, PreconditionError
 from .graph import RayGraph, as_count, as_fraction, check_graph, count_classes
 from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset
 
-_SAFE_MAGNITUDE = int(BIG) // 8  # census int64 table headroom: distances add three scaled terms
 MAX_GRID_SAMPLES = 4_000_000  # grid Hausdorff: cap on the two sample counts together
 
 
@@ -258,12 +257,6 @@ def _common_scale(g: RayGraph, denominators: list[int]) -> int:
     return math.lcm(*dens, *(d.denominator for d in g.vertex_distances.values()))
 
 
-def _fits(g: RayGraph, scale: int, top: int) -> bool:
-    """Whether scaled distances, with points up to ``top``, fit the census's int64 table."""
-    extent = max([*(e.length for e in g.edges), *g.vertex_distances.values()], default=0)
-    return max(top, extent * scale) < _SAFE_MAGNITUDE
-
-
 def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
     vidx = {v: i for i, v in enumerate(g.vertices)}
     eidx = {el.id: i for i, el in enumerate([*g.edges, *g.rays])}
@@ -353,22 +346,19 @@ def oracle_components(
     independently.  The census works on the enumeration's keys: a key's
     point bits are its set's mask, its tail layouts its direction class, and
     a ``ClosedSubset`` is built only for the first key of each component.
-    A delta below the margin or a scale past the kernels is refused before
-    anything is enumerated."""
+    Distances are compared with the scaled delta in Python ints, so no scale
+    is refused; a delta below the margin is refused before enumerating."""
     h, T, delta = as_fraction(h), as_fraction(T), as_fraction(delta)
     if delta < h + h / 5:
         raise PreconditionError(
             f"delta={delta} is below the grid connectivity margin h+h/5={h + h / 5}; "
             "true neighbors may fail to connect"
         )
-    check_graph(g)
-    scale = _common_scale(g, [h.denominator, T.denominator])
-    if not _fits(g, scale, _scaled(T, scale)):
-        raise PreconditionError("grid parameters overflow the integer kernels")
     sizes, found = _enumerate_keys(g, h, T, n, max_pieces, cap)
 
-    sg, H = _scaled_graph(g, scale), _scaled(h, scale)
-    dmat = distance_matrix([(e, k * H) for e, m in enumerate(sizes) for k in range(m)], sg)
+    sg = _scaled_graph(g, _common_scale(g, [h.denominator, T.denominator]))
+    thr, H = int(delta * sg.scale), _scaled(h, sg.scale)  # d <= delta iff d_scaled <= thr
+    links = distance_matrix([(e, k * H) for e, m in enumerate(sizes) for k in range(m)], sg, thr)
 
     # a set's mask row is its key's point bits
     size = sum(sizes)
@@ -376,8 +366,6 @@ def oracle_components(
     rows = b"".join((key & low).to_bytes(nbytes, "little") for key, _ in found)
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(found), nbytes)
     masks = np.unpackbits(bits, axis=1, count=size, bitorder="little").view(bool)
-
-    thr = int(delta * sg.scale)  # d <= delta  <=>  d_scaled <= floor(delta*scale)
 
     groups: dict[frozenset[int], list[int]] = {}
     for i, (_, combo) in enumerate(found):
@@ -389,7 +377,7 @@ def oracle_components(
     group_counts: dict[frozenset[int], int] = {}
     for dset in sorted(groups, key=lambda s: (len(s), sorted(s))):
         idx = groups[dset]
-        labels = component_labels(masks[idx], dmat, thr)
+        labels = component_labels(masks[idx], links)
         first_of: dict[int, int] = {}
         for k, lab in enumerate(labels):
             first_of.setdefault(int(lab), idx[k])

@@ -273,6 +273,9 @@ class HyperPath:
     stages: tuple[Stage, ...]
 
     def __post_init__(self):
+        if not (isinstance(self.stages, tuple) and all(isinstance(s, Stage) for s in self.stages)):
+            raise PreconditionError("a path's stages come as a tuple of Stages")
+        check_graph(self.graph, *self.stages)
         if not self.stages:
             raise PreconditionError("a path needs at least one stage")
         for i, (s, s_next) in enumerate(zip(self.stages, self.stages[1:]), start=1):

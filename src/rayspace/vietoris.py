@@ -39,6 +39,10 @@ class OpenRegion:
     all_space: bool = False
 
     def __post_init__(self) -> None:
+        if not isinstance(self.balls, tuple) or not all(
+                isinstance(b, tuple) and len(b) == 2 and isinstance(b[0], GraphPoint)
+                for b in self.balls):
+            raise PreconditionError("an open region's balls are (point, radius) pairs")
         check_graph(self.graph, *(center for center, _ in self.balls))
         if any(as_fraction(radius) <= 0 for _, radius in self.balls):
             raise PreconditionError("ball radius must be positive")

@@ -1,8 +1,9 @@
 """Wrong-kind fuzzing of every public library call: the twin of test_fuzz_cli.
 
 Each case is a public callable with a valid call.  One argument of a gated
-kind (a rational, a count, a direction set, a text, a list of regions, or a
-graph, set, region, point, path or wedge model) is replaced by a drawn wrong
+kind (a rational, a count, a direction set, a text, a list of regions, a
+path's stages, a region's balls, or a graph, set, region, point, path or
+wedge model) is replaced by a drawn wrong
 value of that kind.  The call must still return an exact answer or raise a
 ``RayspaceError``: any other exception escapes the input gates, and a float
 anywhere in a result other than ``INF`` means an exact layer went inexact.
@@ -79,6 +80,8 @@ CASES = {
     "ball": Case(rs.ball, ("graph", "point", "number"), (G, P_, F(1))),
     "OpenRegion": Case(
         lambda g, p, r: rs.OpenRegion(g, ((p, r),)), ("graph", "point", "number"), (G, Q, F(2))),
+    "OpenRegion balls": Case(rs.OpenRegion, ("graph", "balls"), (G, ((Q, F(2)), (P_, 1)))),
+    "HyperPath": Case(rs.HyperPath, ("graph", "stages"), (G, PATH.stages)),
     "parse_region": Case(rs.parse_region, ("text", "graph"), ("ball E2:1/2 1", G)),
     "union_regions": Case(lambda u, v: rs.union_regions([u, v]), ("region", "region"), (U, V)),
     "union_regions list": Case(rs.union_regions, ("regions",), ([U, V],)),
@@ -146,6 +149,12 @@ WRONG = {
          {0: U}, {U}, iter([U])]),
     "path": st.sampled_from(
         [None, "gamma", 0, A, U, PATH.stages[0], rs.gamma_path(OTHER, frozenset({3}))]),
+    "stages": st.sampled_from(
+        [None, (1, 2), "ab", (), list(PATH.stages), (PATH.stages[0], None), (PATH,),
+         rs.gamma_path(OTHER, frozenset({3})).stages]),
+    "balls": st.sampled_from(
+        [None, "ab", (1, 2), [(Q, F(1))], ((Q,),), ((Q, F(1), F(2)),), ((None, F(1)),),
+         ((A, F(1)),), ((GraphPoint("R3", F(1)), F(1)),), ((Q, F(-1)),), ((Q, 0.5),)]),
     "model": st.sampled_from([None, "ray", 3, A, PATH, rs.model_stats(MODEL)]),
 }
 
@@ -201,3 +210,18 @@ def test_valid_calls_answer_exactly(name):
 @given(call=calls)
 def test_wrong_arguments_are_refused_or_answered_exactly(call):
     check_wrong_argument(*call)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: rs.HyperPath(G, (1, 2)),
+    lambda: rs.HyperPath(G, [*PATH.stages]),
+    lambda: rs.HyperPath(G, rs.gamma_path(OTHER, frozenset({3})).stages),
+    lambda: rs.HyperPath(OTHER, PATH.stages),
+    lambda: rs.OpenRegion(G, "ab"),
+    lambda: rs.OpenRegion(G, ((Q, F(1), F(2)),)),
+    lambda: rs.OpenRegion(G, ((A, F(1)),)),
+], ids=["not-stages", "stage-list", "stages-of-another-graph", "graph-of-other-stages",
+        "text-balls", "triple-ball", "set-centre"])
+def test_constructors_refuse_malformed_arguments(make):
+    with pytest.raises(rs.PreconditionError):
+        make()

@@ -16,7 +16,9 @@ either, and it takes only ``HyperPath`` from ``paths.py`` and never reads a
 stage's pieces or names a ``Motion``, so how stages move stays in one module;
 stages are plain data, with no callable field and no ``Callable`` in
 ``paths.py``; numpy stays
-behind the oracle, which the package and the CLI load only on first use;
+behind the oracle, which the package and the CLI load only on first use, and
+the kernels build only bool arrays but the union-find's index array, so no
+distance reaches numpy;
 ``graph.count_classes`` is the package's one Python union-find; and the wedge
 models take nothing from the package but its errors and ``count_classes``, so
 checking them against ray-graphs compares independent computations.
@@ -24,6 +26,8 @@ checking them against ray-graphs compares independent computations.
 
 import ast
 from pathlib import Path
+
+import numpy as np
 
 import rayspace
 
@@ -227,6 +231,29 @@ def test_only_the_oracle_imports_numpy():
         if any(_is(m, "numpy") for m in _imported_modules(node))
     ]
     assert found == []
+
+
+_ARRAY_BUILDERS = {"arange", "array", "asarray", "astype", "empty", "empty_like", "frombuffer",
+                   "fromiter", "full", "full_like", "ones", "ones_like", "zeros", "zeros_like"}
+
+
+def test_kernels_build_only_bool_arrays():
+    # distances stay Python ints: every array the kernels build, by a numpy
+    # constructor or ``astype``, names dtype=bool, but the union-find's index
+    # array, and no numpy scalar type is called
+    found = []
+    for owner in TREES["_kernels.py"].body:
+        for node in ast.walk(owner):
+            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+                continue
+            attr = node.func.attr
+            kind = getattr(np, attr, None)
+            scalar = isinstance(kind, type) and issubclass(kind, np.generic)
+            if attr in _ARRAY_BUILDERS or scalar:
+                dtypes = (ast.unparse(k.value) for k in node.keywords if k.arg == "dtype")
+                found.append((getattr(owner, "name", None), attr, next(dtypes, None)))
+    assert ("distance_matrix", "array", "bool") in found
+    assert [f for f in found if f[2] != "bool"] == [("component_labels", "arange", "np.int64")]
 
 
 def test_package_and_cli_load_the_oracle_lazily():

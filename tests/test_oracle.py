@@ -32,7 +32,6 @@ from rayspace.graph import GraphPoint, point_distance
 from rayspace.oracle import (
     _common_scale,
     _element_configs,
-    _fits,
     _grid_samples,
     _layout_count,
     _scaled_graph,
@@ -285,25 +284,43 @@ def test_oracle_census_with_vertex_stored_off_the_grid(tmp_path, capsys, length)
     assert census[0] == census[1]
 
 
-@pytest.mark.parametrize("lengths", ["length 10000000000000000000000",
-                                     "length 4611686018427387904; ray R2 u",
-                                     "length 1/1000000000001; edge E2 u v length 1/1000000000003"])
-def test_oracle_census_refuses_scales_past_the_kernels(tmp_path, capsys, monkeypatch, lengths):
+def _pairwise_census(g, h, T, delta, n, mp):
+    """Reference: (components, sets) by union-find over every pair of
+    enumerated sets at ``oracle_hausdorff`` <= delta."""
+    sets = enumerate_sets(g, h, T, n, mp)
+    parent = list(range(len(sets)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in itertools.combinations(range(len(sets)), 2):
+        d = oracle_hausdorff(g, sets[i], sets[j], h, T)
+        if not is_infinite(d) and d <= delta:
+            parent[find(i)] = find(j)
+    return len({find(i) for i in range(len(sets))}), len(sets)
+
+
+@pytest.mark.parametrize("lengths, want", [
+    ("length 10000000000000000000000", (3, 15)),
+    ("length 4611686018427387904; ray R2 u", (4, 29)),
+    ("length 1/1000000000001; edge E2 u v length 1/1000000000003", (2, 10)),
+], ids=["edge-1e22", "edge-2^62", "coprime-denominators"])
+def test_oracle_census_is_exact_past_int64_scales(tmp_path, capsys, lengths, want):
     # a long edge, or two coprime length denominators, put scaled distances
-    # past int64; the census refuses them before enumerating or building any array
-    import rayspace.oracle
-
-    def no_enumeration(*args, **kwargs):
-        raise AssertionError("enumerated a census the kernels cannot hold")
-
-    monkeypatch.setattr(rayspace.oracle, "_enumerate_keys", no_enumeration)
+    # past int64; the census compares them with delta in Python ints, so its
+    # answer is the pairwise grid census, through the library and the CLI
+    text = f"vertex u v\nedge E1 u v {lengths}\nray R1 v\n".replace("; ", "\n")
+    g = rayspace.parse_graph(text)
+    res = oracle_components(g, F(1), F(2), F(6, 5), 1, 1)
+    assert (res.count, res.set_count) == want == _pairwise_census(g, F(1), F(2), F(6, 5), 1, 1)
     path = tmp_path / "big.graph"
-    path.write_text(f"vertex u v\nedge E1 u v {lengths}\nray R1 v\n".replace("; ", "\n"))
+    path.write_text(text)
     argv = ["oracle", "--graph", str(path), "--step", "1", "--trunc", "2", "--delta", "6/5",
             "-n", "1"]
-    assert run(argv) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error kind=precondition") and "overflow" in err
+    assert run(argv) == 0, capsys.readouterr().err
+    assert f"sets={want[1]}\ncomponents={want[0]}\n" in capsys.readouterr().out
 
 
 def _set_census(g, h, T, delta, n, mp):
@@ -315,8 +332,8 @@ def _set_census(g, h, T, delta, n, mp):
     tops = [(e.id, min(e.length, T)) for e in g.edges] + [(r.id, T) for r in g.rays]
     universe = [GraphPoint(eid, k * h) for eid, top in tops for k in range(int(top / h) + 1)]
     sg = _scaled_graph(g, _common_scale(g, [h.denominator, T.denominator]))
-    dmat = distance_matrix([(sg.elem_index[p.element], int(p.coord * sg.scale))
-                            for p in universe], sg)
+    links = distance_matrix([(sg.elem_index[p.element], int(p.coord * sg.scale))
+                             for p in universe], sg, int(delta * sg.scale))
     masks = np.array([[contains_point(g, A, p) for p in universe] for A in sets], dtype=bool)
     groups = {}
     for i, A in enumerate(sets):
@@ -325,7 +342,7 @@ def _set_census(g, h, T, delta, n, mp):
     for dset in sorted(groups, key=lambda s: (len(s), sorted(s))):
         idx = groups[dset]
         first_of = {}
-        for i, lab in zip(idx, component_labels(masks[idx], dmat, int(delta * sg.scale))):
+        for i, lab in zip(idx, component_labels(masks[idx], links)):
             first_of.setdefault(int(lab), i)
         counts[dset] = len(first_of)
         for i in sorted(first_of.values()):
@@ -456,16 +473,23 @@ def _directed_exact(g, pa, pb, sg):
     return max(min(point_distance(g, p, q) for q in qs) for p in _exact_points(sg, pa))
 
 
+def _check_links(g, kpts, sg):
+    """``distance_matrix`` against ``point_distance`` on the kernel points
+    kpts, at thr = d and thr = d - 1 for each pair's scaled distance d, so
+    every distance is pinned."""
+    pts = _exact_points(sg, kpts)
+    exact = [[point_distance(g, p, q) * sg.scale for q in pts] for p in pts]
+    for thr in {int(d) - k for row in exact for d in row for k in (0, 1)}:
+        links = distance_matrix(kpts, sg, thr)
+        assert links.dtype == bool and links.shape == (len(kpts),) * 2
+        assert links.tolist() == [[d <= thr for d in row] for row in exact]
+
+
 def _check_kernels(g, pa, pb, sg):
     """Both kernels against ``point_distance`` on the kernel points pa and pb."""
     for x, y in ((pa, pb), (pb, pa)):
         assert F(directed_maxmin(x, y, sg), sg.scale) == _directed_exact(g, x, y, sg)
-    dmat = distance_matrix(pa + pb, sg)
-    assert dmat.dtype == np.int64 and dmat.shape == (len(pa + pb),) * 2
-    pts = _exact_points(sg, pa + pb)
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
-            assert dmat[i, j] == point_distance(g, p, q) * sg.scale
+    _check_links(g, pa + pb, sg)
 
 
 def test_kernels_match_exact_reference(graphs):
@@ -480,12 +504,8 @@ def test_kernels_match_exact_reference(graphs):
 
     sg = _scaled_graph(g, _common_scale(g, [h.denominator]))
     universe = [("E1", F(k, 2)) for k in range(3)] + [("R1", F(k, 2)) for k in range(5)]
-    pts = [GraphPoint(eid, c) for eid, c in universe]
-    dmat = distance_matrix([(sg.elem_index[eid], int(c * sg.scale)) for eid, c in universe], sg)
-    assert dmat.dtype == np.int64
-    for i, p in enumerate(pts):
-        for j, q in enumerate(pts):
-            assert dmat[i, j] == point_distance(g, p, q) * sg.scale
+    kpts = [(sg.elem_index[eid], int(c * sg.scale)) for eid, c in universe]
+    _check_links(g, kpts, sg)
 
     sets = enumerate_sets(g, h, F(2), 2, 1)
     masks = np.zeros((len(sets), len(universe)), dtype=bool)
@@ -496,15 +516,14 @@ def test_kernels_match_exact_reference(graphs):
             masks[i, pos[p.element, p.coord]] = True
 
     # 0 merges only sets with equal grid samples
-    counts = _check_labels(g, pts, masks, dmat, sg.scale, (F(0), F(3, 5)))
+    counts = _check_labels(g, kpts, sg, masks, (F(0), F(3, 5)))
     assert counts[0] > counts[1] == 1
 
     # 82 points: every packed row spans two words
     h = F(1, 20)
     universe = [("E1", k * h) for k in range(21)] + [("R1", k * h) for k in range(61)]
-    pts = [GraphPoint(eid, c) for eid, c in universe]
     sg = _scaled_graph(g, _common_scale(g, [h.denominator]))
-    dmat = distance_matrix([(sg.elem_index[eid], int(c * sg.scale)) for eid, c in universe], sg)
+    kpts = [(sg.elem_index[eid], int(c * sg.scale)) for eid, c in universe]
     masks = np.zeros((40, len(universe)), dtype=bool)
     for row in masks:  # one or two runs of grid points
         for _ in range(rng.randint(1, 2)):
@@ -512,14 +531,16 @@ def test_kernels_match_exact_reference(graphs):
             row[a : a + rng.randint(1, 6)] = True
     assert masks[:, 64:].any()
     deltas = (F(1, 10), F(1, 5), F(2, 5), F(4))
-    assert dmat.max() <= 4 * sg.scale  # so at delta 4 every set links to every other
-    counts = _check_labels(g, pts, masks, dmat, sg.scale, deltas)
+    assert distance_matrix(kpts, sg, 4 * sg.scale).all()  # so at delta 4 all sets link
+    counts = _check_labels(g, kpts, sg, masks, deltas)
     assert counts[0] > counts[1] > counts[2] > counts[3] == 1
 
 
-def _check_labels(g, pts, masks, dmat, scale, deltas):
-    """Check component_labels against a plain BFS over pairs at exact
-    symmetric max-min distance <= delta; return the component counts."""
+def _check_labels(g, kpts, sg, masks, deltas):
+    """Check component_labels, over the links of the kernel points kpts at
+    each delta, against a plain BFS over pairs at exact symmetric max-min
+    distance <= delta; return the component counts."""
+    pts = _exact_points(sg, kpts)
     exact = [[point_distance(g, p, q) for q in pts] for p in pts]
     members = [np.nonzero(row)[0].tolist() for row in masks]
 
@@ -529,7 +550,7 @@ def _check_labels(g, pts, masks, dmat, scale, deltas):
     sym = [[max(directed(a, b), directed(b, a)) for b in members] for a in members]
     counts = []
     for delta in deltas:
-        labels = component_labels(masks, dmat, int(delta * scale))
+        labels = component_labels(masks, distance_matrix(kpts, sg, int(delta * sg.scale)))
         assert labels.dtype == np.int64
         seen, reference = set(), set()
         for s in range(len(members)):
@@ -597,8 +618,8 @@ def test_enumerate_postconditions(graphs):
 
 def test_oracle_hausdorff_is_exact_past_the_census_headroom(graphs, monkeypatch):
     # three primes near 10**6 as denominators push the common scale past the
-    # census's int64 headroom; the one Python-int path still gives the exact
-    # grid value, through the kernel in both directions
+    # headroom an int64 table of distances, each a sum of three scaled terms,
+    # would need; the Python-int kernel gives the exact grid value both ways
     import rayspace.oracle
 
     calls = []
@@ -613,7 +634,7 @@ def test_oracle_hausdorff_is_exact_past_the_census_headroom(graphs, monkeypatch)
     B = parse_set("E1:{1/1000037}", g)
     h = F(1, 2)
     sg, pa, pb = _grid_samples(g, A, B, h, F(1))
-    assert not _fits(g, sg.scale, max(c for _, c in pa + pb))
+    assert 8 * sg.scale > 2**62
     d = oracle_hausdorff(g, A, B, h, F(1))
     assert len(calls) == 2
     assert d == max(_directed_exact(g, pa, pb, sg), _directed_exact(g, pb, pa, sg))
