@@ -91,6 +91,8 @@ class RayGraph:
                 raise InvalidGraphError(f"ray {r.id} attached to unknown vertex")
         if count_classes(self.vertices, ((e.u, e.v) for e in self.edges)) > 1:
             raise InvalidGraphError("graph is not connected")
+        if not ids:
+            raise InvalidGraphError("a ray-graph needs an edge or a ray: sets live on elements")
 
     # ---- lookups -------------------------------------------------------
 

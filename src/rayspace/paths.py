@@ -10,8 +10,8 @@ fixed base united with moving pieces, each given by its two ends as
 and GAMMA (grow the missing rays via t/(1-t)) state each piece once; a fixed
 end is a motion of speed 0.  The motions alone give the stage's value at t,
 its Lipschitz bound (their top speed) and its critical times (where they
-meet given coordinates).  Stage values chain exactly (checked at construction),
-and evaluation anywhere is exact rational arithmetic.
+meet given coordinates).  Values chain exactly (checked at construction), and at
+t = p/q each end is an exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).
 """
 
 from __future__ import annotations
@@ -23,12 +23,13 @@ from functools import cached_property
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
-from .sets import ClosedSubset, add_pieces, canonical_element, direction_set, in_cn
+from .sets import (ClosedSubset, add_pieces, canonical_element, direction_set, in_cn,
+                   scale_pieces)
 
 
 def _check_t(t) -> Fraction:
     t = as_fraction(t)
-    if not 0 <= t <= 1:
+    if not 0 <= t.numerator <= t.denominator:
         raise PreconditionError(f"path parameter {t} outside [0,1]")
     return t
 
@@ -123,16 +124,6 @@ class Motion:
     start: Fraction = Fraction(0)
     stop: Fraction = Fraction(1)
 
-    @cached_property
-    def _rest(self) -> Fraction | None:
-        return None if self.b is None else self.a + self.b * self.stop
-
-    def at(self, t: Fraction) -> Fraction | None:
-        """Where the end sits at local time t >= start; None once unbounded."""
-        if t >= self.stop:
-            return self._rest
-        return t / (1 - t) if self.b is None else self.a + self.b * t
-
     def solve(self, c: Fraction) -> list[Fraction]:
         """The local times in [start, stop] at which the end sits at c."""
         if self.b is None:
@@ -171,28 +162,55 @@ class Stage:
         """The top speed of the stage's motions; 0 when nothing moves."""
         return max((INF if m.b is None else abs(m.b) for m in self.motions), default=Fraction(0))
 
+    @cached_property
+    def _scaled(self) -> tuple:
+        """The stage over one integer scale D (see ``scale_pieces``): pieces as (element,
+        start, lower end, upper end), each end (a, b, stop, rest) over D, then a and rest
+        as ``Fraction``s; the base's pieces; D; and whether an end grows as t/(1-t)."""
+        rests = {m: None if m.b is None else m.a + m.b * m.stop for m in self.motions}
+        intervals, tails = {}, {}
+        if self.base is not None:
+            add_pieces(self.base, intervals, tails)
+        # None and 0 add nothing to the lcm
+        fracs = (x for m, r in rests.items() for x in (m.a, m.b, m.start, m.stop, r) if x)
+        *base, D = scale_pieces(self.graph, intervals, tails, *fracs)
+
+        def up(x: Fraction | None) -> int | None:
+            return None if x is None else x.numerator * (D // x.denominator)
+
+        def end(m: Motion | None) -> tuple | None:
+            return m and (up(m.a), up(m.b), up(m.stop), up(rests[m]), m.a, rests[m])
+
+        pieces = tuple((lo.element, up(lo.start), end(lo), end(hi)) for lo, hi in self.pieces)
+        return pieces, *base, D, None in rests.values()
+
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
-        if self.backwards:
-            t = 1 - t
         if not self.pieces:
             if self.base is None:
                 raise RayspaceError(f"{self.kind} stage has neither a base nor pieces")
             return self.base
-        intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-        tails: dict[str, Fraction] = {}
-        for lower, upper in self.pieces:
-            if t < lower.start:
+        pieces, base_intervals, base_tails, D, grows = self._scaled
+        p, q = t.numerator, t.denominator
+        if self.backwards:
+            p = q - p
+        # at t = p/q each end a + b t is an int over D q, and t/(1 - t) over D q (q - p)
+        g = q - p if grows and p < q else 1
+        f = q * g
+        intervals = {eid: [(a * f, b * f, fa, fb) for a, b, fa, fb in ivs]
+                     for eid, ivs in base_intervals.items()}
+        tails = {eid: (s * f, fs) for eid, (s, fs) in base_tails.items()}
+        for eid, start, lower, upper in pieces:
+            if p * D < start * q:
                 break
-            lo = lower.at(t)
-            hi = None if upper is None else upper.at(t)
+            lo = _end(lower, p, q, g, D)
+            hi = None if upper is None else _end(upper, p, q, g, D)
             if hi is None:
-                tails[lower.element] = lo
+                if eid not in tails or lo[0] < tails[eid][0]:
+                    tails[eid] = lo
             else:
-                intervals.setdefault(lower.element, []).append((lo, hi))
-        if self.base is not None:
-            add_pieces(self.base, intervals, tails)
-        return ClosedSubset.from_pieces(self.graph, intervals, tails)
+                intervals.setdefault(eid, []).append((lo[0], hi[0], lo[1], hi[1]))
+        return ClosedSubset._from_scaled(self.graph, intervals, tails, D * f)
 
     def critical_times(self, ends: dict[str, set[Fraction]]) -> set[Fraction]:
         """0, 1 and the local times at which a motion starts, stops or meets one
@@ -209,6 +227,16 @@ class Stage:
             desc="reversed " + self.desc,
             backwards=not self.backwards,
         )
+
+
+def _end(end: tuple, p: int, q: int, g: int, D: int) -> tuple[int, Fraction | None] | None:
+    """An end at t = p/q, as an int over D q g and its ``Fraction`` if one exists."""
+    a, b, stop, rest, fa, frest = end
+    if p * D >= stop * q:
+        return None if rest is None else (rest * q * g, frest)
+    if b is None:
+        return p * D * q, None
+    return (a * q + b * p) * g, fa if b == 0 else None
 
 
 def F0(g: RayGraph, A: ClosedSubset, grows: tuple[tuple[str, Fraction], ...]) -> Stage:
@@ -285,9 +313,9 @@ class HyperPath:
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
         k = len(self.stages)
-        pos = t * k
-        idx = min(int(pos), k - 1)
-        return self.stages[idx].at(pos - idx)
+        p, q = t.numerator * k, t.denominator
+        idx = min(p // q, k - 1)
+        return self.stages[idx].at(Fraction(p - idx * q, q))
 
     def start(self) -> ClosedSubset:
         return self.stages[0].at(0)

@@ -10,18 +10,24 @@ vertex that no longer piece and no tail from 0 reaches is then stored once,
 on its least incident (element, coord) representation.  Vertex contact is
 read off the element's two end vertices: only the first piece or a tail can
 start at 0, and only the last piece can end at the length.  The pass records
-the vertices the set holds as ``ClosedSubset.vertices``, so no other code
-decides vertex aliasing, and ``component_count`` reads the components off
-that record and the canonical pieces.  Only ``_canonicalize`` builds a
-``ClosedSubset`` from raw fields, and each set value goes through it once.
+the vertices the set holds as ``ClosedSubset.vertices`` and its number of
+components as ``ClosedSubset.components``, so no other code decides vertex
+aliasing or connectivity.  Only ``_canonicalize`` builds a ``ClosedSubset``
+from raw fields, and each set value goes through it once.
+
+The pass compares ints only: each coordinate comes as an int over one scale
+with its ``Fraction``, if one exists, and only an end that has none and
+survives gets one (``scale_pieces``; path stages scale their own ends).
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
 from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, as_text,
@@ -44,13 +50,14 @@ class ClosedSubset:
 
     Construct through :meth:`from_pieces`, :func:`parse_set` or the set
     operations; only ``_canonicalize`` calls the raw constructor.
-    ``vertices`` records which vertices the set holds as points.  It is
-    derived from ``pieces``, so equality, hashing and ``repr`` ignore it.
+    ``vertices`` (the vertices the set holds as points) and ``components``
+    are derived from ``pieces``, so equality, hashing and ``repr`` ignore them.
     """
 
     graph: RayGraph
     pieces: tuple[tuple[str, ElementPieces], ...]  # sorted by element id
     vertices: frozenset[str] = field(compare=False, repr=False)
+    components: int = field(compare=False, repr=False)
 
     # ---- construction --------------------------------------------------
 
@@ -66,7 +73,12 @@ class ClosedSubset:
             eid: [(as_fraction(a), as_fraction(b)) for a, b in ivs]
             for eid, ivs in (intervals or {}).items()
         }
-        return _canonicalize(g, raw, {eid: as_fraction(s) for eid, s in (tails or {}).items()})
+        raw_tails = {eid: as_fraction(s) for eid, s in (tails or {}).items()}
+        return _canonicalize(g, *scale_pieces(g, raw, raw_tails))
+
+    @staticmethod
+    def _from_scaled(g: RayGraph, intervals: dict, tails: dict, scale: int) -> "ClosedSubset":
+        return _canonicalize(g, intervals, tails, scale)
 
     # ---- accessors -----------------------------------------------------
 
@@ -108,12 +120,14 @@ class ClosedSubset:
 # ---- canonicalization ---------------------------------------------------
 
 
-def _canonicalize(
-    g: RayGraph, intervals: dict[str, list[Interval]], tails: dict[str, Fraction]
-) -> ClosedSubset:
-    per: dict[str, tuple[list[Interval], Fraction | None]] = {}
+def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> ClosedSubset:
+    """Canonical form of ``(a, b, fa, fb)`` intervals and ``(s, fs)`` tails: a, b and s
+    ints over ``scale`` (a multiple of g's edge length denominators), each with
+    the ``Fraction`` it stands for, or None where none was built."""
+    per: dict[str, tuple[list, tuple | None]] = {}
     points: set[str] = set()  # vertices given as single points [c, c]
     held: set[str] = set()  # vertices some longer piece or a tail at 0 reaches
+    loose, links = 0, []  # pieces that reach no vertex; whole edges' end pairs
     for eid in sorted(intervals.keys() | tails.keys()):
         ivs = intervals.get(eid, ())
         tail = tails.get(eid)
@@ -121,44 +135,62 @@ def _canonicalize(
         end0, end1 = g.element_end_vertices(eid)
         if tail is not None and length is not None:
             raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
-        for a, b in ivs:
-            if a > b:
-                raise PreconditionError(f"malformed interval [{a},{b}] on {eid}")
-            if a < 0 or (length is not None and b > length):
-                raise PreconditionError(f"interval [{a},{b}] out of range on {eid}")
-        if tail is not None and tail < 0:
-            raise PreconditionError(f"tail start {tail} out of range on {eid}")
-        merged: list[Interval] = []
-        for a, b in sorted(ivs):
-            if a == b and (a == 0 or a == length):
-                points.add(end0 if a == 0 else end1)
-            elif merged and a <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], b))
+        top = None if length is None else length.numerator * (scale // length.denominator)
+        for a, b, _, _ in ivs:
+            if a > b or a < 0 or (top is not None and b > top):
+                iv = f"[{Fraction(a, scale)},{Fraction(b, scale)}]"
+                raise PreconditionError(f"malformed interval {iv} on {eid}" if a > b
+                                        else f"interval {iv} out of range on {eid}")
+        if tail is not None and tail[0] < 0:
+            raise PreconditionError(f"tail start {Fraction(tail[0], scale)} out of range on {eid}")
+        merged: list = []
+        for iv in sorted(ivs, key=itemgetter(0)):
+            if iv[0] == iv[1] and (iv[0] == 0 or iv[0] == top):
+                points.add(end0 if iv[0] == 0 else end1)
+            elif merged and iv[0] <= merged[-1][1]:
+                if iv[1] > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], iv[1], merged[-1][2], iv[3])
             else:
-                merged.append((a, b))
+                merged.append(iv)
         if tail is not None:
-            while merged and merged[-1][1] >= tail:
-                tail = min(tail, merged.pop()[0])
+            while merged and merged[-1][1] >= tail[0]:
+                tail = min(tail, merged.pop()[::2], key=itemgetter(0))
+        if not merged and tail is None:
+            continue
         # merged pieces are disjoint and a tail lies past them, so only the
         # first piece (or the tail) can start at 0 and only the last can end at length
-        if (merged[0][0] if merged else tail) == 0:
+        if (merged[0] if merged else tail)[0] == 0:
             held.add(end0)
-        if merged and merged[-1][1] == length:
+        if merged and merged[-1][1] == top:
             held.add(end1)
-        if merged or tail is not None:
-            per[eid] = (merged, tail)
+        for a, b, _, _ in merged:
+            if a == 0 and b == top:
+                links.append((end0, end1))
+            elif a > 0 and b != top:
+                loose += 1
+        loose += tail is not None and tail[0] > 0
+        per[eid] = (merged, tail)
 
     # a vertex no longer piece holds is stored once, at its least representation
     for v in points - held:
         eid, c = g.vertex_representations(v)[0]
-        bisect.insort(per.setdefault(eid, ([], None))[0], (c, c))
+        c_int = c.numerator * (scale // c.denominator)
+        bisect.insort(per.setdefault(eid, ([], None))[0], (c_int, c_int, c, c), key=itemgetter(0))
 
     if not per:
         raise PreconditionError("empty set: elements of CL(X) are nonempty")
-    pieces = tuple(
-        (eid, ElementPieces(tuple(ivs), tail)) for eid, (ivs, tail) in sorted(per.items())
-    )
-    return ClosedSubset(g, pieces, frozenset(points | held))
+
+    pieces = tuple([
+        (eid, ElementPieces(
+            tuple([(Fraction(a, scale) if fa is None else fa,
+                    Fraction(b, scale) if fb is None else fb) for a, b, fa, fb in ivs]),
+            tail and (Fraction(tail[0], scale) if tail[1] is None else tail[1])))
+        for eid, (ivs, tail) in sorted(per.items())
+    ])
+    vertices = frozenset(points | held)
+    # loose pieces are components; vertices join only along whole edges [0, length]
+    return ClosedSubset(g, pieces, vertices,
+                        loose + (count_classes(vertices, links) if links else len(vertices)))
 
 
 # ---- parsing ------------------------------------------------------------
@@ -219,6 +251,22 @@ def add_pieces(
             tails[eid] = min(tails.get(eid, ep.tail), ep.tail)
 
 
+def scale_pieces(
+    g: RayGraph, intervals: dict[str, list[Interval]], tails: dict[str, Fraction], *fracs: Fraction
+) -> tuple[dict, dict, int]:
+    """Raw ``from_pieces`` data as ``_canonicalize`` takes it: over the lcm of the
+    denominators of its coordinates, of ``fracs`` and of g's edge lengths, which comes last."""
+    scale = math.lcm(*(e.length.denominator for e in g.edges), *(x.denominator for x in fracs),
+                     *(x.denominator for ivs in intervals.values() for iv in ivs for x in iv),
+                     *(x.denominator for x in tails.values()))
+
+    def up(x: Fraction) -> int:
+        return x.numerator * (scale // x.denominator)
+
+    return ({eid: [(up(a), up(b), a, b) for a, b in ivs] for eid, ivs in intervals.items()},
+            {eid: (up(x), x) for eid, x in tails.items()}, scale)
+
+
 def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     """Canonical union of two subsets of the same graph."""
     check_graph(getattr(A, "graph", None), B)
@@ -226,32 +274,14 @@ def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     tails: dict[str, Fraction] = {}
     add_pieces(A, intervals, tails)
     add_pieces(B, intervals, tails)
-    return _canonicalize(A.graph, intervals, tails)
+    return _canonicalize(A.graph, *scale_pieces(A.graph, intervals, tails))
 
 
 def component_count(g: RayGraph, A: ClosedSubset) -> int:
-    """Number of connected components of A as a subspace of the graph.
-
-    Read off the canonical form.  A piece that reaches no element end is a
-    component by itself.  Every other piece lies in the component of a vertex
-    it reaches, and that vertex is in ``A.vertices``; vertices join only along
-    a whole edge ``[0, length]``, the one piece that reaches two of them.  So
-    the count is the loose pieces plus the classes of ``A.vertices`` under
-    the whole edges' end pairs.
-    """
+    """Number of connected components of A as a subspace of the graph, as the
+    canonical pass counted them: its loose pieces and its classes of vertices."""
     check_graph(g, A)
-    loose = 0
-    links: list[tuple[str, str]] = []
-    for eid, ep in A.pieces:
-        length = g.element_length(eid)  # None on a ray: no piece ends there
-        for a, b in ep.intervals:
-            if a == 0 and b == length:
-                links.append(g.element_end_vertices(eid))
-            elif a > 0 and b != length:
-                loose += 1
-        if ep.tail is not None and ep.tail > 0:
-            loose += 1
-    return loose + count_classes(A.vertices, links)
+    return A.components
 
 
 def in_cn(g: RayGraph, A: ClosedSubset, n: int) -> bool:

@@ -269,6 +269,19 @@ def test_invalid_graph_exits_2(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error kind=parse") and "duplicate vertex" in err[0]
 
 
+@pytest.mark.parametrize("argv", [
+    ["validate"], ["oracle", "--step", "1", "--trunc", "1", "--delta", "6/5", "-n", "1"],
+    ["dist", "--a", "E1:{0}", "--b", "E1:{0}"],
+], ids=["validate", "oracle", "dist"])
+def test_graph_without_elements_exits_2(tmp_path, capsys, argv):
+    p = tmp_path / "lone.graph"
+    p.write_text("vertex u\n")
+    assert run([argv[0], "--graph", str(p), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=parse")
+    assert "needs an edge or a ray" in err[0]
+
+
 def test_exit_codes(graph_file, tmp_path, capsys):
     gf = graph_file("G_I")
     assert run(["dist", "--graph", gf]) == 1  # usage: missing --a/--b

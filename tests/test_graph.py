@@ -8,6 +8,7 @@ from rayspace import (
     InvalidGraphError,
     ParseError,
     PreconditionError,
+    RayGraph,
     graph_from_parts,
     parse_graph,
     point_distance,
@@ -59,6 +60,16 @@ def test_parse_syntax_error_reports_position():
 def test_invalid_graph_rejected(text, match):
     with pytest.raises(InvalidGraphError, match=match):
         parse_graph(text)
+
+
+def test_graph_without_elements_rejected():
+    # a set lives on elements, so a lone vertex would hold no set at all
+    for build in (lambda: parse_graph("vertex u"), lambda: graph_from_parts(["u"]),
+                  lambda: RayGraph(("u",), (), ())):
+        with pytest.raises(InvalidGraphError, match="needs an edge or a ray"):
+            build()
+    with pytest.raises(InvalidGraphError, match="not connected"):
+        parse_graph("vertex u v")
 
 
 def test_graph_from_parts_checks_lengths():
