@@ -7,14 +7,14 @@ length (None on a ray); ``sg.dvert`` is the scaled vertex distance table.  A
 point reaches another along their shared element or out through an end of
 its own and in through an end of the other's; both kernels take the second
 route from per-vertex costs, a distance transform over the vertices, so no
-pair is compared through the vertices.  The census compares each distance
-with its threshold in Python ints, so numpy holds only booleans and the
-union-find's index array.
+pair is compared through the vertices.  ``directed_maxmin`` sweeps each
+element once in coordinate order: it takes the two end costs once per
+element, and the first route from a merge pointer that only moves forward.
+The census compares each distance with its threshold in Python ints, so
+numpy holds only booleans and the union-find's index array.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import numpy as np
 
@@ -39,32 +39,52 @@ def _vertex_costs(sg, e: int, c: int) -> list[int]:
     return [min(x + row[w] for w, x in exits) for row in sg.dvert]
 
 
+def _by_element(points) -> dict[int, list[int]]:
+    """Each element's coordinates among the points, sorted."""
+    on: dict[int, list[int]] = {}
+    for e, c in points:
+        on.setdefault(e, []).append(c)
+    for cs in on.values():
+        cs.sort()
+    return on
+
+
 def directed_maxmin(pa, pb, sg) -> int:
     """max over the points pa of the scaled distance to the nearest point of pb.
 
     pb reaches each vertex most cheaply from its first or last point on some
-    element, so only those points' vertex costs are taken; each point of pa
-    then takes the smaller of its exits plus those costs and its nearest
-    point of pb on its own element, found by bisection."""
-    on: dict[int, list[int]] = {}
-    for e, c in pb:
-        on.setdefault(e, []).append(c)
+    element, so only those points' vertex costs are taken.  The points of pa
+    are then swept one element at a time in coordinate order: with r0 the
+    reach of the end at 0 and far the length plus the reach of the far end,
+    a point c costs min(c + r0, far - c, its gap to the nearest point of pb
+    on the element), and that nearest point is found by a merge pointer
+    into pb's sorted coordinates that only moves forward."""
+    on = _by_element(pb)
     reach = None  # reach[v]: scaled distance from pb to vertex v
     for e, cs in on.items():
-        cs.sort()
         for c in (cs[0], cs[-1]):
             costs = _vertex_costs(sg, e, c)
             reach = costs if reach is None else list(map(min, reach, costs))
     worst = 0
-    for e, c in pa:
-        best = min(x + reach[w] for w, x in _exits(sg, e, c))
-        cs = on.get(e, ())
-        k = bisect_left(cs, c)
-        if k < len(cs):
-            best = min(best, cs[k] - c)
-        if k:
-            best = min(best, c - cs[k - 1])
-        worst = max(worst, best)
+    for e, cs in _by_element(pa).items():
+        v0, v1 = sg.ends[e]
+        r0 = reach[v0]
+        # a ray has no far end: this far never undercuts c + r0
+        far = r0 + 2 * cs[-1] if v1 is None else sg.lengths[e] + reach[v1]
+        bs = on.get(e, ())
+        k, nb = 0, len(bs)  # bs[k]: pb's first coordinate >= c
+        for c in cs:
+            best = c + r0
+            if far - c < best:
+                best = far - c
+            while k < nb and bs[k] < c:
+                k += 1
+            if k < nb and bs[k] - c < best:
+                best = bs[k] - c
+            if k and c - bs[k - 1] < best:
+                best = c - bs[k - 1]
+            if best > worst:
+                worst = best
     return worst
 
 

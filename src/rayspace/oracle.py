@@ -277,24 +277,23 @@ def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T:
     """(scaled graph, samples of A, samples of B).  A sample is (element
     index, coordinate times scale): each piece gives every multiple of h on
     it and both its ends, and a tail runs to the larger of T and the tail
-    starts on its ray."""
+    starts on its ray.  The sample count is bounded in ints, and checked
+    against ``MAX_GRID_SAMPLES``, before any sample is built."""
     caps = {eid: max(T, A.tail_on(eid) or 0, B.tail_on(eid) or 0)
             for S in (A, B) for eid, ep in S.pieces if ep.tail is not None}
     spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
              + [(eid, ep.tail, caps[eid]) for eid, ep in S.pieces if ep.tail is not None]
              for S in (A, B)]
-    if sum((b - a) / h + 2 for sp in spans for _, a, b in sp) > MAX_GRID_SAMPLES:
-        raise CapExceededError(f"grid Hausdorff would take over {MAX_GRID_SAMPLES} samples")
     ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
-    sg = _scaled_graph(g, _common_scale(g, [h.denominator, T.denominator, *ends]))
-    H = _scaled(h, sg.scale)
-
-    def between(a: Fraction, b: Fraction) -> set[int]:
-        lo, hi = _scaled(a, sg.scale), _scaled(b, sg.scale)
-        return {lo, hi, *range(-(-lo // H) * H, hi + 1, H)}
-
-    pa, pb = ([(sg.elem_index[eid], c) for eid, a, b in sp for c in between(a, b)]
-              for sp in spans)
+    scale = _common_scale(g, [h.denominator, T.denominator, *ends])
+    H = _scaled(h, scale)
+    spans = [[(eid, _scaled(a, scale), _scaled(b, scale)) for eid, a, b in sp] for sp in spans]
+    # the sum of (b - a)/h + 2 over the spans, times H
+    if sum(hi - lo + 2 * H for sp in spans for _, lo, hi in sp) > MAX_GRID_SAMPLES * H:
+        raise CapExceededError(f"grid Hausdorff would take over {MAX_GRID_SAMPLES} samples")
+    sg = _scaled_graph(g, scale)
+    pa, pb = ([(sg.elem_index[eid], c) for eid, lo, hi in sp
+               for c in {lo, hi, *range(-(-lo // H) * H, hi + 1, H)}] for sp in spans)
     return sg, pa, pb
 
 
@@ -310,6 +309,8 @@ def oracle_hausdorff(
     h, T = as_fraction(h), as_fraction(T)
     if h <= 0:
         raise PreconditionError("grid step h must be positive")
+    if T < 0:
+        raise PreconditionError("truncation radius T must be nonnegative")
     check_graph(g, A, B)
     if _directions(g, A) != _directions(g, B):
         return INF

@@ -443,6 +443,50 @@ def test_oracle_hausdorff_caps_the_sample_count_not_pairs(graphs):
     assert oracle_hausdorff(g, A, B, F(1, 4000), F(1)) == F(1, 2)
 
 
+def test_oracle_hausdorff_refuses_a_negative_radius(graphs):
+    g = graphs["G_R"]
+    A, B = parse_set("R1:[0,1]", g), parse_set("R1:{1/2}", g)
+    for T in (F(-1), F(-1, 2), -3):
+        for call in (lambda: oracle_hausdorff(g, A, B, F(1, 2), T),
+                     lambda: enumerate_sets(g, F(1, 2), T, 1, 1)):
+            with pytest.raises(PreconditionError, match="truncation radius T must be"):
+                call()
+    assert oracle_hausdorff(g, A, B, F(1, 2), F(0)) == F(1, 2)
+
+
+@pytest.mark.parametrize("graph, a, b, h, T, count", [
+    # spans [0, 1/3] and [1/7, 1]: (4/3 + 2) + (24/7 + 2)
+    ("G_I", "E1:[0,1/3]", "E1:[1/7,1]", F(1, 4), F(1), F(184, 21)),
+    # spans [1/3, 1/2], [2/3, 2] and [1/5, 2], the tails capped at T:
+    # (2/3 + 2) + (16/3 + 2) + (36/5 + 2)
+    ("G_R", "R1:[1/3,1/2] R1:[2/3,inf)", "R1:[1/5,inf)", F(1, 4), F(2), F(96, 5)),
+])
+def test_oracle_hausdorff_refuses_exactly_past_the_sample_cap(
+        graphs, monkeypatch, graph, a, b, h, T, count):
+    import rayspace.oracle
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return directed_maxmin(*args)
+
+    monkeypatch.setattr(rayspace.oracle, "directed_maxmin", counted)
+    g = graphs[graph]
+    A, B = parse_set(a, g), parse_set(b, g)
+    assert count.denominator != 1
+    for cap in (math.floor(count), math.ceil(count)):
+        monkeypatch.setattr(rayspace.oracle, "MAX_GRID_SAMPLES", cap)
+        calls.clear()
+        if count > cap:
+            with pytest.raises(CapExceededError, match=f"over {cap} samples"):
+                oracle_hausdorff(g, A, B, h, T)
+            assert calls == []
+        else:
+            assert abs(oracle_hausdorff(g, A, B, h, T) - hausdorff(g, A, B)) <= h
+            assert len(calls) == 2
+
+
 def test_oracle_matches_exact_on_random_bounded_pairs(graphs):
     rng = random.Random(3210)
     h = F(1, 20)
@@ -719,3 +763,26 @@ def test_kernels_match_exact_reference_on_random_graphs(seed):
 
     pa, pb = ([point() for _ in range(rng.randint(1, 6))] for _ in range(2))
     _check_kernels(g, pa, pb, sg)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_directed_maxmin_matches_exact_on_dense_samples(seed):
+    # grid samples at a fine step put tens of points on an element, and
+    # copies of some points, shuffled in, repeat coordinates out of order; a
+    # few points against all of the other set make the sweep's pointer pass
+    # runs of that set's points before the first of them
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    h = rng.choice((F(1, 4), F(1, 5)))
+    A = random_subset(g, rng, span=F(2))
+    B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(2))
+    sg, pa, pb = _grid_samples(g, A, B, h, F(2))
+    pa, pb = ([*ps, *rng.choices(ps, k=len(ps) // 4)] for ps in (pa, pb))
+    for ps in (pa, pb):
+        rng.shuffle(ps)
+    pairs = [(pa, pb), (pb, pa)]
+    pairs += [(rng.sample(x, k=min(len(x), rng.randint(1, 3))), y)
+              for x, y in pairs for _ in range(8)]
+    for x, y in pairs:
+        assert F(directed_maxmin(x, y, sg), sg.scale) == _directed_exact(g, x, y, sg)
