@@ -11,15 +11,13 @@ pair is compared through the vertices.  ``directed_maxmin`` sweeps each
 element once in coordinate order: it takes the two end costs once per
 element, and the first route from a merge pointer that only moves forward.
 The census compares each distance with its threshold in Python ints, so
-numpy holds only booleans and the union-find's index array.
+numpy holds only booleans and the label array; ``component_labels`` is a
+breadth-first search over sets held as the bits of Python ints.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-# Words per block temporary in ``component_labels``: bounds its memory; larger were no faster.
-_BLOCK_CELLS = 1 << 16
 
 
 def backend() -> str:
@@ -98,60 +96,48 @@ def distance_matrix(points, sg, thr: int) -> np.ndarray:
     return np.array(rows, dtype=bool)
 
 
-def _pack(bits: np.ndarray) -> np.ndarray:
-    """Pack each boolean row into uint64 words (zero-padded to whole words)."""
-    n, u = bits.shape
-    padded = np.zeros((n, -(-u // 64) * 64), dtype=bool)
-    padded[:, :u] = bits
-    return np.packbits(padded, axis=1).view(np.uint64)
-
-
-def _roots(parent: np.ndarray) -> np.ndarray:
-    """Point every entry at its root, in place, by pointer jumping."""
-    while True:
-        grand = parent[parent]
-        if np.array_equal(grand, parent):
-            return parent
-        parent[:] = grand
-
-
-def _union(parent: np.ndarray, a: np.ndarray, b: np.ndarray) -> None:
-    """Merge the classes of each pair (a[k], b[k]); every root points at a
-    smaller index, and a contested root takes the least of its bids."""
-    while a.size:
-        _roots(parent)
-        ra, rb = parent[a], parent[b]
-        apart = ra != rb
-        a, b, ra, rb = a[apart], b[apart], ra[apart], rb[apart]
-        np.minimum.at(parent, np.maximum(ra, rb), np.minimum(ra, rb))
-
-
 def component_labels(masks, links) -> np.ndarray:
-    """Union-find labels over sets (bool masks into a shared point universe)
-    linked whenever each lies within the threshold of the other, given the
-    bool table ``links`` of point pairs within it.
+    """Labels over sets (bool masks into a shared point universe) linked
+    whenever each lies within the threshold of the other, given the bool
+    table ``links`` of point pairs within it; each set's label is the least
+    index in its component.
 
-    With N_j the points linked to a point of S_j, S_i lies within the
-    threshold of S_j iff S_i is a subset of N_j.  Masks, link rows and N_j
-    are packed into uint64 words, so each test is a few word operations.
-    Rows go in blocks of about ``_BLOCK_CELLS`` words; each block's links
-    are merged before the next block is built."""
+    With N_j = ``masks @ links`` the points linked to a point of S_j, S_i
+    lies within the threshold of S_j iff S_i is a subset of N_j.  The sets
+    are bits of Python ints: C[p] holds the sets that hold the point p and
+    D[p] those whose N_j holds p, so the unseen sets linked to S_j are
+    ``unseen & AND(~C[p] for p not in N_j) & AND(D[p] for p in S_j)``.  A
+    breadth-first search from the least unseen set reads each set's row
+    once, and stops a row as soon as no candidate is left."""
     n, u = masks.shape
-    parent = np.arange(n, dtype=np.int64)
-    if n == 0:
-        return parent
-    M, L = _pack(masks), _pack(links)
-    near = np.empty((n, u), dtype=bool)  # near[j, p]: p is linked to a point of S_j
-    step = max(1, _BLOCK_CELLS // (u * M.shape[1]))
-    for lo in range(0, n, step):
-        near[lo : lo + step] = (M[lo : lo + step, None, :] & L[None]).any(axis=2)
-    far = ~_pack(near)
-    step = max(1, _BLOCK_CELLS // (n * M.shape[1]))
-    for lo in range(0, n, step):
-        hi = min(n, lo + step)
-        i_out = (M[lo:hi, None, :] & far[None, :hi, :]).any(axis=2)  # S_i leaves N_j
-        j_out = (far[lo:hi, None, :] & M[None, :hi, :]).any(axis=2)  # S_j leaves N_i
-        rows, cols = np.nonzero(~(i_out | j_out))
-        below = cols < rows + lo
-        _union(parent, rows[below] + lo, cols[below])
-    return _roots(parent)
+    labels = np.arange(n, dtype=np.int64)
+
+    def ints(bits):  # each row of a bool table as the bits of one int
+        data, w = np.packbits(bits, axis=1, bitorder="little").tobytes(), -(-bits.shape[1] // 8)
+        return [int.from_bytes(data[k * w : (k + 1) * w], "little") for k in range(len(bits))]
+
+    near = masks @ links
+    out = [~c for c in ints(masks.T)]  # out[p]: the sets without the point p
+    D, held, reach = ints(near.T), ints(masks), ints(near)
+    everywhere, unseen = (1 << u) - 1, (1 << n) - 1
+    while unseen:
+        root = (unseen & -unseen).bit_length() - 1
+        unseen ^= 1 << root
+        component = [root]
+        for j in component:
+            linked, far, inside = unseen, everywhere ^ reach[j], held[j]
+            while far and linked:
+                low = far & -far
+                linked &= out[low.bit_length() - 1]
+                far ^= low
+            while inside and linked:
+                low = inside & -inside
+                linked &= D[low.bit_length() - 1]
+                inside ^= low
+            unseen ^= linked
+            while linked:
+                low = linked & -linked
+                component.append(low.bit_length() - 1)
+                linked ^= low
+        labels[component] = root
+    return labels

@@ -7,8 +7,9 @@ independently of the exact metric module.  Enumeration works on grid indices:
 a layout on one element is its pieces' grid-index runs and a key (a bit per
 grid point, each vertex one point; a bit per covered grid segment; a tail bit
 per ray), and a set is the OR of its layouts' keys.  Layouts are combined one
-element at a time, each distinct key so far extended once; components are
-counted once per distinct final key with the oracle's own vertex classes.
+element at a time, each distinct key so far extended once and carrying its
+classes of reached vertices, as bitmasks joined along whole edges; a key is
+dropped once its components are bound to pass n.
 Accepted keys are put in ``ClosedSubset.sort_key`` order in index space,
 reading each coordinate k*h as k, so no set is built to order them.
 ``enumerate_sets`` then builds one set per key; the census reads a key's
@@ -26,13 +27,15 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
+from operator import or_
 from typing import NamedTuple
 
 import numpy as np
 
 from ._kernels import backend, component_labels, directed_maxmin, distance_matrix
 from .errors import CapExceededError, PreconditionError
-from .graph import RayGraph, as_count, as_fraction, check_graph, count_classes
+from .graph import RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
 from .sets import ClosedSubset
 
@@ -86,19 +89,20 @@ class _Layout(NamedTuple):
     eid: str
     pieces: tuple[tuple[Fraction, Fraction], ...]  # in coordinates, as from_pieces takes them
     start: Fraction | None  # tail start
-    reached: tuple[str, ...]  # vertices the layout contains
-    held: tuple[str, ...]  # those a longer run, or a tail from 0, reaches
-    links: tuple[tuple[str, str], ...]  # the end pair of a whole-edge run
+    groups: tuple[int, ...]  # vertex bitmasks it joins: a whole edge's ends, else each end reached
+    held: int  # bitmask of the vertices a longer run, or a tail from 0, reaches
     order: tuple | None  # (runs but the set-aside points, tail index or -1, no tail)
 
 
-def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_pieces: int):
+def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_pieces: int,
+                     bit: dict[str, int]):
     """For each element (id, length or None on a ray) with a grid of the given
-    size, its layouts.  A key has a bit per universe point held, every vertex
-    at the index of its least representation on the grid, and past the
-    universe a bit per grid segment covered and a tail bit.  ``held`` and
-    ``order`` read the layout as ``_canonicalize`` does, which sets a single
-    point at an element end aside as its vertex."""
+    size, its layouts, with each vertex v as the bitmask ``bit[v]``.  A key
+    has a bit per universe point held, every vertex at the index of its least
+    representation on the grid, and past the universe a bit per grid segment
+    covered and a tail bit.  ``held`` and ``order`` read the layout as
+    ``_canonicalize`` does, which sets a single point at an element end aside
+    as its vertex."""
     firsts = list(itertools.accumulate(sizes, initial=0))
     pos = {}
     for (eid, _), m, first in zip(elements, sizes, firsts):
@@ -108,6 +112,7 @@ def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_p
     per_element = []
     for (eid, length), m, first in zip(elements, sizes, firsts):
         end0, end1 = g.element_end_vertices(eid)
+        b0, b1 = bit[end0], bit.get(end1, 0)
         far = m - 1 if (m - 1) * h == length else None
         points = [vertex[end0], *range(first + 1, first + m)]
         if far is not None:
@@ -120,17 +125,17 @@ def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_p
                 for p in points[i : j + 1]:
                     key |= 1 << p
             kept = tuple((i, j) for i, j in runs if i < j or 0 < i != far)
-            held = (end0,) * (tail == 0 or any(i == 0 for i, _ in kept))
-            held += (end1,) * any(j == far for _, j in kept)
-            reached = held + tuple(end0 if i == 0 else end1
-                                   for i, j in runs if i == j and i in (0, far))
-            links = tuple((end0, end1) for i, j in runs if i == 0 and j == far)
+            held = b0 * (tail == 0 or any(i == 0 for i, _ in kept))
+            held |= b1 * any(j == far for _, j in kept)
+            r0 = b0 * (tail == 0 or any(i == 0 for i, _ in runs))
+            r1 = b1 * any(j == far for _, j in runs)
+            groups = (r0 | r1,) if (0, far) in runs else tuple(b for b in (r0, r1) if b)
             pieces = tuple((coord[i], coord[j]) for i, j in runs)
             start = None if tail is None else coord[tail]
             order = None
             if kept or tail is not None:
                 order = (kept, -1 if tail is None else tail, tail is None)
-            layouts.append(_Layout(key, interior, eid, pieces, start, reached, held, links, order))
+            layouts.append(_Layout(key, interior, eid, pieces, start, groups, held, order))
         per_element.append(layouts)
     return per_element
 
@@ -155,11 +160,18 @@ def _enumerate_keys(
     ``cap``, before any layout is built.  Layouts are combined one element at
     a time: each distinct key of the elements so far (the OR of their layouts'
     keys) keeps the first layouts that gave it, since equal keys hold the same
-    points and so extend to the same sets.  A final key is accepted when its
-    pieces that reach no element end, plus its classes of vertices, number at
-    most n.  The order is read in index space: a set-aside vertex that no
-    layout holds sits at its least representation, index 0 or the far end's,
-    and at index m, past the grid, where the grid stops short of that end.
+    points and so extend to the same sets.  Each also carries its classes of
+    reached vertices, as bitmasks OR-ed together where a layout covers a
+    whole edge.  A vertex is closed once every element at it is folded, and
+    a class of closed vertices joins no other.  So the pieces that reach no
+    element end, the closed classes and one more for any open class bound
+    the component count from below; a key whose bound passes n is marked
+    dead, which keeps every other key's first layouts, as the bound is a
+    function of the key.  After the last element every vertex is closed, so
+    the bound is the count and the live keys are those accepted.  The order
+    is read in index space: a set-aside vertex that no layout holds sits at
+    its least representation, index 0 or the far end's, and at index m, past
+    the grid, where the grid stops short of that end.
     """
     check_graph(g)
     h, T = as_fraction(h), as_fraction(T)
@@ -181,15 +193,35 @@ def _enumerate_keys(
                 "increase the cap or coarsen the parameters"
             )
 
-    first: dict[int, tuple] = {0: (0, ())}  # key -> (interior pieces, first layouts)
-    for layouts in _element_layouts(g, h, elements, sizes, max_pieces):
-        grown: dict[int, tuple] = {}
-        for key, (interior, combo) in first.items():
+    bit = {v: 1 << i for i, v in enumerate(g.vertices)}
+    ends = [bit[u] | bit.get(v, 0) for u, v in (g.element_end_vertices(e) for e, _ in elements)]
+    # key -> (interior pieces, vertex classes, first layouts), or None once pruned
+    first: dict[int, tuple | None] = {0: (0, (), ())}
+    for s, layouts in enumerate(_element_layouts(g, h, elements, sizes, max_pieces, bit)):
+        unfolded = reduce(or_, ends[s + 1 :], 0)  # the vertices not closed yet
+        grown: dict[int, tuple | None] = {}
+        for key, entry in first.items():
+            if entry is None:
+                continue
+            interior, classes, combo = entry
             for lay in layouts:
-                count, grown_key = interior + lay.interior, key | lay.key
-                # past n pieces touching no element end means past n components
-                if count <= n and grown_key not in grown:
-                    grown[grown_key] = (count, (*combo, lay))
+                grown_key = key | lay.key
+                if grown_key in grown:
+                    continue
+                count, joined = interior + lay.interior, classes
+                for group in lay.groups:  # OR in every class the group meets
+                    apart = []
+                    for c in joined:
+                        if c & group:
+                            group |= c
+                        else:
+                            apart.append(c)
+                    joined = (*apart, group)
+                # each piece touching no element end, and each class of closed
+                # vertices, is a component; the open classes make at least one
+                shut = len([c for c in joined if not c & unfolded])
+                live = count + shut + (shut < len(joined)) <= n
+                grown[grown_key] = (count, joined, (*combo, lay)) if live else None
         first = grown
     first.pop(0, None)  # no piece anywhere: CL(X) has no empty set
 
@@ -200,12 +232,11 @@ def _enumerate_keys(
         m = grid[eid]
         stored_at[v] = eid, 0 if c == 0 else m - 1 if (m - 1) * h == c else m
     found = []
-    for key, (interior, combo) in first.items():
-        reached = {v for lay in combo for v in lay.reached}
-        links = [pair for lay in combo for pair in lay.links]
-        if interior + count_classes(reached, links) <= n:
-            reached.difference_update(v for lay in combo for v in lay.held)
-            order = _index_order(combo, [stored_at[v] for v in reached])
+    for key, entry in first.items():
+        if entry is not None:  # every vertex is closed now, so the bound is the count
+            _, classes, combo = entry
+            aside = reduce(or_, classes, 0) & ~reduce(or_, (lay.held for lay in combo))
+            order = _index_order(combo, [stored_at[v] for v in g.vertices if bit[v] & aside])
             found.append((order, key, combo))
     found.sort(key=lambda item: item[0])
     return sizes, [(key, combo) for _, key, combo in found]
@@ -340,7 +371,7 @@ def oracle_components(
     max_pieces: int,
     cap: int = 200_000,
 ) -> OracleComponents:
-    """Union-find census of the enumerated hyperspace slice.
+    """Component census of the enumerated hyperspace slice.
 
     Two sets join when their grid Hausdorff distance is <= delta; cross
     direction-class distances are infinite, so classes are processed

@@ -17,8 +17,8 @@ stage's pieces or names a ``Motion``, so how stages move stays in one module;
 stages are plain data, with no callable field and no ``Callable`` in
 ``paths.py``; numpy stays
 behind the oracle, which the package and the CLI load only on first use, and
-the kernels build only bool arrays but the union-find's index array, so no
-distance reaches numpy;
+the kernels build only bool arrays but the label array, so no distance
+reaches numpy;
 ``graph.count_classes`` is the package's one Python union-find; and the wedge
 models take nothing from the package but its errors and ``count_classes``, so
 checking them against ray-graphs compares independent computations.
@@ -239,8 +239,8 @@ _ARRAY_BUILDERS = {"arange", "array", "asarray", "astype", "empty", "empty_like"
 
 def test_kernels_build_only_bool_arrays():
     # distances stay Python ints: every array the kernels build, by a numpy
-    # constructor or ``astype``, names dtype=bool, but the union-find's index
-    # array, and no numpy scalar type is called
+    # constructor or ``astype``, names dtype=bool, but the label array, and no
+    # numpy scalar type is called
     found = []
     for owner in TREES["_kernels.py"].body:
         for node in ast.walk(owner):

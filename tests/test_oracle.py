@@ -164,6 +164,26 @@ def test_enumeration_prune_matches_unpruned_reference(graphs, monkeypatch):
     assert checked >= 30 and pruned >= 10
 
 
+CYCLES = {  # graphs whose open vertex classes a later whole edge can join
+    "triangle": "vertex a b c; edge E1 a b; edge E2 b c; edge E3 c a",
+    "theta": "vertex u v; edge E1 u v; edge E2 u v; edge E3 u v",
+    "square": "vertex a b c d; edge E1 a b; edge E2 b c; edge E3 c d; edge E4 d a",
+}
+
+
+@pytest.mark.parametrize(
+    "name, n, want",
+    [("triangle", 1, 37), ("theta", 1, 56), ("square", 1, 65), ("square", 2, 397)],
+)
+def test_enumeration_prune_matches_unpruned_reference_on_cycles(name, n, want):
+    # a class of closed vertices is final, but an open one may still be joined
+    # by a later whole edge: counting it as closed loses sets here
+    g = rayspace.parse_graph(CYCLES[name])
+    got = enumerate_sets(g, F(1, 2), F(1), n, 1, cap=2500)
+    assert [s.render() for s in got] == [s.render() for s in _unpruned_enumeration(g, F(1, 2), F(1), n, 1)]
+    assert len(got) == want
+
+
 def _coordinate_layouts(h, top, max_pieces, length):
     """``_element_configs`` on the h-grid up to ``top``, its grid indices
     mapped to coordinates."""
@@ -616,6 +636,49 @@ def _check_labels(g, kpts, sg, masks, deltas):
         assert {frozenset(c) for c in found.values()} == reference
         counts.append(len(reference))
     return counts
+
+
+def _pairwise_labels(masks, links):
+    """Reference: S_i and S_j link iff each mask lies in the other's
+    neighbourhood; each set is labelled by the least index of its component,
+    found by a plain search over pairs."""
+    sets = [set(np.flatnonzero(row).tolist()) for row in masks]
+    near = [{q for p in S for q in np.flatnonzero(links[p]).tolist()} for S in sets]
+    labels = [None] * len(sets)
+    for root in range(len(sets)):
+        if labels[root] is None:
+            labels[root], stack = root, [root]
+            while stack:
+                i = stack.pop()
+                for j in range(len(sets)):
+                    if labels[j] is None and sets[j] <= near[i] and sets[i] <= near[j]:
+                        labels[j] = root
+                        stack.append(j)
+    return labels
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 230])
+def test_component_labels_match_a_pairwise_reference(n):
+    rng = np.random.default_rng(n)
+    for u, density, band in ((9, 0.0, 1), (20, 0.1, 0), (70, 0.05, 0), (70, 0.0, 3),
+                             (130, 0.02, 2)):
+        # symmetric links with a true diagonal: random pairs, or points within a band
+        idx = np.arange(u)
+        links = (rng.random((u, u)) < density) | (abs(idx[:, None] - idx[None, :]) <= band)
+        links |= links.T
+        masks = np.zeros((n, u), dtype=bool)
+        for row in masks:  # one to three runs, up to three points each
+            for _ in range(rng.integers(1, 4)):
+                a = rng.integers(u)
+                row[a : a + rng.integers(1, 4)] = True
+        labels = component_labels(masks, links)
+        assert labels.dtype == np.int64 and labels.shape == (n,)
+        assert labels.tolist() == _pairwise_labels(masks, links)
+        # every label is the least index of its component
+        first = {}
+        for i, lab in enumerate(labels.tolist()):
+            first.setdefault(lab, i)
+        assert all(first[lab] == lab for lab in first)
 
 
 def test_representative_of_each_class_connects_to_canonical(graphs):
