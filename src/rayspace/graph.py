@@ -2,7 +2,9 @@
 
 A ray-graph has finitely many vertices, edges of positive rational length
 (loops allowed), and rays: copies of [0, inf) attached to a vertex at
-coordinate 0.  All distances are exact ``fractions.Fraction`` values; the
+coordinate 0.  Each element has one shape, (element, vertex at 0, far-end
+vertex, length), a ray having no far end and no length, and every element
+accessor reads it.  Distances are exact ``fractions.Fraction`` values; the
 graph is immutable after construction and safe to share between threads.
 """
 
@@ -97,24 +99,27 @@ class RayGraph:
     # ---- lookups -------------------------------------------------------
 
     @cached_property
-    def _elements(self) -> dict[str, Edge | Ray]:
-        table: dict[str, Edge | Ray] = {e.id: e for e in self.edges}
-        table.update({r.id: r for r in self.rays})
+    def _elements(self) -> dict[str, tuple[Edge | Ray, str, str | None, Fraction | None]]:
+        """Id -> (element, vertex at 0, far-end vertex, length); a ray's last two are None."""
+        table = {e.id: (e, e.u, e.v, e.length) for e in self.edges}
+        table.update({r.id: (r, r.attach, None, None) for r in self.rays})
         return table
 
-    def element(self, eid: str) -> Edge | Ray:
+    def _shape(self, eid: str) -> tuple[Edge | Ray, str, str | None, Fraction | None]:
         try:
             return self._elements[eid]
         except KeyError:
             raise PreconditionError(f"unknown element id {eid!r}") from None
 
+    def element(self, eid: str) -> Edge | Ray:
+        return self._shape(eid)[0]
+
     def is_ray(self, eid: str) -> bool:
-        return isinstance(self.element(eid), Ray)
+        return self._shape(eid)[3] is None
 
     def element_length(self, eid: str) -> Fraction | None:
         """Edge length, or None for a ray (unbounded)."""
-        el = self.element(eid)
-        return el.length if isinstance(el, Edge) else None
+        return self._shape(eid)[3]
 
     @cached_property
     def ray_index(self) -> dict[str, int]:
@@ -133,11 +138,10 @@ class RayGraph:
     def _vertex_reps(self) -> dict[str, tuple[tuple[str, Fraction], ...]]:
         """All (element, coord) representations of each vertex, sorted."""
         reps: dict[str, list[tuple[str, Fraction]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            reps[e.u].append((e.id, Fraction(0)))
-            reps[e.v].append((e.id, e.length))
-        for r in self.rays:
-            reps[r.attach].append((r.id, Fraction(0)))
+        for eid, (_, first, far, length) in self._elements.items():
+            reps[first].append((eid, Fraction(0)))
+            if far is not None:
+                reps[far].append((eid, length))
         return {v: tuple(sorted(lst)) for v, lst in reps.items()}
 
     def vertex_representations(self, v: str) -> tuple[tuple[str, Fraction], ...]:
@@ -147,21 +151,14 @@ class RayGraph:
 
     def vertex_at(self, eid: str, coord: Fraction) -> str | None:
         """The vertex sitting at (eid, coord), or None for an interior point."""
-        el = self.element(eid)
-        if isinstance(el, Ray):
-            return el.attach if coord == 0 else None
+        _, first, far, length = self._shape(eid)
         if coord == 0:
-            return el.u
-        if coord == el.length:
-            return el.v
-        return None
+            return first
+        return far if coord == length else None
 
     def element_end_vertices(self, eid: str) -> tuple[str, str | None]:
         """(vertex at coord 0, vertex at far end or None for a ray)."""
-        el = self.element(eid)
-        if isinstance(el, Ray):
-            return (el.attach, None)
-        return (el.u, el.v)
+        return self._shape(eid)[1:3]
 
     # ---- metric --------------------------------------------------------
 
@@ -207,12 +204,12 @@ class RayGraph:
     def validate_point(self, p: GraphPoint) -> None:
         if not isinstance(p, GraphPoint):
             raise PreconditionError(f"expected a GraphPoint, got {type(p).__name__}")
-        el = self.element(p.element)
+        length = self._shape(p.element)[3]
         if as_fraction(p.coord) < 0:
             raise PreconditionError(f"negative coordinate on {p.element}")
-        if isinstance(el, Edge) and p.coord > el.length:
+        if length is not None and p.coord > length:
             raise PreconditionError(
-                f"coordinate {p.coord} exceeds length {el.length} of edge {p.element}"
+                f"coordinate {p.coord} exceeds length {length} of edge {p.element}"
             )
 
     def normalize_point(self, p: GraphPoint) -> GraphPoint:
@@ -228,10 +225,10 @@ class RayGraph:
 
     def exit_costs(self, p: GraphPoint) -> list[tuple[str, Fraction]]:
         """(vertex, cost) pairs for leaving p's element through its endpoints."""
-        el = self.element(p.element)
-        if isinstance(el, Ray):
-            return [(el.attach, p.coord)]
-        return [(el.u, p.coord), (el.v, el.length - p.coord)]
+        _, first, far, length = self._shape(p.element)
+        if far is None:
+            return [(first, p.coord)]
+        return [(first, p.coord), (far, length - p.coord)]
 
 
 def count_classes(nodes: Iterable[str], links: Iterable[tuple[str, str]]) -> int:

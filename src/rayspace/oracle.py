@@ -284,8 +284,8 @@ def _scaled(x: Fraction, scale: int) -> int:
 
 
 def _common_scale(g: RayGraph, denominators: list[int]) -> int:
-    dens = {*denominators, *(e.length.denominator for e in g.edges)}
-    return math.lcm(*dens, *(d.denominator for d in g.vertex_distances.values()))
+    """lcm of these and the edge-length denominators: a vertex distance sums edge lengths."""
+    return math.lcm(*denominators, *(e.length.denominator for e in g.edges))
 
 
 def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:

@@ -6,12 +6,13 @@ canonical closed subset; the composite path gives every stage an equal share
 of the global [0, 1].  Every stage has the one shape of :class:`Stage`: a
 fixed base united with moving pieces, each given by its two ends as
 :class:`Motion` data.  The builders F0 (grow tails to their vertex), F1
-(retract stray ray pieces), F2 (sweep the rayless core along a covering walk)
-and GAMMA (grow the missing rays via t/(1-t)) state each piece once; a fixed
-end is a motion of speed 0.  The motions alone give the stage's value at t,
-its Lipschitz bound (their top speed) and its critical times (where they
-meet given coordinates).  Values chain exactly (checked at construction), and at
-t = p/q each end is an exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).
+(retract stray ray pieces), F2 (sweep the rayless core along the legs of a
+covering walk) and GAMMA (grow the missing rays via t/(1-t)) state each piece
+once; a fixed end is a motion of speed 0.  The motions alone give the stage's
+value at t, its Lipschitz bound (their top speed) and its critical times (where
+they meet given coordinates), which :class:`HyperPath` maps into global time.
+Values chain exactly (checked at construction), and at t = p/q each end is an
+exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).
 """
 
 from __future__ import annotations
@@ -37,19 +38,9 @@ def _check_t(t) -> Fraction:
 # ---- covering walks of the rayless subgraph -------------------------------
 
 
-@dataclass(frozen=True)
-class Walk:
-    """A continuous walk through edges: legs (element, from-coord, to-coord)."""
-
-    legs: tuple[tuple[str, Fraction, Fraction], ...]
-
-    @cached_property
-    def total_length(self) -> Fraction:
-        return sum((abs(b - a) for _, a, b in self.legs), Fraction(0))
-
-
-def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
-    """Deterministic DFS edge-doubling walk covering every edge, from ``start``.
+def covering_walk(g: RayGraph, start: GraphPoint) -> tuple[tuple[str, Fraction, Fraction], ...]:
+    """Deterministic DFS edge-doubling walk covering every edge, from ``start``,
+    as its legs (element, from-coord, to-coord).
 
     Interior start points first walk down to their element's coord-0 endpoint.
     """
@@ -57,11 +48,10 @@ def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
     start = g.normalize_point(start)
     v0 = g.vertex_at(start.element, start.coord)
     if v0 is None:
-        el = g.element(start.element)
         if g.is_ray(start.element):
             raise PreconditionError("covering walk must start inside the rayless subgraph")
         legs.append((start.element, start.coord, Fraction(0)))
-        v0 = el.u
+        v0 = g.element_end_vertices(start.element)[0]
 
     incident: dict[str, list] = {v: [] for v in g.vertices}
     for e in sorted(g.edges, key=lambda e: e.id):
@@ -89,7 +79,7 @@ def covering_walk(g: RayGraph, start: GraphPoint) -> Walk:
             stack.pop()
             if back is not None:
                 legs.append(back)
-    return Walk(tuple(legs))
+    return tuple(legs)
 
 
 def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
@@ -260,14 +250,15 @@ def F1(
     return Stage("F1", g, base, desc, pieces)
 
 
-def F2(g: RayGraph, base: ClosedSubset, walk: Walk) -> Stage:
-    """Grow along a covering walk until the whole rayless subgraph is included."""
-    desc = f"F2 covering walk of length {walk.total_length} ({len(walk.legs)} legs)"
+def F2(g: RayGraph, base: ClosedSubset, legs: tuple[tuple[str, Fraction, Fraction], ...]) -> Stage:
+    """Grow along the legs of a covering walk until the whole rayless subgraph is included."""
+    length = sum((abs(b - a) for _, a, b in legs), Fraction(0))
+    desc = f"F2 covering walk of length {length} ({len(legs)} legs)"
     # each leg runs over the arcs [arc, arc + |b - a|] of the walk's length L:
     # its far end sits at a + sign * (t * L - arc), its near end stays at a,
     # and the lower of the two comes first
-    pieces, arc, length = [], Fraction(0), walk.total_length
-    for eid, a, b in walk.legs:
+    pieces, arc = [], Fraction(0)
+    for eid, a, b in legs:
         sign = 1 if b >= a else -1
         span = (arc / length, (arc + abs(b - a)) / length)
         near = Motion(eid, a, Fraction(0), *span)
@@ -327,6 +318,11 @@ class HyperPath:
         k = len(self.stages)
         return [(Fraction(i, k), Fraction(i + 1, k), s) for i, s in enumerate(self.stages)]
 
+    def critical_times(self, ends: dict[str, set[Fraction]]) -> list[Fraction]:
+        """Each stage's ``Stage.critical_times`` mapped through its span, sorted."""
+        return sorted({lo + (hi - lo) * s for lo, hi, stage in self.stage_spans()
+                       for s in stage.critical_times(ends)})
+
 
 def eval_path(P: HyperPath, t) -> ClosedSubset:
     """Value of the path at rational t in [0, 1]."""
@@ -371,8 +367,8 @@ def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stag
     f1 = F1(g, base1, tuple(moving))
     a2 = f1.at(1)
 
-    walk = covering_walk(g, _least_core_point(g, a2)) if g.edges else Walk(())
-    return f0, f1, F2(g, a2, walk)
+    legs = covering_walk(g, _least_core_point(g, a2)) if g.edges else ()
+    return f0, f1, F2(g, a2, legs)
 
 
 def path_to_canonical(g: RayGraph, A: ClosedSubset, n: int) -> HyperPath:

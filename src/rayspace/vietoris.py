@@ -8,9 +8,9 @@ open intervals (s - reach, s + reach) with reach = r - d(s, c) > 0.  They are
 not cut to the element, so their ends may lie below 0 or past L.  Merged,
 they are the region's derived form, which both membership tests read with
 strict comparisons: upper membership is interval containment, and lower
-membership is an overlap of the set's pieces with the derived intervals.
-So along a path, membership in a basic open changes only where a moving
-piece end meets a derived end: the continuity witness checks only there.
+membership is an overlap of the set's pieces with the derived intervals.  So
+along a path, membership in a basic open changes only where a moving piece end
+meets a derived end, at ``HyperPath.critical_times``: the witness checks there.
 """
 
 from __future__ import annotations
@@ -199,7 +199,7 @@ def continuity_witness(
 ) -> WitnessResult:
     """Exact Vietoris-continuity certificate around t0.
 
-    P(t) can enter or leave <U1,...,Un> only at the stages' critical times
+    P(t) can enter or leave <U1,...,Un> only at the path's critical times
     against the regions' derived ends, so membership, read once at each of
     them and once inside each gap, outward from t0, gives the exact preimage.
     The answer is the largest delta max(t0, 1 - t0) / 2**k, not below the
@@ -224,8 +224,7 @@ def continuity_witness(
     for u in Us:
         for eid, ivs in ({} if u.all_space else u.derived).items():
             ends.setdefault(eid, set()).update(c for iv in ivs for c in iv)
-    times = sorted({t0}.union(*({lo + (hi - lo) * s for s in stage.critical_times(ends)}
-                                for lo, hi, stage in P.stage_spans())))
+    times = sorted({t0, *P.critical_times(ends)})
 
     def bad(t: Fraction) -> bool:
         A = P.at(t)

@@ -131,10 +131,10 @@ def test_classification_matches_direction_comparison_on_random_graphs(seed):
 
 def test_covering_walk_from_interior_point(graphs):
     g = graphs["G_I"]
-    walk = covering_walk(g, GraphPoint("E1", F(1, 4)))
-    assert walk.legs[0] == ("E1", F(1, 4), F(0))
-    assert walk.total_length == F(1, 4) + 2
-    full = F2(g, parse_set("E1:{1/4}", g), walk).at(1)
+    legs = covering_walk(g, GraphPoint("E1", F(1, 4)))
+    assert legs[0] == ("E1", F(1, 4), F(0))
+    assert sum(abs(b - a) for _, a, b in legs) == F(1, 4) + 2
+    full = F2(g, parse_set("E1:{1/4}", g), legs).at(1)
     assert full == parse_set("E1:[0,1]", g)
 
 

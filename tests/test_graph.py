@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -13,8 +14,9 @@ from rayspace import (
     parse_graph,
     point_distance,
 )
+from rayspace.graph import Ray
 
-from conftest import brute_force_vertex_distance, random_point
+from conftest import brute_force_vertex_distance, random_point, random_ray_graph
 
 
 def test_parse_minimal_ray_graph():
@@ -205,3 +207,39 @@ def test_vertex_tables_match_floyd_warshall_on_seeded_rings():
         table = dict(g.vertex_distances)
         assert table == _floyd_warshall(g)
         assert list(table) == [(a, b) for a in g.vertices for b in g.vertices]
+
+
+def _check_accessors_against_fields(g):
+    """Every element accessor agrees with the element's own Edge or Ray fields."""
+    for el in g.edges + g.rays:
+        ray = type(el) is Ray
+        first, far, length = (el.attach, None, None) if ray else (el.u, el.v, el.length)
+        inner = F(5, 2) if ray else length / 3
+        assert g.element(el.id) is el
+        assert g.is_ray(el.id) is ray
+        assert g.element_length(el.id) == length
+        assert g.element_end_vertices(el.id) == (first, far)
+        assert g.vertex_at(el.id, F(0)) == first
+        assert g.vertex_at(el.id, inner) is None
+        exits = [(first, inner)] + ([] if ray else [(far, length - inner)])
+        assert g.exit_costs(GraphPoint(el.id, inner)) == exits
+        if ray:
+            g.validate_point(GraphPoint(el.id, F(10**6)))
+        else:
+            assert g.vertex_at(el.id, length) == far
+            past = GraphPoint(el.id, length + F(1, 7))
+            with pytest.raises(PreconditionError, match=re.escape(
+                    f"coordinate {past.coord} exceeds length {length} of edge {el.id}")):
+                g.validate_point(past)
+    for accessor in (g.element, g.is_ray, g.element_length, g.element_end_vertices,
+                     lambda eid: g.vertex_at(eid, F(0)),
+                     lambda eid: g.exit_costs(GraphPoint(eid, F(0))),
+                     lambda eid: g.validate_point(GraphPoint(eid, F(0)))):
+        with pytest.raises(PreconditionError, match="unknown element id 'Z9'"):
+            accessor("Z9")
+
+
+def test_element_accessors_agree_with_the_element_fields(graphs):
+    _check_accessors_against_fields(graphs["G_MIXED"])  # a loop, parallel edges, two rays
+    for seed in range(60):
+        _check_accessors_against_fields(random_ray_graph(random.Random(seed)))

@@ -12,10 +12,12 @@ product of its element layouts; neither the oracle nor its kernels name
 outside them; the
 Vietoris layer reads its regions' derived intervals, never names
 ``point_distance`` and takes nothing from the metric beyond its value types
-either, and it takes only ``HyperPath`` from ``paths.py`` and never reads a
-stage's pieces or names a ``Motion``, so how stages move stays in one module;
-stages are plain data, with no callable field and no ``Callable`` in
-``paths.py``; numpy stays
+either, and it takes only ``HyperPath`` from ``paths.py`` and never names
+its stages, their spans or pieces or a ``Motion``, so how stages move and
+when they cross a given point stays in one module; stages are plain data,
+with no callable field and no ``Callable`` in ``paths.py``, and a covering
+walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
+``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
 behind the oracle, which the package and the CLI load only on first use, and
 the kernels build only bool arrays but the label array, so no distance
 reaches numpy;
@@ -154,7 +156,8 @@ def test_vietoris_takes_only_hyperpath_from_paths():
     helpers = {node.name for node in TREES["paths.py"].body
                if isinstance(node, ast.FunctionDef) and node.name.startswith("_")}
     named = {ident for node in ast.walk(tree) for ident in _names(node)}
-    assert not named & (helpers | {"motions", "Motion", "solve"})
+    # it reads the path's critical times, never its stages or their spans
+    assert not named & (helpers | {"motions", "Motion", "solve", "stage_spans", "stages"})
     # sets have pieces too: each ``.pieces`` it reads must be off a ClosedSubset argument
     reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "pieces"]
     off_sets = {
@@ -172,11 +175,28 @@ def test_vietoris_takes_only_hyperpath_from_paths():
 def test_stages_are_plain_data():
     tree = TREES["paths.py"]
     assert "Callable" not in {ident for node in ast.walk(tree) for ident in _names(node)}
+    # a covering walk is its tuple of legs, with no class around it
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"Motion", "Stage", "HyperPath", "ClassifyResult"}
     stage = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Stage")
     fields = {node.target.id: ast.unparse(node.annotation)
               for node in stage.body if isinstance(node, ast.AnnAssign)}
     assert "pieces" in fields
     assert [name for name, kind in fields.items() if "Callable" in kind] == []
+
+
+def test_no_module_asks_whether_an_element_is_an_edge_or_a_ray():
+    # graph.py's element table is the one place that tells an edge from a ray
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _names(node.func) == ["isinstance"]
+        and {"Edge", "Ray"} & {ident for arg in node.args[1:]
+                               for sub in ast.walk(arg) for ident in _names(sub)}
+    ]
+    assert found == []
 
 
 def _imported_modules(node: ast.AST) -> list[str]:

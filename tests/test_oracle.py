@@ -810,6 +810,16 @@ def test_oracle_hausdorff_within_a_grid_step_on_random_graphs(seed):
         assert abs(oracle_hausdorff(g, A, B, h, F(3)) - exact) <= h
 
 
+def test_common_scale_clears_every_vertex_distance(graphs):
+    # the scale reads only edge lengths: a vertex distance is a sum of them
+    draws = [random_ray_graph(random.Random(seed)) for seed in range(300)]
+    for g in [*graphs.values(), *draws]:
+        sg = _scaled_graph(g, _common_scale(g, [1]))
+        for (a, b), d in g.vertex_distances.items():
+            assert sg.scale % d.denominator == 0
+            assert sg.dvert[g.vertices.index(a)][g.vertices.index(b)] == d * sg.scale
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
 def test_kernels_match_exact_reference_on_random_graphs(seed):

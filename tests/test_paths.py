@@ -184,15 +184,15 @@ def test_walk_covers_all_edges(graphs):
     for name in ("G_I", "G_LOOP", "G_TRIOD", "G_MIXED"):
         g = graphs[name]
         start = GraphPoint(*g.vertex_representations(g.vertices[0])[0])
-        walk = covering_walk(g, start)
+        legs = covering_walk(g, start)
         seen = {}
-        for eid, a, b in walk.legs:
+        for eid, a, b in legs:
             lo, hi = min(a, b), max(a, b)
             cur = seen.get(eid)
             seen[eid] = (min(lo, cur[0]), max(hi, cur[1])) if cur else (lo, hi)
         for e in g.edges:
             assert seen[e.id] == (0, e.length)
-        assert walk.total_length == 2 * sum(e.length for e in g.edges)
+        assert sum(abs(b - a) for _, a, b in legs) == 2 * sum(e.length for e in g.edges)
 
 
 def test_covering_walk_on_long_path_graph():
@@ -204,7 +204,7 @@ def test_covering_walk_on_long_path_graph():
     )
     P = path_to_canonical(g, parse_set("E0:{0}", g), 1)
     assert P.stages[2].lipschitz_bound == 2 * n
-    legs = covering_walk(g, GraphPoint("E0", F(0))).legs
+    legs = covering_walk(g, GraphPoint("E0", F(0)))
     assert len(legs) == 3000
     assert legs[0] == ("E0", 0, 1) and legs[-1] == ("E0", 1, 0)
     assert legs[n - 1] == (f"E{n - 1}", 0, 1) and legs[n] == (f"E{n - 1}", 1, 0)
@@ -300,7 +300,8 @@ def test_path_invariants_on_random_graphs(seed):
 
 def _flips(stage, holds, cells=16):
     """Brackets [lo, hi], each narrower than 2**-20, around every change of
-    ``holds(stage.at(t))`` between two neighbouring grid times."""
+    ``holds(stage.at(t))`` between two neighbouring grid times; ``stage`` may
+    be a whole ``HyperPath`` too."""
     out, ts = [], [F(k, cells) for k in range(cells + 1)]
     for lo, hi in zip(ts, ts[1:]):
         before = holds(stage.at(lo))
@@ -340,11 +341,41 @@ def test_motions_solve_where_stage_values_change(seed):
                         assert any(lo <= t <= hi for t in times), (s.desc, point, lo, hi)
 
 
-def _walk_image(walk, arc):
+def test_path_critical_times_map_each_stage_into_its_span(graphs):
+    g = graphs["G_LINE"]
+    P = vietoris_path(g, parse_set("R1:[0,inf) R2:[1,2]", g), 2)
+    assert [s.kind for s in P.stages] == ["F0", "F1", "F2", "GAMMA"]
+    # F1 brings R2's upper end to 1 at local 1/2, GAMMA's growing end at local 1/2
+    want = [F(0), F(1, 4), F(3, 8), F(1, 2), F(3, 4), F(7, 8), F(1)]
+    assert P.critical_times({"R2": {F(1)}}) == want
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+def test_path_values_change_only_at_path_critical_times(seed):
+    """A point enters or leaves a whole path's value only in a bracket that
+    holds one of ``HyperPath.critical_times``; a ``same_component_hausdorff``
+    path runs its second half through reversed stages."""
+    rng = random.Random(seed)
+    g = random_ray_graph(rng)
+    A = random_subset(g, rng)
+    B = random_subset(g, rng, tails_on=direction_set(g, A))
+    n = max(component_count(g, A), component_count(g, B), 1)
+    back = same_component_hausdorff(g, A, B, n).path
+    assert back.stages[-1].backwards or A == B
+    for P in (vietoris_path(g, A, n), back):
+        for eid in sorted({m.element for stage in P.stages for m in stage.motions}):
+            point = GraphPoint(eid, F(rng.randint(1, 47), 48) * (g.element_length(eid) or 4))
+            times = P.critical_times({eid: {point.coord}})
+            for lo, hi in _flips(P, lambda val: contains_point(g, val, point), cells=32):
+                assert any(lo <= t <= hi for t in times), (point, lo, hi)
+
+
+def _walk_image(legs, arc):
     """Reference: per-element intervals swept after walking the first ``arc``
     units of the walk, leg by leg."""
     out, remaining = {}, arc
-    for eid, a, b in walk.legs:
+    for eid, a, b in legs:
         step = abs(b - a)
         if remaining >= step:
             lo, hi = min(a, b), max(a, b)
@@ -359,19 +390,19 @@ def _walk_image(walk, arc):
     return out
 
 
-def _check_f2_against_walk(g, base, walk):
+def _check_f2_against_walk(g, base, legs):
     """F2 and its reversal at each leg's start, midpoint and stop are the base
     united with the walk's image up to that share of its length."""
-    stage, length, arc = F2(g, base, walk), walk.total_length, F(0)
+    stage, length, arc = F2(g, base, legs), sum(abs(b - a) for _, a, b in legs), F(0)
     times = set()
-    for _, a, b in walk.legs:
+    for _, a, b in legs:
         step = abs(b - a)
         times.update((arc / length, (arc + step / 2) / length, (arc + step) / length))
         arc += step
     for t in sorted(times):
-        want = union(base, ClosedSubset.from_pieces(g, _walk_image(walk, t * length), {}))
-        assert stage.at(t) == want, (walk, t)
-        assert stage.reversed().at(1 - t) == want, (walk, t)
+        want = union(base, ClosedSubset.from_pieces(g, _walk_image(legs, t * length), {}))
+        assert stage.at(t) == want, (legs, t)
+        assert stage.reversed().at(1 - t) == want, (legs, t)
 
 
 def test_f2_follows_the_walk_image_on_fixtures(graphs):
@@ -390,8 +421,8 @@ def test_f2_follows_the_walk_image_on_random_graphs(seed):
     rng = random.Random(seed)
     g = random_ray_graph(rng)
     e = rng.choice(g.edges)
-    walk = covering_walk(g, GraphPoint(e.id, rational(rng, 0, e.length)))
-    _check_f2_against_walk(g, random_subset(g, rng), walk)
+    legs = covering_walk(g, GraphPoint(e.id, rational(rng, 0, e.length)))
+    _check_f2_against_walk(g, random_subset(g, rng), legs)
 
 
 def test_exact_values_pass_through_unwrapped(graphs):
