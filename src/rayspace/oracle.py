@@ -7,13 +7,16 @@ independently of the exact metric module.  Enumeration works on grid indices:
 a layout on one element is its pieces' grid-index runs and a key (a bit per
 grid point, each vertex one point; a bit per covered grid segment; a tail bit
 per ray), and a set is the OR of its layouts' keys.  Layouts are combined one
-element at a time, each distinct key so far extended once and carrying its
-classes of reached vertices, as bitmasks joined along whole edges; a key is
-dropped once its components are bound to pass n.
-Accepted keys are put in ``ClosedSubset.sort_key`` order in index space,
-reading each coordinate k*h as k, so no set is built to order them.
+element at a time, in element-id order, each distinct key so far extended
+once and carrying its classes of reached vertices, as bitmasks joined along
+whole edges; a key is dropped once its components are bound to pass n.  The
+join and the bound read only a layout's signature (its interior pieces and
+vertex groups), so they run once per key and signature.  Each key also
+carries its ``ClosedSubset.sort_key`` entries in index space, reading each
+coordinate k*h as k, so no set is built to order the accepted keys; only a
+key with a vertex set aside as a single point is patched.
 ``enumerate_sets`` then builds one set per key; the census reads a key's
-point bits as its mask and its tail layouts as its direction class, and
+point bits as its mask and its tail bits as its direction class, and
 builds a set only for each component's representative.  Only
 ``ClosedSubset`` comes from :mod:`rayspace.sets`, the code this checks.
 Distances run through the kernels in :mod:`rayspace._kernels` in Python
@@ -28,7 +31,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
 from typing import NamedTuple
 
 import numpy as np
@@ -85,22 +88,31 @@ class _Layout(NamedTuple):
     """One canonical layout on one element."""
 
     key: int
-    interior: int  # pieces that reach neither element end
     eid: str
     pieces: tuple[tuple[Fraction, Fraction], ...]  # in coordinates, as from_pieces takes them
     start: Fraction | None  # tail start
-    groups: tuple[int, ...]  # vertex bitmasks it joins: a whole edge's ends, else each end reached
     held: int  # bitmask of the vertices a longer run, or a tail from 0, reaches
-    order: tuple | None  # (runs but the set-aside points, tail index or -1, no tail)
+    entries: tuple  # its sort entry, if it holds more than set-aside points:
+    # ((eid, runs but the set-aside points, tail index or -1, no tail),)
+
+
+def _tail_bits(sizes: list[int]) -> list[int]:
+    """Per element, the key bit of a tail on it: past the universe, each
+    element's grid segments and then its tail bit."""
+    total = sum(sizes)
+    return [1 << (total + first + m - 1)
+            for first, m in zip(itertools.accumulate(sizes, initial=0), sizes)]
 
 
 def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_pieces: int,
                      bit: dict[str, int]):
     """For each element (id, length or None on a ray) with a grid of the given
-    size, its layouts, with each vertex v as the bitmask ``bit[v]``.  A key
+    size, its layouts by signature: (pieces that reach neither element end,
+    the vertex bitmasks it joins, a whole edge's ends as one, else each end
+    reached), with each vertex v as the bitmask ``bit[v]``.  A key
     has a bit per universe point held, every vertex at the index of its least
     representation on the grid, and past the universe a bit per grid segment
-    covered and a tail bit.  ``held`` and ``order`` read the layout as
+    covered and a tail bit.  ``held`` and ``entries`` read the layout as
     ``_canonicalize`` does, which sets a single point at an element end aside
     as its vertex."""
     firsts = list(itertools.accumulate(sizes, initial=0))
@@ -110,16 +122,16 @@ def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_p
     vertex = {v: next((pos[r] for r in g.vertex_representations(v) if r in pos), None)
               for v in g.vertices}
     per_element = []
-    for (eid, length), m, first in zip(elements, sizes, firsts):
+    for (eid, length), m, first, tail_bit in zip(elements, sizes, firsts, _tail_bits(sizes)):
         end0, end1 = g.element_end_vertices(eid)
         b0, b1 = bit[end0], bit.get(end1, 0)
         far = m - 1 if (m - 1) * h == length else None
         points = [vertex[end0], *range(first + 1, first + m)]
         if far is not None:
             points[-1] = vertex[end1]
-        extra, layouts, coord = firsts[-1] + first, [], [k * h for k in range(m)]
+        extra, layouts, coord = firsts[-1] + first, {}, [k * h for k in range(m)]
         for runs, tail, interior in _element_configs(m, max_pieces, length is None, far):
-            key = 0 if tail is None else 1 << (extra + m - 1)  # segment k at extra + k
+            key = 0 if tail is None else tail_bit  # segment k at extra + k, then the tail
             for i, j in runs + (() if tail is None else ((tail, m - 1),)):
                 key |= ((1 << (j - i)) - 1) << (extra + i)
                 for p in points[i : j + 1]:
@@ -132,18 +144,19 @@ def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_p
             groups = (r0 | r1,) if (0, far) in runs else tuple(b for b in (r0, r1) if b)
             pieces = tuple((coord[i], coord[j]) for i, j in runs)
             start = None if tail is None else coord[tail]
-            order = None
+            entries = ()
             if kept or tail is not None:
-                order = (kept, -1 if tail is None else tail, tail is None)
-            layouts.append(_Layout(key, interior, eid, pieces, start, groups, held, order))
+                entries = ((eid, kept, -1 if tail is None else tail, tail is None),)
+            layouts.setdefault((interior, groups), []).append(
+                _Layout(key, eid, pieces, start, held, entries))
         per_element.append(layouts)
     return per_element
 
 
-def _index_order(combo: tuple[_Layout, ...], stored: list[tuple[str, int]]) -> tuple:
-    """``ClosedSubset.sort_key`` of the combo's set with each coordinate k*h
-    read as k; ``stored`` places each set-aside vertex no layout holds."""
-    per = {lay.eid: lay.order for lay in combo if lay.order is not None}
+def _set_aside(entries: tuple, stored: list[tuple[str, int]]) -> tuple:
+    """The sort entries with each set-aside vertex that no layout holds added
+    as a single point at ``stored``, its (element id, index)."""
+    per = {eid: rest for eid, *rest in entries}
     for eid, i in stored:
         runs, tail, bare = per.get(eid, ((), -1, True))
         per[eid] = (tuple(sorted((*runs, (i, i)))), tail, bare)
@@ -165,13 +178,20 @@ def _enumerate_keys(
     whole edge.  A vertex is closed once every element at it is folded, and
     a class of closed vertices joins no other.  So the pieces that reach no
     element end, the closed classes and one more for any open class bound
-    the component count from below; a key whose bound passes n is marked
-    dead, which keeps every other key's first layouts, as the bound is a
-    function of the key.  After the last element every vertex is closed, so
-    the bound is the count and the live keys are those accepted.  The order
-    is read in index space: a set-aside vertex that no layout holds sits at
-    its least representation, index 0 or the far end's, and at index m, past
-    the grid, where the grid stops short of that end.
+    the component count from below, and a key whose bound passes n is
+    dropped.  The bound is a function of the key, and the join and the bound
+    read only a layout's signature (interior pieces, vertex groups), so
+    they run once per key and signature, and every layout of a dead
+    signature is dropped with it.  After the last element every vertex is
+    closed, so the bound is the count and the keys left are those accepted.
+
+    The order is read in index space.  The fold takes the elements in id
+    order, whatever their declaration order, so each key carries its sort
+    entries in order along with the vertices it reaches and holds; the keys,
+    the universe and ``sizes`` stay in declaration order.  Only a key with a
+    set-aside vertex that no layout holds is patched: that vertex sits at its
+    least representation, index 0 or the far end's, and at index m, past the
+    grid, where the grid stops short of that end.
     """
     check_graph(g)
     h, T = as_fraction(h), as_fraction(T)
@@ -195,21 +215,18 @@ def _enumerate_keys(
 
     bit = {v: 1 << i for i, v in enumerate(g.vertices)}
     ends = [bit[u] | bit.get(v, 0) for u, v in (g.element_end_vertices(e) for e, _ in elements)]
-    # key -> (interior pieces, vertex classes, first layouts), or None once pruned
-    first: dict[int, tuple | None] = {0: (0, (), ())}
-    for s, layouts in enumerate(_element_layouts(g, h, elements, sizes, max_pieces, bit)):
-        unfolded = reduce(or_, ends[s + 1 :], 0)  # the vertices not closed yet
-        grown: dict[int, tuple | None] = {}
-        for key, entry in first.items():
-            if entry is None:
-                continue
-            interior, classes, combo = entry
-            for lay in layouts:
-                grown_key = key | lay.key
-                if grown_key in grown:
-                    continue
-                count, joined = interior + lay.interior, classes
-                for group in lay.groups:  # OR in every class the group meets
+    per_element = _element_layouts(g, h, elements, sizes, max_pieces, bit)
+    fold = sorted(range(len(elements)), key=lambda e: elements[e][0])
+    # key -> (interior pieces, vertex classes, vertices reached, vertices held,
+    # sort entries, first layouts)
+    first: dict[int, tuple] = {0: (0, (), 0, 0, (), ())}
+    for s, e in enumerate(fold):
+        unfolded = reduce(or_, [ends[f] for f in fold[s + 1 :]], 0)  # the vertices not closed yet
+        grown: dict[int, tuple] = {}
+        for key, (interior, classes, reached, held, entries, combo) in first.items():
+            for (extra, groups), layouts in per_element[e].items():
+                joined, reach = classes, reached
+                for group in groups:  # OR in every class the group meets
                     apart = []
                     for c in joined:
                         if c & group:
@@ -217,28 +234,33 @@ def _enumerate_keys(
                         else:
                             apart.append(c)
                     joined = (*apart, group)
+                    reach |= group
                 # each piece touching no element end, and each class of closed
                 # vertices, is a component; the open classes make at least one
-                shut = len([c for c in joined if not c & unfolded])
-                live = count + shut + (shut < len(joined)) <= n
-                grown[grown_key] = (count, joined, (*combo, lay)) if live else None
+                count, shut = interior + extra, len([c for c in joined if not c & unfolded])
+                if count + shut + (shut < len(joined)) > n:
+                    continue
+                for lay in layouts:
+                    grown_key = key | lay.key
+                    if grown_key not in grown:
+                        grown[grown_key] = (count, joined, reach, held | lay.held,
+                                            entries + lay.entries, (*combo, lay))
         first = grown
     first.pop(0, None)  # no piece anywhere: CL(X) has no empty set
 
     grid = {eid: m for (eid, _), m in zip(elements, sizes)}
-    stored_at = {}
+    stored_at = []
     for v in g.vertices:
         eid, c = g.vertex_representations(v)[0]
         m = grid[eid]
-        stored_at[v] = eid, 0 if c == 0 else m - 1 if (m - 1) * h == c else m
+        stored_at.append((bit[v], (eid, 0 if c == 0 else m - 1 if (m - 1) * h == c else m)))
     found = []
-    for key, entry in first.items():
-        if entry is not None:  # every vertex is closed now, so the bound is the count
-            _, classes, combo = entry
-            aside = reduce(or_, classes, 0) & ~reduce(or_, (lay.held for lay in combo))
-            order = _index_order(combo, [stored_at[v] for v in g.vertices if bit[v] & aside])
-            found.append((order, key, combo))
-    found.sort(key=lambda item: item[0])
+    for key, (_, _, reached, held, entries, combo) in first.items():
+        aside = reached & ~held
+        if aside:
+            entries = _set_aside(entries, [at for b, at in stored_at if b & aside])
+        found.append((entries, key, combo))
+    found.sort(key=itemgetter(0))
     return sizes, [(key, combo) for _, key, combo in found]
 
 
@@ -376,7 +398,7 @@ def oracle_components(
     Two sets join when their grid Hausdorff distance is <= delta; cross
     direction-class distances are infinite, so classes are processed
     independently.  The census works on the enumeration's keys: a key's
-    point bits are its set's mask, its tail layouts its direction class, and
+    point bits are its set's mask, its tail bits its direction class, and
     a ``ClosedSubset`` is built only for the first key of each component.
     Distances are compared with the scaled delta in Python ints, so no scale
     is refused; a delta below the margin is refused before enumerating."""
@@ -399,22 +421,25 @@ def oracle_components(
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(found), nbytes)
     masks = np.unpackbits(bits, axis=1, count=size, bitorder="little").view(bool)
 
-    groups: dict[frozenset[int], list[int]] = {}
-    for i, (_, combo) in enumerate(found):
-        dset = frozenset(g.ray_index[lay.eid] for lay in combo if lay.start is not None)
-        groups.setdefault(dset, []).append(i)
+    # a set's direction class is its key's tail bits
+    ray_bits = list(zip(_tail_bits(sizes)[len(g.edges) :], g.rays))
+    tail_mask = reduce(or_, [b for b, _ in ray_bits], 0)
+    by_tails: dict[int, list[int]] = {}
+    for i, (key, _) in enumerate(found):
+        by_tails.setdefault(key & tail_mask, []).append(i)
+    groups = {frozenset(g.ray_index[r.id] for b, r in ray_bits if tails & b): idx
+              for tails, idx in by_tails.items()}
 
     reps: list[ClosedSubset] = []
     dirs: list[frozenset[int]] = []
     group_counts: dict[frozenset[int], int] = {}
     for dset in sorted(groups, key=lambda s: (len(s), sorted(s))):
         idx = groups[dset]
-        labels = component_labels(masks[idx], links)
         first_of: dict[int, int] = {}
-        for k, lab in enumerate(labels):
-            first_of.setdefault(int(lab), idx[k])
+        for i, lab in zip(idx, component_labels(masks[idx], links).tolist()):
+            first_of.setdefault(lab, i)
         group_counts[dset] = len(first_of)
-        for _, global_i in sorted(first_of.items(), key=lambda kv: kv[1]):
+        for global_i in sorted(first_of.values()):
             reps.append(_build(g, found[global_i][1]))
             dirs.append(dset)
     return OracleComponents(

@@ -254,6 +254,89 @@ def test_enumeration_checks_each_distinct_set_once(graphs, monkeypatch):
     assert len(built) == len(set(built)) == len(sets) == 209
 
 
+ID_POOL = ("Z1", "A1", "M0", "B7", "Q2", "E9", "R0", "C3", "X4", "K5", "N8")
+
+
+def _relabelled_ray_graph(rng):
+    """A ``random_ray_graph`` draw, its element ids drawn from ``ID_POOL`` so
+    that some edge sorts after a ray: the id order is not the declaration
+    order, edges first, then rays."""
+    while True:
+        g = random_ray_graph(rng)
+        names = rng.sample(ID_POOL, len(g.edges) + len(g.rays))
+        edges = [(eid, e.u, e.v, e.length) for eid, e in zip(names, g.edges)]
+        rays = [(eid, r.attach) for eid, r in zip(names[len(edges) :], g.rays)]
+        if rays and max(eid for eid, *_ in edges) > min(eid for eid, _ in rays):
+            return rayspace.graph_from_parts(g.vertices, edges, rays)
+
+
+def test_enumeration_and_census_hold_when_ids_sort_apart_from_declaration():
+    # the fold runs in id order while keys and the universe stay in
+    # declaration order; a vertex is stored on its least representation by id
+    rng = random.Random(6173)
+    checked = 0
+    for _ in range(600):  # about one draw in six fits the cap
+        g = _relabelled_ray_graph(rng)
+        h = rng.choice((F(1), F(1, 2)))
+        n, mp = rng.randint(1, 3), rng.randint(1, 2)
+        try:
+            got = enumerate_sets(g, h, h, n, mp, cap=1000)
+        except CapExceededError:
+            continue
+        assert got == _accepted_over_layouts(g, h, h, n, mp)
+        res = oracle_components(g, h, h, 6 * h / 5, 1, 1)
+        assert (res.count, res.set_count) == _pairwise_census(g, h, h, 6 * h / 5, 1, 1)
+        checked += 1
+        if checked == 40:
+            break
+    assert checked == 40
+
+
+def test_oracle_stdout_when_ids_sort_apart_from_declaration(tmp_path, capsys):
+    # edges Z1, M0 and rays A1, N2 in that order; v is stored at (A1, 0)
+    path = tmp_path / "ids.graph"
+    path.write_text("vertex u v\nedge Z1 u v length 1\nedge M0 u u length 2\nray A1 v\nray N2 u\n")
+    argv = ["oracle", "--graph", str(path), "--step", "1", "--trunc", "1", "--delta", "6/5",
+            "-n", "2"]
+    assert run(argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == (
+        "backend=numpy\n"
+        "sets=121\n"
+        "components=4\n"
+        "component 1 direction={} rep=A1:{0}\n"
+        "component 2 direction={1} rep=A1:[0,inf)\n"
+        "component 3 direction={2} rep=A1:{0} M0:[0,1] N2:[0,inf)\n"
+        "component 4 direction={1,2} rep=A1:[0,inf) M0:[0,1] N2:[0,inf)\n"
+    )
+
+
+def test_enumeration_patches_only_keys_with_a_set_aside_vertex(graphs, monkeypatch):
+    # a key's carried sort entries leave out a vertex held only as a single
+    # point at an element end; only such keys take the patch
+    import rayspace.oracle
+
+    patched = [0]
+    set_aside = rayspace.oracle._set_aside
+
+    def counting(*args):
+        patched[0] += 1
+        return set_aside(*args)
+
+    monkeypatch.setattr(rayspace.oracle, "_set_aside", counting)
+    cases = [(g, F(1, 2), F(1), n, mp) for g in graphs.values() for n, mp in ((1, 1), (2, 2))]
+    rng = random.Random(1729)
+    cases += [(random_ray_graph(rng), F(1), F(1), rng.randint(1, 3), 1) for _ in range(40)]
+    accepted = 0
+    for g, h, T, n, mp in cases:
+        try:
+            got = enumerate_sets(g, h, T, n, mp, cap=2500)
+        except CapExceededError:
+            continue
+        assert got == _accepted_over_layouts(g, h, T, n, mp)
+        accepted += len(got)
+    assert 0 < patched[0] < accepted
+
+
 def test_oracle_components_census(graphs):
     for name, k in (("G_I", 0), ("G_NOOSE", 1), ("G_LINE", 2)):
         res = oracle_components(graphs[name], F(1, 2), F(2), F(3, 5), 1, 1)
