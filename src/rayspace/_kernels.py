@@ -1,18 +1,21 @@
 """Distance kernels backing the brute-force oracle, in exact Python ints.
 
 A point is ``(e, c)``: an element index and a coordinate scaled to an int by
-the oracle's common denominator.  Per element, ``sg.ends[e]`` is the vertex
-at 0 and the far-end vertex (None on a ray) and ``sg.lengths[e]`` the scaled
-length (None on a ray); ``sg.dvert`` is the scaled vertex distance table.  A
-point reaches another along their shared element or out through an end of
-its own and in through an end of the other's; both kernels take the second
-route from per-vertex costs, a distance transform over the vertices, so no
-pair is compared through the vertices.  ``directed_maxmin`` sweeps each
-element once in coordinate order: it takes the two end costs once per
-element, and the first route from a merge pointer that only moves forward.
-The census compares each distance with its threshold in Python ints, so
-numpy holds only booleans and the label array; ``component_labels`` is a
-breadth-first search over sets held as the bits of Python ints.
+the oracle's common denominator; ``directed_maxmin`` takes each side's points
+as a map from element index to coordinates, and sorts each list itself.  Per
+element, ``sg.ends[e]`` is the vertex at 0 and the far-end vertex (None on a
+ray) and ``sg.lengths[e]`` the scaled length (None on a ray); ``sg.dvert`` is
+the scaled vertex distance table.  A point reaches another along their
+shared element or out through an end of its own and in through an end of the
+other's; both kernels take the second route from per-vertex costs, a
+distance transform over the vertices, so no pair is compared through the
+vertices: ``distance_matrix`` per point, ``directed_maxmin`` once, seeded at
+the end vertices of the target's elements.  It then sweeps each element once
+in coordinate order, taking the two end costs once per element and the first
+route from a merge pointer that only moves forward.  The census compares
+each distance with its threshold in Python ints, so numpy holds only
+booleans and the label array; ``component_labels`` is a breadth-first search
+over sets held as the bits of Python ints.
 """
 
 from __future__ import annotations
@@ -37,34 +40,33 @@ def _vertex_costs(sg, e: int, c: int) -> list[int]:
     return [min(x + row[w] for w, x in exits) for row in sg.dvert]
 
 
-def _by_element(points) -> dict[int, list[int]]:
-    """Each element's coordinates among the points, sorted."""
-    on: dict[int, list[int]] = {}
-    for e, c in points:
-        on.setdefault(e, []).append(c)
-    for cs in on.values():
-        cs.sort()
-    return on
-
-
 def directed_maxmin(pa, pb, sg) -> int:
     """max over the points pa of the scaled distance to the nearest point of pb.
 
-    pb reaches each vertex most cheaply from its first or last point on some
-    element, so only those points' vertex costs are taken.  The points of pa
-    are then swept one element at a time in coordinate order: with r0 the
-    reach of the end at 0 and far the length plus the reach of the far end,
-    a point c costs min(c + r0, far - c, its gap to the nearest point of pb
-    on the element), and that nearest point is found by a merge pointer
-    into pb's sorted coordinates that only moves forward."""
-    on = _by_element(pb)
-    reach = None  # reach[v]: scaled distance from pb to vertex v
+    Each side maps an element index to its points' coordinates on it, in any
+    order and with repeats; each list is sorted here, in linear time when it
+    is already sorted, as the oracle's samples are.  pb leaves an element
+    most cheaply through its end at 0 from its first point and through its
+    far end from its last, so each end vertex gets one seed, the least such
+    cost, and the reach of every vertex is the least seed plus the vertex
+    distance, read from the seeded vertices' rows.  The points of pa are then
+    swept one element at a time in coordinate order: with r0 the reach of the
+    end at 0 and far the length plus the reach of the far end, a point c
+    costs min(c + r0, far - c, its gap to the nearest point of pb on the
+    element), and that nearest point is found by a merge pointer into pb's
+    sorted coordinates that only moves forward."""
+    on = {e: sorted(cs) for e, cs in pb.items()}
+    seed: dict[int, int] = {}  # seed[w]: scaled cost from pb along an element to its end w
     for e, cs in on.items():
-        for c in (cs[0], cs[-1]):
-            costs = _vertex_costs(sg, e, c)
-            reach = costs if reach is None else list(map(min, reach, costs))
+        v0, v1 = sg.ends[e]
+        ends = [(v0, cs[0])] if v1 is None else [(v0, cs[0]), (v1, sg.lengths[e] - cs[-1])]
+        for w, x in ends:
+            seed[w] = min(x, seed.get(w, x))
+    # reach[v]: scaled distance from pb to vertex v
+    reach = [min(col) for col in zip(*([x + d for d in sg.dvert[w]] for w, x in seed.items()))]
     worst = 0
-    for e, cs in _by_element(pa).items():
+    for e, cs in pa.items():
+        cs = sorted(cs)
         v0, v1 = sg.ends[e]
         r0 = reach[v0]
         # a ray has no far end: this far never undercuts c + r0

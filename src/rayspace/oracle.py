@@ -327,11 +327,12 @@ def _directions(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
 
 
 def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T: Fraction):
-    """(scaled graph, samples of A, samples of B).  A sample is (element
-    index, coordinate times scale): each piece gives every multiple of h on
-    it and both its ends, and a tail runs to the larger of T and the tail
-    starts on its ray.  The sample count is bounded in ints, and checked
-    against ``MAX_GRID_SAMPLES``, before any sample is built."""
+    """(scaled graph, samples of A, samples of B).  Each side's samples map
+    an element index to coordinates times scale, strictly increasing: each
+    piece gives its ends and every multiple of h between them, and a tail
+    runs to the larger of T and the tail starts on its ray.  The sample count
+    is bounded in ints, and checked against ``MAX_GRID_SAMPLES``, before any
+    sample is built."""
     caps = {eid: max(T, A.tail_on(eid) or 0, B.tail_on(eid) or 0)
             for S in (A, B) for eid, ep in S.pieces if ep.tail is not None}
     spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
@@ -345,9 +346,15 @@ def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T:
     if sum(hi - lo + 2 * H for sp in spans for _, lo, hi in sp) > MAX_GRID_SAMPLES * H:
         raise CapExceededError(f"grid Hausdorff would take over {MAX_GRID_SAMPLES} samples")
     sg = _scaled_graph(g, scale)
-    pa, pb = ([(sg.elem_index[eid], c) for eid, lo, hi in sp
-               for c in {lo, hi, *range(-(-lo // H) * H, hi + 1, H)}] for sp in spans)
-    return sg, pa, pb
+    samples = [{} for _ in spans]
+    for on, sp in zip(samples, spans):
+        for eid, lo, hi in sp:  # a set's spans on an element are disjoint and in order
+            cs = on.setdefault(sg.elem_index[eid], [])
+            if lo < hi:
+                cs.append(lo)
+            cs.extend(range(lo // H * H + H, hi, H))
+            cs.append(hi)
+    return sg, *samples
 
 
 def oracle_hausdorff(

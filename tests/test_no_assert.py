@@ -9,7 +9,8 @@ takes nothing from the metric it cross-checks beyond its value types, and
 nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
 product of its element layouts; neither the oracle nor its kernels name
 ``point_distance``, so the reference their tests compare against stays
-outside them; the
+outside them, and only the census's link table takes a point's costs to
+every vertex, so the grid Hausdorff sweep stays seeded at end vertices; the
 Vietoris layer reads its regions' derived intervals, never names
 ``point_distance`` and takes nothing from the metric beyond its value types
 either, and it takes only ``HyperPath`` from ``paths.py`` and never names
@@ -132,6 +133,20 @@ def test_oracle_and_kernels_never_name_point_distance():
         if "point_distance" in _names(node)
     ]
     assert found == []
+
+
+def test_only_the_link_table_takes_costs_per_point():
+    # the grid Hausdorff reaches the vertices from seeds at its target's
+    # element ends; a full row of costs per sample would undo that
+    found = [
+        f"{name}:{owner.name}"
+        for name, tree in TREES.items()
+        for owner in tree.body
+        if isinstance(owner, ast.FunctionDef)
+        for node in ast.walk(owner)
+        if isinstance(node, ast.Call) and _names(node.func) == ["_vertex_costs"]
+    ]
+    assert found == ["_kernels.py:distance_matrix"]
 
 
 def test_vietoris_takes_only_value_types_from_metric():

@@ -37,7 +37,7 @@ from rayspace.oracle import (
     _scaled_graph,
 )
 
-from conftest import random_ray_graph, random_subset
+from conftest import random_point, random_ray_graph, random_subset
 
 
 def test_oracle_names_resolve_through_the_package():
@@ -614,10 +614,27 @@ def _exact_points(sg, pts):
     return [GraphPoint(eids[e], F(c, sg.scale)) for e, c in pts]
 
 
+def _flat(mapping):
+    """Per-element kernel points {element index: coordinates} as a flat list
+    of (element index, coordinate)."""
+    return [(e, c) for e, cs in mapping.items() for c in cs]
+
+
+def _grouped(points):
+    """Flat kernel points as the per-element mapping ``directed_maxmin``
+    takes, each element's coordinates in the order given: nothing is sorted,
+    so disorder and repeats reach the kernel."""
+    on = {}
+    for e, c in points:
+        on.setdefault(e, []).append(c)
+    return on
+
+
 def _directed_exact(g, pa, pb, sg):
-    """Reference: max over pa of min over pb of ``point_distance``, in Fractions."""
-    qs = _exact_points(sg, pb)
-    return max(min(point_distance(g, p, q) for q in qs) for p in _exact_points(sg, pa))
+    """Reference: max over the per-element points pa of min over pb of
+    ``point_distance``, in Fractions."""
+    qs = _exact_points(sg, _flat(pb))
+    return max(min(point_distance(g, p, q) for q in qs) for p in _exact_points(sg, _flat(pa)))
 
 
 def _check_links(g, kpts, sg):
@@ -633,10 +650,11 @@ def _check_links(g, kpts, sg):
 
 
 def _check_kernels(g, pa, pb, sg):
-    """Both kernels against ``point_distance`` on the kernel points pa and pb."""
+    """Both kernels against ``point_distance`` on the per-element kernel
+    points pa and pb."""
     for x, y in ((pa, pb), (pb, pa)):
         assert F(directed_maxmin(x, y, sg), sg.scale) == _directed_exact(g, x, y, sg)
-    _check_links(g, pa + pb, sg)
+    _check_links(g, _flat(pa) + _flat(pb), sg)
 
 
 def test_kernels_match_exact_reference(graphs):
@@ -659,7 +677,7 @@ def test_kernels_match_exact_reference(graphs):
     pos = {pt: i for i, pt in enumerate(universe)}
     for i, S in enumerate(sets):
         ssg, samples, _ = _grid_samples(g, S, S, h, F(2))
-        for p in _exact_points(ssg, samples):
+        for p in _exact_points(ssg, _flat(samples)):
             masks[i, pos[p.element, p.coord]] = True
 
     # 0 merges only sets with equal grid samples
@@ -681,6 +699,54 @@ def test_kernels_match_exact_reference(graphs):
     assert distance_matrix(kpts, sg, 4 * sg.scale).all()  # so at delta 4 all sets link
     counts = _check_labels(g, kpts, sg, masks, deltas)
     assert counts[0] > counts[1] > counts[2] > counts[3] == 1
+
+
+def _reference_samples(S, caps, T, sg, H, kinds):
+    """Reference for one side of ``_grid_samples``: per element, the set of
+    every span's ends and the multiples of H on it, sorted, with each tail
+    running to its cap; the kinds of span met go into ``kinds``."""
+    want = {}
+    for eid, ep in S.pieces:
+        tail = [] if ep.tail is None else [(ep.tail, caps[eid])]
+        for a, b in [*ep.intervals, *tail]:
+            lo, hi = int(a * sg.scale), int(b * sg.scale)
+            inner = range(-(-lo // H) * H, hi + 1, H)
+            want.setdefault(sg.elem_index[eid], set()).update({lo, hi, *inner})
+            if lo == hi:
+                kinds.add("point")
+            elif not inner:
+                kinds.add("no multiple")
+            if (a, b) in tail and a < b == T:
+                kinds.add("tail at T")
+    return {e: sorted(cs) for e, cs in want.items()}
+
+
+def test_grid_samples_are_the_set_reference_per_element(graphs):
+    # each element's samples, strictly increasing, are every span's ends and
+    # the multiples of h on it, as the set of (element, coordinate) pairs
+    # gave them; the draws hold point pieces, spans with no multiple of h
+    # inside and tails capped at T
+    rng = random.Random(4321)
+    kinds = set()
+    draws = [random_ray_graph(random.Random(seed)) for seed in range(200)]
+    for g in [*graphs.values(), *draws]:
+        h, T = rng.choice((F(1, 4), F(1, 5), F(2, 5))), rng.choice((F(1), F(2)))
+        A = random_subset(g, rng, span=F(3))
+        B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(3))
+        points = {}
+        for _ in range(rng.randint(1, 3)):
+            p = random_point(g, rng)
+            points.setdefault(p.element, []).append((p.coord, p.coord))
+        C = ClosedSubset.from_pieces(g, points, {})
+        for X, Y in ((A, B), (C, A)):
+            sg, *got = _grid_samples(g, X, Y, h, T)
+            caps = {eid: max(T, X.tail_on(eid) or 0, Y.tail_on(eid) or 0)
+                    for S in (X, Y) for eid, ep in S.pieces if ep.tail is not None}
+            for S, samples in zip((X, Y), got):
+                for cs in samples.values():
+                    assert all(a < b for a, b in zip(cs, cs[1:]))
+                assert samples == _reference_samples(S, caps, T, sg, int(h * sg.scale), kinds)
+    assert kinds == {"point", "no multiple", "tail at T"}
 
 
 def _check_labels(g, kpts, sg, masks, deltas):
@@ -918,7 +984,7 @@ def test_kernels_match_exact_reference_on_random_graphs(seed):
         return e, rng.choice((0, top, rng.randint(0, top), rng.randint(0, top)))
 
     pa, pb = ([point() for _ in range(rng.randint(1, 6))] for _ in range(2))
-    _check_kernels(g, pa, pb, sg)
+    _check_kernels(g, _grouped(pa), _grouped(pb), sg)
 
 
 @settings(max_examples=10, deadline=None, derandomize=True)
@@ -934,11 +1000,12 @@ def test_directed_maxmin_matches_exact_on_dense_samples(seed):
     A = random_subset(g, rng, span=F(2))
     B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(2))
     sg, pa, pb = _grid_samples(g, A, B, h, F(2))
-    pa, pb = ([*ps, *rng.choices(ps, k=len(ps) // 4)] for ps in (pa, pb))
+    pa, pb = ([*ps, *rng.choices(ps, k=len(ps) // 4)] for ps in (_flat(pa), _flat(pb)))
     for ps in (pa, pb):
         rng.shuffle(ps)
     pairs = [(pa, pb), (pb, pa)]
     pairs += [(rng.sample(x, k=min(len(x), rng.randint(1, 3))), y)
               for x, y in pairs for _ in range(8)]
     for x, y in pairs:
+        x, y = _grouped(x), _grouped(y)
         assert F(directed_maxmin(x, y, sg), sg.scale) == _directed_exact(g, x, y, sg)
