@@ -288,6 +288,11 @@ def as_count(n, what: str) -> int:
     return n
 
 
+def same_graph(g: RayGraph, h) -> bool:
+    """h is the graph g: the same object, or an equal one."""
+    return h is g or h == g
+
+
 def check_graph(g: RayGraph, *objs) -> None:
     """g is a RayGraph and each point, set or region in objs lies on it (identity first)."""
     if not isinstance(g, RayGraph):
@@ -295,7 +300,7 @@ def check_graph(g: RayGraph, *objs) -> None:
     for obj in objs:
         if isinstance(obj, GraphPoint):
             g.validate_point(obj)
-        elif (h := getattr(obj, "graph", None)) is not g and h != g:
+        elif not same_graph(g, getattr(obj, "graph", None)):
             raise PreconditionError(f"{type(obj).__name__} does not belong to the given graph")
 
 

@@ -24,8 +24,7 @@ from functools import cached_property
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
-from .sets import (ClosedSubset, add_pieces, canonical_element, direction_set, in_cn,
-                   scale_pieces)
+from .sets import ClosedSubset, canonical_element, direction_set, in_cn, scale_sets
 
 
 def _check_t(t) -> Fraction:
@@ -154,25 +153,29 @@ class Stage:
 
     @cached_property
     def _scaled(self) -> tuple:
-        """The stage over one integer scale D (see ``scale_pieces``): pieces as (element,
+        """The stage over one integer scale D (see ``scale_sets``): pieces as (element,
         start, lower end, upper end), each end (a, b, stop, rest) over D, then a and rest
         as ``Fraction``s; the base's pieces; D; and whether an end grows as t/(1-t)."""
-        rests = {m: None if m.b is None else m.a + m.b * m.stop for m in self.motions}
-        intervals, tails = {}, {}
-        if self.base is not None:
-            add_pieces(self.base, intervals, tails)
+        # each motion paired with where it rests, by position: keying the rests
+        # by Motion would hash its five Fractions
+        rested = [[m and (m, None if m.b is None else m.a + m.b * m.stop) for m in piece]
+                  for piece in self.pieces]
         # None and 0 add nothing to the lcm
-        fracs = (x for m, r in rests.items() for x in (m.a, m.b, m.start, m.stop, r) if x)
-        *base, D = scale_pieces(self.graph, intervals, tails, *fracs)
+        fracs = (x for piece in rested for mr in piece if mr
+                 for x in (mr[0].a, mr[0].b, mr[0].start, mr[0].stop, mr[1]) if x)
+        *base, D = scale_sets(self.graph, () if self.base is None else (self.base,), *fracs)
 
         def up(x: Fraction | None) -> int | None:
             return None if x is None else x.numerator * (D // x.denominator)
 
-        def end(m: Motion | None) -> tuple | None:
-            return m and (up(m.a), up(m.b), up(m.stop), up(rests[m]), m.a, rests[m])
+        def end(mr: tuple[Motion, Fraction | None] | None) -> tuple | None:
+            if mr is None:
+                return None
+            m, rest = mr
+            return up(m.a), up(m.b), up(m.stop), up(rest), m.a, rest
 
-        pieces = tuple((lo.element, up(lo.start), end(lo), end(hi)) for lo, hi in self.pieces)
-        return pieces, *base, D, None in rests.values()
+        pieces = tuple((lo[0].element, up(lo[0].start), end(lo), end(hi)) for lo, hi in rested)
+        return pieces, *base, D, any(m.b is None for m in self.motions)
 
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)

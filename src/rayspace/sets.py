@@ -16,22 +16,27 @@ aliasing or connectivity.  Only ``_canonicalize`` builds a ``ClosedSubset``
 from raw fields, and each set value goes through it once.
 
 The pass compares ints only: each coordinate comes as an int over one scale
-with its ``Fraction``, if one exists, and only an end that has none and
-survives gets one (``scale_pieces``; path stages scale their own ends).
+with its ``Fraction``, if one exists, and the set keeps both.  An end that
+has none gets one when read: ``ClosedSubset.pieces`` is a view built on
+first read, and the one place that builds ``ElementPieces``, so a value that
+is only asked ``in_cn`` builds no ``Fraction``.  Equality and hashing read
+the ints over their least scale.  Raw ``Fraction`` data comes onto a scale
+through ``scale_pieces``; unions and path stages read sets' ints through
+``scale_sets``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
 from .errors import ParseError, PreconditionError
 from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, as_text,
-                    check_graph, count_classes, parse_fraction)
+                    check_graph, count_classes, parse_fraction, same_graph)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -44,20 +49,29 @@ class ElementPieces:
     tail: Fraction | None = None  # tail start; rays only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class ClosedSubset:
     """A nonempty closed subset of a ray-graph, in canonical form.
 
     Construct through :meth:`from_pieces`, :func:`parse_set` or the set
-    operations; only ``_canonicalize`` calls the raw constructor.
-    ``vertices`` (the vertices the set holds as points) and ``components``
-    are derived from ``pieces``, so equality, hashing and ``repr`` ignore them.
+    operations; only ``_canonicalize`` calls the raw constructor.  ``ends``
+    is the canonical pass's merged data: per element, in element id order,
+    its id, its intervals as ``(a, b, fa, fb)`` and its tail as ``(s, fs)``
+    or None, with a, b and s ints over ``scale`` and fa, fb and fs the
+    ``Fraction``s they stand for, or None where none was built.  ``pieces``
+    is the ``Fraction`` view of ``ends``, built on first read.  Equality and
+    hashing read only the ints, over the least scale they lie on, so a set
+    reached on any scale equals itself.  ``vertices`` (the vertices the set
+    holds as points) and ``components`` are derived, so equality, hashing
+    and ``repr`` ignore them.
     """
 
     graph: RayGraph
-    pieces: tuple[tuple[str, ElementPieces], ...]  # sorted by element id
-    vertices: frozenset[str] = field(compare=False, repr=False)
-    components: int = field(compare=False, repr=False)
+    ends: tuple[tuple[str, tuple[tuple[int, int, Fraction | None, Fraction | None], ...],
+                      tuple[int, Fraction | None] | None], ...]
+    scale: int
+    vertices: frozenset[str]
+    components: int
 
     # ---- construction --------------------------------------------------
 
@@ -81,6 +95,36 @@ class ClosedSubset:
         return _canonicalize(g, intervals, tails, scale)
 
     # ---- accessors -----------------------------------------------------
+
+    @cached_property
+    def pieces(self) -> tuple[tuple[str, ElementPieces], ...]:
+        """Per element, in element id order, its canonical pieces as ``Fraction``s."""
+        d = self.scale
+        return tuple([
+            (eid, ElementPieces(
+                tuple([(Fraction(a, d) if fa is None else fa, Fraction(b, d) if fb is None else fb)
+                       for a, b, fa, fb in ivs]),
+                tail and (Fraction(tail[0], d) if tail[1] is None else tail[1])))
+            for eid, ivs, tail in self.ends
+        ])
+
+    def _value(self) -> tuple:
+        """The least scale the ints lie on, and per element its id, interval ends
+        and tail start over that scale: on one graph, equal exactly for equal sets."""
+        ends = self.ends
+        d = math.gcd(self.scale, *[x for _, ivs, _ in ends for iv in ivs for x in iv[:2]],
+                     *[tail[0] for _, _, tail in ends if tail])
+        return self.scale // d, tuple([
+            (eid, tuple([(a // d, b // d) for a, b, _, _ in ivs]), tail and tail[0] // d)
+            for eid, ivs, tail in ends])
+
+    def __eq__(self, other):
+        if not isinstance(other, ClosedSubset):
+            return NotImplemented
+        return self._value() == other._value() and same_graph(self.graph, other.graph)
+
+    def __hash__(self) -> int:
+        return hash(self._value())
 
     @cached_property
     def by_element(self) -> dict[str, ElementPieces]:
@@ -115,6 +159,9 @@ class ClosedSubset:
 
     def __str__(self) -> str:
         return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(graph={self.graph!r}, pieces={self.pieces!r})"
 
 
 # ---- canonicalization ---------------------------------------------------
@@ -180,16 +227,10 @@ def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> Clos
     if not per:
         raise PreconditionError("empty set: elements of CL(X) are nonempty")
 
-    pieces = tuple([
-        (eid, ElementPieces(
-            tuple([(Fraction(a, scale) if fa is None else fa,
-                    Fraction(b, scale) if fb is None else fb) for a, b, fa, fb in ivs]),
-            tail and (Fraction(tail[0], scale) if tail[1] is None else tail[1])))
-        for eid, (ivs, tail) in sorted(per.items())
-    ])
     vertices = frozenset(points | held)
     # loose pieces are components; vertices join only along whole edges [0, length]
-    return ClosedSubset(g, pieces, vertices,
+    ends = tuple([(eid, tuple(ivs), tail) for eid, (ivs, tail) in sorted(per.items())])
+    return ClosedSubset(g, ends, scale, vertices,
                         loose + (count_classes(vertices, links) if links else len(vertices)))
 
 
@@ -240,17 +281,6 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
 # ---- set operations -----------------------------------------------------
 
 
-def add_pieces(
-    A: ClosedSubset, intervals: dict[str, list[Interval]], tails: dict[str, Fraction]
-) -> None:
-    """Add A's pieces to raw ``from_pieces`` data in place; a tail keeps the lower start."""
-    for eid, ep in A.pieces:
-        if ep.intervals:
-            intervals.setdefault(eid, []).extend(ep.intervals)
-        if ep.tail is not None:
-            tails[eid] = min(tails.get(eid, ep.tail), ep.tail)
-
-
 def scale_pieces(
     g: RayGraph, intervals: dict[str, list[Interval]], tails: dict[str, Fraction], *fracs: Fraction
 ) -> tuple[dict, dict, int]:
@@ -267,14 +297,31 @@ def scale_pieces(
             {eid: (up(x), x) for eid, x in tails.items()}, scale)
 
 
+def scale_sets(
+    g: RayGraph, sets: tuple[ClosedSubset, ...], *fracs: Fraction
+) -> tuple[dict, dict, int]:
+    """The sets' ends together as ``_canonicalize`` takes them, read off their ints
+    with no ``Fraction`` arithmetic: over the lcm of their scales, of g's edge length
+    denominators and of those of ``fracs``, which comes last.  A tail keeps the lower start."""
+    scale = math.lcm(*(e.length.denominator for e in g.edges), *(x.denominator for x in fracs),
+                     *(S.scale for S in sets))
+    intervals: dict[str, list] = {}
+    tails: dict[str, tuple] = {}
+    for S in sets:
+        k = scale // S.scale
+        for eid, ivs, tail in S.ends:
+            if ivs:
+                intervals.setdefault(eid, []).extend(
+                    [(a * k, b * k, fa, fb) for a, b, fa, fb in ivs] if k > 1 else ivs)
+            if tail is not None and (eid not in tails or tail[0] * k < tails[eid][0]):
+                tails[eid] = (tail[0] * k, tail[1])
+    return intervals, tails, scale
+
+
 def union(A: ClosedSubset, B: ClosedSubset) -> ClosedSubset:
     """Canonical union of two subsets of the same graph."""
     check_graph(getattr(A, "graph", None), B)
-    intervals: dict[str, list[Interval]] = {}
-    tails: dict[str, Fraction] = {}
-    add_pieces(A, intervals, tails)
-    add_pieces(B, intervals, tails)
-    return _canonicalize(A.graph, *scale_pieces(A.graph, intervals, tails))
+    return _canonicalize(A.graph, *scale_sets(A.graph, (A, B)))
 
 
 def component_count(g: RayGraph, A: ClosedSubset) -> int:
@@ -292,7 +339,7 @@ def in_cn(g: RayGraph, A: ClosedSubset, n: int) -> bool:
 def direction_set(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
     """Indices (1-based) of the rays carrying an unbounded tail of A."""
     check_graph(g, A)
-    return frozenset(g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None)
+    return frozenset(g.ray_index[eid] for eid, _, tail in A.ends if tail is not None)
 
 
 def canonical_element(g: RayGraph, delta: frozenset[int] | set[int]) -> ClosedSubset:

@@ -5,8 +5,10 @@ spirit: merge each element's intervals, let the tail swallow what it
 reaches, then resolve vertex aliasing in a second pass over every piece.
 Random raw inputs restate vertex points on every incident representation,
 put tails at 0, use loops and drop points inside intervals, so every branch
-of the aliasing rules runs.  The last tests count canonicalizations: each
-set value goes through ``_canonicalize`` exactly once.
+of the aliasing rules runs.  Then tests count canonicalizations: each
+set value goes through ``_canonicalize`` exactly once.  The last tests hold
+a set to its integer form: one point set reached on different scales is one
+value, and a value that is only asked ``in_cn`` builds no ``Fraction`` view.
 """
 
 import random
@@ -16,8 +18,9 @@ from fractions import Fraction as F
 import pytest
 
 import rayspace.sets
-from rayspace import ClosedSubset, PreconditionError, union
-from rayspace.paths import path_to_canonical, same_component_hausdorff, vietoris_path
+from rayspace import ClosedSubset, PreconditionError, eval_path, in_cn, parse_set, union
+from rayspace.paths import (GAMMA, _canonical_stages, path_to_canonical, same_component_hausdorff,
+                            vietoris_path)
 from rayspace.sets import ElementPieces, component_count, direction_set
 
 from conftest import random_ray_graph, random_subset
@@ -254,3 +257,74 @@ def test_stage_with_base_canonicalizes_once(graphs, canonicalizations):
                         assert len(canonicalizations) == 1, (name, stage.kind, t)
                         seen += 1
     assert seen > 100
+
+
+# ---- the integer form: one value per point set, Fractions built on read ------
+
+
+def test_a_set_reached_on_any_scale_is_one_value(graphs):
+    # a stage value at t = p/q lies on D q; its render parsed back, its union
+    # with itself and its pieces handed to from_pieces each take another scale
+    rng = random.Random(8106)
+    checked = rescaled = 0
+    for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(200)]:
+        A = random_subset(g, rng, max_pieces=1)
+        # the stages alone: a HyperPath would compare its stages' ends first
+        stages = _canonical_stages(g, A, component_count(g, A)) + (GAMMA(g, direction_set(g, A)),)
+        for stage in stages:
+            if not stage.pieces:
+                continue
+            for t in (F(1, 3), F(rng.randint(0, 12), 12), F(rng.randint(1, 6), 7)):
+                v = stage.at(t)
+                ways = [
+                    v,
+                    parse_set(v.render(), g),
+                    union(v, v),
+                    ClosedSubset.from_pieces(
+                        g, {eid: list(ep.intervals) for eid, ep in v.pieces},
+                        {eid: ep.tail for eid, ep in v.pieces if ep.tail is not None}),
+                ]
+                assert all(w == v for w in ways), (v.render(), [w.scale for w in ways])
+                assert len({hash(w) for w in ways}) == 1
+                assert len({w.render() for w in ways}) == len({repr(w) for w in ways}) == 1
+                checked += 1
+                rescaled += len({w.scale for w in ways}) > 1
+    assert checked > 500 and rescaled > checked // 2
+
+
+def test_values_asked_only_in_cn_build_no_fraction_view(graphs, monkeypatch):
+    built = []
+    real = rayspace.sets.ElementPieces
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(rayspace.sets, "ElementPieces", counted)
+    rng = random.Random(8107)
+    ts = [F(k, 99) for k in range(100)]
+    fresh = 0
+    for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(12)]:
+        A = random_subset(g, rng, max_pieces=1)
+        n = component_count(g, A)
+        for P in (path_to_canonical(g, A, n), vietoris_path(g, A, n)):
+            built.clear()
+            values = [eval_path(P, t) for t in ts]
+            for v in values:
+                in_cn(g, v, n)
+                component_count(g, v)
+            assert built == []
+            # a constant stage hands back its base, whose view the path's build read
+            bases = {id(s.base) for s in P.stages if not s.pieces}
+            values = [v for v in values if id(v) not in bases]
+            assert all("pieces" not in vars(v) for v in values)
+            fresh += len(values)
+            for v in values[::25]:
+                text = v.render()
+                assert len(built) == len(v.ends) and "pieces" in vars(v)
+                assert v.render() == text and v.by_element == dict(v.pieces)
+                shown = repr(v)
+                assert len(built) == len(v.ends)
+                assert shown == repr(parse_set(text, g))
+                built.clear()
+    assert fresh > 1500

@@ -3,7 +3,9 @@
 Invariants raise exceptions, so they survive ``python -O``; the input gates
 in ``graph.py`` are the one place that turns a single value into a
 ``Fraction`` or compares a set's or region's ``.graph``; only the
-canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields;
+canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields,
+and only its ``pieces`` view builds ``ElementPieces``, so a set's ints
+become ``Fraction``s in one place;
 the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types, and
 nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
@@ -89,6 +91,33 @@ def test_only_canonicalization_builds_closed_subsets():
     assert found == []
     assert any(isinstance(node, ast.Call) and "ClosedSubset" in _names(node.func)
                for node in ast.walk(canonicalize))
+
+
+def _owners(tree: ast.AST):
+    """(name, node) of each function at module level and each method of a class there."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield node.name, node
+        elif isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{fn.name}", fn) for fn in node.body
+                        if isinstance(fn, ast.FunctionDef))
+
+
+def test_only_the_pieces_view_builds_element_pieces():
+    # a set keeps the canonical pass's ints; its Fraction pieces are built
+    # when read, so the pass and the set operations never build them
+    def builds(node):
+        return isinstance(node, ast.Call) and "ElementPieces" in _names(node.func)
+
+    found = [
+        f"{name}:{owner}"
+        for name, tree in TREES.items()
+        for owner, fn in _owners(tree)
+        for node in ast.walk(fn)
+        if builds(node)
+    ]
+    assert set(found) == {"sets.py:ClosedSubset.pieces"}
+    assert len(found) == sum(builds(node) for tree in TREES.values() for node in ast.walk(tree))
 
 
 def _taken_from(tree: ast.AST, source: str) -> list[str]:

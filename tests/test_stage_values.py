@@ -19,7 +19,7 @@ import pytest
 
 from rayspace import ClosedSubset, PreconditionError, graph_from_parts, parse_set
 from rayspace.paths import same_component_hausdorff, vietoris_path
-from rayspace.sets import add_pieces, component_count, direction_set, union
+from rayspace.sets import component_count, direction_set, union
 
 from conftest import random_ray_graph, random_subset
 from test_canonical_form import _raw_dict, _ref_canonicalize
@@ -31,6 +31,15 @@ TIMES = [F(k, 12) for k in range(13)] + [
     1 - F(1, 10**15), F(1, 10**15), F(10**12 - 1, 10**12),
 ]
 COPRIME = (999999999989, 1000000000039, 999999999959)  # pairwise coprime, near 10^12
+
+
+def _add_pieces(A, intervals, tails):
+    """Add A's pieces, as ``Fraction``s, to raw ``from_pieces`` data; a tail keeps the lower start."""
+    for eid, ep in A.pieces:
+        if ep.intervals:
+            intervals.setdefault(eid, []).extend(ep.intervals)
+        if ep.tail is not None:
+            tails[eid] = min(tails.get(eid, ep.tail), ep.tail)
 
 
 def _ref_motion_at(m, t):
@@ -55,7 +64,7 @@ def _ref_stage_raw(stage, t):
         else:
             intervals.setdefault(lower.element, []).append((lo, hi))
     if stage.base is not None:
-        add_pieces(stage.base, intervals, tails)
+        _add_pieces(stage.base, intervals, tails)
     return intervals, tails
 
 
@@ -168,8 +177,8 @@ def test_from_pieces_on_coprime_and_huge_scales():
             assert parse_set(A.render(), g) == A
             B = ClosedSubset.from_pieces(g, *_big_raw(g, rng))
             both_intervals, both_tails = {}, {}
-            add_pieces(A, both_intervals, both_tails)
-            add_pieces(B, both_intervals, both_tails)
+            _add_pieces(A, both_intervals, both_tails)
+            _add_pieces(B, both_intervals, both_tails)
             want = _ref_canonicalize(g, _raw_dict(both_intervals, both_tails))
             _check_value(g, union(A, B), want)
 
