@@ -4,18 +4,18 @@ A point is ``(e, c)``: an element index and a coordinate scaled to an int by
 the oracle's common denominator; ``directed_maxmin`` takes each side's points
 as a map from element index to coordinates, and sorts each list itself.  Per
 element, ``sg.ends[e]`` is the vertex at 0 and the far-end vertex (None on a
-ray) and ``sg.lengths[e]`` the scaled length (None on a ray); ``sg.dvert`` is
-the scaled vertex distance table.  A point reaches another along their
+ray) and ``sg.lengths[e]`` the scaled length (None on a ray); ``sg.row(w)``
+is vertex w's scaled row of distances.  A point reaches another along their
 shared element or out through an end of its own and in through an end of the
-other's; both kernels take the second route from per-vertex costs, a
-distance transform over the vertices, so no pair is compared through the
-vertices: ``distance_matrix`` per point, ``directed_maxmin`` once, seeded at
-the end vertices of the target's elements.  It then sweeps each element once
-in coordinate order, taking the two end costs once per element and the first
-route from a merge pointer that only moves forward.  The census compares
-each distance with its threshold in Python ints, so numpy holds only
-booleans and the label array; ``component_labels`` is a breadth-first search
-over sets held as the bits of Python ints.
+other's; both kernels take the second route from per-vertex costs, read from
+the rows of the vertices a point leaves through, so no pair is compared
+through the vertices: ``distance_matrix`` per point, ``directed_maxmin``
+once, seeded at the end vertices of the target's elements.  It then sweeps
+each element once in coordinate order, taking the two end costs once per
+element and the first route from a merge pointer that only moves forward.
+The census compares each distance with its threshold in Python ints, so
+numpy holds only booleans and the label array; ``component_labels`` is a
+breadth-first search over sets held as the bits of Python ints.
 """
 
 from __future__ import annotations
@@ -36,8 +36,7 @@ def _exits(sg, e: int, c: int) -> list[tuple[int, int]]:
 
 def _vertex_costs(sg, e: int, c: int) -> list[int]:
     """The cheapest cost from the point (e, c) out through an end of e to every vertex."""
-    exits = _exits(sg, e, c)
-    return [min(x + row[w] for w, x in exits) for row in sg.dvert]
+    return [min(col) for col in zip(*([x + d for d in sg.row(w)] for w, x in _exits(sg, e, c)))]
 
 
 def directed_maxmin(pa, pb, sg) -> int:
@@ -63,7 +62,7 @@ def directed_maxmin(pa, pb, sg) -> int:
         for w, x in ends:
             seed[w] = min(x, seed.get(w, x))
     # reach[v]: scaled distance from pb to vertex v
-    reach = [min(col) for col in zip(*([x + d for d in sg.dvert[w]] for w, x in seed.items()))]
+    reach = [min(col) for col in zip(*([x + d for d in sg.row(w)] for w, x in seed.items()))]
     worst = 0
     for e, cs in pa.items():
         cs = sorted(cs)

@@ -4,8 +4,8 @@ A ray-graph has finitely many vertices, edges of positive rational length
 (loops allowed), and rays: copies of [0, inf) attached to a vertex at
 coordinate 0.  Each element has one shape, (element, vertex at 0, far-end
 vertex, length), a ray having no far end and no length, and every element
-accessor reads it.  Distances are exact ``fractions.Fraction`` values; the
-graph is immutable after construction and safe to share between threads.
+accessor reads it.  Distances are exact ``Fraction``s, read between vertices off
+integer rows built per source; the graph is immutable and safe to share between threads.
 """
 
 from __future__ import annotations
@@ -163,41 +163,51 @@ class RayGraph:
     # ---- metric --------------------------------------------------------
 
     @cached_property
-    def vertex_distances(self) -> dict[tuple[str, str], Fraction]:
-        """All-pairs shortest path distances between vertices (exact).
+    def scale(self) -> int:
+        """The lcm of the edge-length denominators: every vertex distance is an int over it."""
+        return math.lcm(*(e.length.denominator for e in self.edges))
 
-        Dijkstra from each vertex over integer lengths scaled by the lcm of the
-        edge-length denominators; loops never shorten a path and are skipped.
-        """
-        scale = math.lcm(*(e.length.denominator for e in self.edges))
+    @cached_property
+    def _dijkstra(self) -> tuple[dict[str, int], list[list[tuple[int, int]]], dict[str, list]]:
+        """(vertex -> index, each vertex's (scaled length, neighbour) pairs, rows built so far)."""
         index = {v: i for i, v in enumerate(self.vertices)}
         adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for e in self.edges:
-            if not e.is_loop:
-                w = e.length.numerator * (scale // e.length.denominator)
+            if not e.is_loop:  # a loop never shortens a path
+                w = e.length.numerator * (self.scale // e.length.denominator)
                 adj[index[e.u]].append((w, index[e.v]))
                 adj[index[e.v]].append((w, index[e.u]))
-        table: dict[tuple[str, str], Fraction] = {}
-        for a in self.vertices:
-            dist = [None] * len(self.vertices)
-            heap = [(0, index[a])]
+        return index, adj, {}
+
+    def vertex_row(self, v: str) -> list[int]:
+        """Distances from v to each vertex, in ``vertices`` order, as ints over ``scale``: one
+        Dijkstra, reaching every vertex of the connected graph, cached.  Not to be mutated."""
+        index, adj, rows = self._dijkstra
+        if v not in rows:
+            if v not in index:
+                raise PreconditionError(f"unknown vertex {v!r}")
+            row, heap = [None] * len(adj), [(0, index[v])]
             while heap:
                 d, i = heapq.heappop(heap)
-                if dist[i] is not None:
-                    continue
-                dist[i] = d
-                for w, j in adj[i]:
-                    if dist[j] is None:
-                        heapq.heappush(heap, (d + w, j))
-            # connectivity was validated up front, so every vertex is reached
-            table.update(((a, b), Fraction(d, scale)) for b, d in zip(self.vertices, dist))
-        return table
+                if row[i] is None:
+                    row[i] = d
+                    for w, j in adj[i]:
+                        if row[j] is None:
+                            heapq.heappush(heap, (d + w, j))
+            rows[v] = row
+        return rows[v]
 
     def vertex_distance(self, a: str, b: str) -> Fraction:
-        try:
-            return self.vertex_distances[(a, b)]
-        except KeyError:
-            raise PreconditionError(f"unknown vertex in pair ({a!r}, {b!r})") from None
+        index = self._dijkstra[0]
+        if b not in index:
+            raise PreconditionError(f"unknown vertex {b!r}")
+        return Fraction(self.vertex_row(a)[index[b]], self.scale)
+
+    @cached_property
+    def vertex_distances(self) -> dict[tuple[str, str], Fraction]:
+        """All-pairs vertex distances as exact Fractions, built from every row."""
+        return {(a, b): Fraction(d, self.scale)
+                for a in self.vertices for b, d in zip(self.vertices, self.vertex_row(a))}
 
     # ---- points --------------------------------------------------------
 

@@ -294,11 +294,15 @@ def enumerate_sets(
 
 @dataclass(frozen=True)
 class _ScaledGraph:
-    scale: int
+    graph: RayGraph                     # row(w): its row for vertex index w, over scale
+    scale: int                          # a multiple of graph.scale
     elem_index: dict[str, int]
     ends: list[tuple[int, int | None]]  # per element: vertex at 0, far-end vertex or None
     lengths: list[int | None]           # per element: scaled length, None on a ray
-    dvert: list[list[int]]              # scaled all-pairs vertex distances
+
+    def row(self, w: int) -> list[int]:
+        k = self.scale // self.graph.scale
+        return [d * k for d in self.graph.vertex_row(self.graph.vertices[w])]
 
 
 def _scaled(x: Fraction, scale: int) -> int:
@@ -306,8 +310,8 @@ def _scaled(x: Fraction, scale: int) -> int:
 
 
 def _common_scale(g: RayGraph, denominators: list[int]) -> int:
-    """lcm of these and the edge-length denominators: a vertex distance sums edge lengths."""
-    return math.lcm(*denominators, *(e.length.denominator for e in g.edges))
+    """lcm of these and the graph's scale, which clears every vertex distance."""
+    return math.lcm(*denominators, g.scale)
 
 
 def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
@@ -315,8 +319,7 @@ def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
     eidx = {el.id: i for i, el in enumerate([*g.edges, *g.rays])}
     ends = [(vidx[e.u], vidx[e.v]) for e in g.edges] + [(vidx[r.attach], None) for r in g.rays]
     lengths = [_scaled(e.length, scale) for e in g.edges] + [None] * len(g.rays)
-    dvert = [[_scaled(g.vertex_distances[a, b], scale) for b in g.vertices] for a in g.vertices]
-    return _ScaledGraph(scale, eidx, ends, lengths, dvert)
+    return _ScaledGraph(g, scale, eidx, ends, lengths)
 
 
 # ---- grid sampling ----------------------------------------------------------

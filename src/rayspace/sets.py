@@ -169,7 +169,7 @@ class ClosedSubset:
 
 def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> ClosedSubset:
     """Canonical form of ``(a, b, fa, fb)`` intervals and ``(s, fs)`` tails: a, b and s
-    ints over ``scale`` (a multiple of g's edge length denominators), each with
+    ints over ``scale`` (a multiple of ``g.scale``), each with
     the ``Fraction`` it stands for, or None where none was built."""
     per: dict[str, tuple[list, tuple | None]] = {}
     points: set[str] = set()  # vertices given as single points [c, c]
@@ -285,10 +285,9 @@ def scale_pieces(
     g: RayGraph, intervals: dict[str, list[Interval]], tails: dict[str, Fraction], *fracs: Fraction
 ) -> tuple[dict, dict, int]:
     """Raw ``from_pieces`` data as ``_canonicalize`` takes it: over the lcm of the
-    denominators of its coordinates, of ``fracs`` and of g's edge lengths, which comes last."""
-    scale = math.lcm(*(e.length.denominator for e in g.edges), *(x.denominator for x in fracs),
-                     *(x.denominator for ivs in intervals.values() for iv in ivs for x in iv),
-                     *(x.denominator for x in tails.values()))
+    denominators of its coordinates and of ``fracs``, and of ``g.scale``, which comes last."""
+    scale = math.lcm(g.scale, *(x.denominator for x in (*fracs, *tails.values())),
+                     *(x.denominator for ivs in intervals.values() for iv in ivs for x in iv))
 
     def up(x: Fraction) -> int:
         return x.numerator * (scale // x.denominator)
@@ -301,10 +300,9 @@ def scale_sets(
     g: RayGraph, sets: tuple[ClosedSubset, ...], *fracs: Fraction
 ) -> tuple[dict, dict, int]:
     """The sets' ends together as ``_canonicalize`` takes them, read off their ints
-    with no ``Fraction`` arithmetic: over the lcm of their scales, of g's edge length
-    denominators and of those of ``fracs``, which comes last.  A tail keeps the lower start."""
-    scale = math.lcm(*(e.length.denominator for e in g.edges), *(x.denominator for x in fracs),
-                     *(S.scale for S in sets))
+    with no ``Fraction`` arithmetic: over the lcm of their scales, of ``g.scale`` and
+    of the denominators of ``fracs``, which comes last.  A tail keeps the lower start."""
+    scale = math.lcm(g.scale, *(x.denominator for x in fracs), *(S.scale for S in sets))
     intervals: dict[str, list] = {}
     tails: dict[str, tuple] = {}
     for S in sets:

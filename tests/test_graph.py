@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -10,11 +11,15 @@ from rayspace import (
     ParseError,
     PreconditionError,
     RayGraph,
+    ball,
     graph_from_parts,
+    hausdorff,
     parse_graph,
+    parse_set,
     point_distance,
 )
 from rayspace.graph import Ray
+from rayspace.oracle import oracle_hausdorff
 
 from conftest import brute_force_vertex_distance, random_point, random_ray_graph
 
@@ -207,6 +212,57 @@ def test_vertex_tables_match_floyd_warshall_on_seeded_rings():
         table = dict(g.vertex_distances)
         assert table == _floyd_warshall(g)
         assert list(table) == [(a, b) for a in g.vertices for b in g.vertices]
+
+
+def _path_graph_text(n):
+    """A path v0 - v1 - ... - v{n-1} of unit edges E{i} = (v{i}, v{i+1}), and a ray R1 at v0."""
+    edges = "\n".join(f"edge E{i} v{i} v{i + 1}" for i in range(n - 1))
+    return "vertex " + " ".join(f"v{i}" for i in range(n)) + "\n" + edges + "\nray R1 v0"
+
+
+def test_rows_are_built_only_when_read():
+    # each query builds the rows of the end vertices of the elements its
+    # pieces, centre or first point sit on, and never the all-pairs table
+    text = _path_graph_text(3000)
+    set_ends = {"v10", "v11", "v0", "v2000", "v2001"}  # of E10, R1 and E2000
+    queries = [
+        (hausdorff, set_ends),
+        (lambda g, A, B: oracle_hausdorff(g, A, B, F(1, 4), F(2)), set_ends),
+        (lambda g, A, B: ball(g, GraphPoint("E1200", F(1, 2)), F(3)).derived, {"v1200", "v1201"}),
+        (lambda g, A, B: point_distance(g, GraphPoint("E7", F(1, 3)), GraphPoint("E1200", F(0))),
+         {"v7", "v8"}),
+    ]
+    for query, ends in queries:
+        g = parse_graph(text)
+        query(g, parse_set("E10:[1/4,1/2] R1:[0,2]", g), parse_set("E2000:[0,1]", g))
+        built = set(vars(g)["_dijkstra"][2])  # the row cache
+        assert built and built <= ends
+        assert "vertex_distances" not in vars(g)
+
+
+def test_memory_grows_about_linearly_in_the_vertex_count():
+    # an all-pairs table would make the peak 16 times larger at 4 times the vertices
+    def peak(n):
+        tracemalloc.start()
+        try:
+            g = parse_graph(_path_graph_text(n))
+            hausdorff(g, parse_set("E1:[0,1/2]", g), parse_set(f"E{n - 3}:[1/2,1]", g))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(4000) / peak(1000) < 6
+
+
+def test_unknown_vertex_is_refused_and_builds_no_row(graphs):
+    g = graphs["G_I"]
+    calls = [lambda: g.vertex_distance("nope", "u"), lambda: g.vertex_distance("u", "nope"),
+             lambda: g.vertex_row("nope")]
+    for call in calls:
+        with pytest.raises(PreconditionError, match="unknown vertex 'nope'"):
+            call()
+        assert "nope" not in g._dijkstra[2]
+    assert g.vertex_distance("u", "v") == 1 and g.vertex_row("v") == [1, 0]
 
 
 def _check_accessors_against_fields(g):

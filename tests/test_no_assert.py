@@ -12,12 +12,13 @@ nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
 product of its element layouts; neither the oracle nor its kernels name
 ``point_distance``, so the reference their tests compare against stays
 outside them, and only the census's link table takes a point's costs to
-every vertex, so the grid Hausdorff sweep stays seeded at end vertices; the
-Vietoris layer reads its regions' derived intervals, never names
-``point_distance`` and takes nothing from the metric beyond its value types
-either, and it takes only ``HyperPath`` from ``paths.py`` and never names
-its stages, their spans or pieces or a ``Motion``, so how stages move and
-when they cross a given point stays in one module; stages are plain data,
+every vertex, so the grid Hausdorff sweep stays seeded at end vertices; only
+``graph.py`` reads an edge length's denominator, so the graph's scale is
+worked out once; the Vietoris layer reads its regions' derived intervals,
+never names ``point_distance`` and takes nothing from the metric beyond its
+value types either, and it takes only ``HyperPath`` from ``paths.py`` and
+never names its stages, their spans or pieces or a ``Motion``, so how stages
+move and when they cross a given point stays in one module; stages are plain data,
 with no callable field and no ``Callable`` in ``paths.py``, and a covering
 walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 ``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
@@ -176,6 +177,20 @@ def test_only_the_link_table_takes_costs_per_point():
         if isinstance(node, ast.Call) and _names(node.func) == ["_vertex_costs"]
     ]
     assert found == ["_kernels.py:distance_matrix"]
+
+
+def test_only_the_graph_reads_edge_length_denominators():
+    # the graph's scale is the one lcm of its edge lengths' denominators, and
+    # every vertex distance is an int over it
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        if name != "graph.py"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "denominator"
+        and isinstance(node.value, ast.Attribute) and node.value.attr == "length"
+    ]
+    assert found == []
 
 
 def test_vietoris_takes_only_value_types_from_metric():
