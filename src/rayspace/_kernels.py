@@ -9,10 +9,11 @@ is vertex w's scaled row of distances.  A point reaches another along their
 shared element or out through an end of its own and in through an end of the
 other's; both kernels take the second route from per-vertex costs, read from
 the rows of the vertices a point leaves through, so no pair is compared
-through the vertices: ``distance_matrix`` per point, ``directed_maxmin``
-once, seeded at the end vertices of the target's elements.  It then sweeps
-each element once in coordinate order, taking the two end costs once per
-element and the first route from a merge pointer that only moves forward.
+through the vertices: ``distance_matrix`` per point, having read every
+point's ends once, ``directed_maxmin`` once, seeded at the end vertices of
+the target's elements.  It then sweeps each element once in coordinate
+order, taking the two end costs once per element and the first route from a
+merge pointer that only moves forward.
 The census compares each distance with its threshold in Python ints, so
 numpy holds only booleans and the label array; ``component_labels`` is a
 breadth-first search over sets held as the bits of Python ints.
@@ -88,12 +89,18 @@ def directed_maxmin(pa, pb, sg) -> int:
 
 
 def distance_matrix(points, sg, thr: int) -> np.ndarray:
-    """The bool table d(p, q) <= thr over a point universe, compared in Python ints."""
+    """The bool table d(p, q) <= thr over a point universe, compared in Python ints.  Each
+    point's ends and its costs to them are read once (a ray's one end doubling as its far
+    end), so a pair compares each route with what its row leaves of thr, building no list."""
+    ends = []
+    for e, c in points:
+        (w0, x0), *far = _exits(sg, e, c)
+        ends.append((e, c, w0, x0, *(far[0] if far else (w0, x0))))
     rows = []
     for e, c in points:
-        costs = _vertex_costs(sg, e, c)
-        rows.append([min([abs(c - q)] * (e == f) + [x + costs[w] for w, x in _exits(sg, f, q)])
-                     <= thr for f, q in points])
+        room = [thr - d for d in _vertex_costs(sg, e, c)]  # room[w]: thr less the cost to w
+        rows.append([x0 <= room[w0] or x1 <= room[w1] or f == e and abs(c - q) <= thr
+                     for f, q, w0, x0, w1, x1 in ends])
     return np.array(rows, dtype=bool)
 
 

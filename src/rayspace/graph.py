@@ -111,6 +111,11 @@ class RayGraph:
         except KeyError:
             raise PreconditionError(f"unknown element id {eid!r}") from None
 
+    @cached_property
+    def element_order(self) -> dict[str, int]:
+        """Element id -> its place in declaration order, edges first, then rays."""
+        return {eid: i for i, eid in enumerate(self._elements)}
+
     def element(self, eid: str) -> Edge | Ray:
         return self._shape(eid)[0]
 

@@ -6,15 +6,16 @@ counts hyperspace components; also grid-approximates Hausdorff distances
 independently of the exact metric module.  Enumeration works on grid indices:
 a layout on one element is its pieces' grid-index runs and a key (a bit per
 grid point, each vertex one point; a bit per covered grid segment; a tail bit
-per ray), and a set is the OR of its layouts' keys.  Layouts are combined one
-element at a time, in element-id order, each distinct key so far extended
-once and carrying its classes of reached vertices, as bitmasks joined along
-whole edges; a key is dropped once its components are bound to pass n.  The
-join and the bound read only a layout's signature (its interior pieces and
-vertex groups), so they run once per key and signature.  Each key also
-carries its ``ClosedSubset.sort_key`` entries in index space, reading each
-coordinate k*h as k, so no set is built to order the accepted keys; only a
-key with a vertex set aside as a single point is patched.
+per ray), and a set is the OR of its layouts' keys.  Layouts are built once
+per element kind, then translated per element, and combined one element at a
+time, in element-id order, each distinct key so far extended once and
+carrying its classes of reached vertices, as bitmasks joined along whole
+edges; a key is dropped once its components are bound to pass n.  The join
+and the bound read only a layout's signature (its interior pieces and vertex
+groups), so they run once per key and signature.  Each key also carries its
+``ClosedSubset.sort_key`` entries in index space, reading each coordinate
+k*h as k, so no set is built to order the accepted keys; only a key with a
+vertex set aside as a single point is patched.
 ``enumerate_sets`` then builds one set per key; the census reads a key's
 point bits as its mask and its tail bits as its direction class, and
 builds a set only for each component's representative.  Only
@@ -96,12 +97,26 @@ class _Layout(NamedTuple):
     # ((eid, runs but the set-aside points, tail index or -1, no tail),)
 
 
-def _tail_bits(sizes: list[int]) -> list[int]:
-    """Per element, the key bit of a tail on it: past the universe, each
-    element's grid segments and then its tail bit."""
-    total = sum(sizes)
-    return [1 << (total + first + m - 1)
-            for first, m in zip(itertools.accumulate(sizes, initial=0), sizes)]
+def _kind_shapes(h: Fraction, max_pieces: int, m: int, ray: bool, far: int | None):
+    """``_element_configs`` for one kind of element, as (shapes, shape indices by kind
+    signature); a shape's point and segment bits put grid index k at bit k, and the ends
+    it covers or holds are flags, 1 for the end at 0 and 2 for the far end."""
+    coord = [k * h for k in range(m)]
+    ends = 1 if far is None else 1 | 1 << far
+    shapes, by_sig = [], {}
+    for runs, tail, interior in _element_configs(m, max_pieces, ray, far):
+        bare = tail is None
+        spans = runs if bare else (*runs, (tail, m - 1))
+        pts = sum(((2 << (j - i)) - 1) << i for i, j in spans)
+        seg = sum(((1 << (j - i)) - 1) << i for i, j in spans) | (not bare) << (m - 1)
+        kept = tuple((i, j) for i, j in runs if i < j or 0 < i != far)
+        at = pts & 1 | 2 * any(j == far for _, j in runs)
+        hold = (tail == 0 or any(i == 0 for i, _ in kept)) | 2 * any(j == far for _, j in kept)
+        entry = (kept, -1 if bare else tail, bare) if kept or not bare else ()
+        by_sig.setdefault((interior, at, (0, far) in runs), []).append(len(shapes))
+        shapes.append((pts & ~ends, seg, at, hold, tuple((coord[i], coord[j]) for i, j in runs),
+                       None if bare else coord[tail], entry))
+    return shapes, by_sig
 
 
 def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_pieces: int,
@@ -114,42 +129,38 @@ def _element_layouts(g: RayGraph, h: Fraction, elements, sizes: list[int], max_p
     representation on the grid, and past the universe a bit per grid segment
     covered and a tail bit.  ``held`` and ``entries`` read the layout as
     ``_canonicalize`` does, which sets a single point at an element end aside
-    as its vertex."""
+    as its vertex.
+
+    A layout depends only on its element's kind (grid size, ray or edge,
+    whether the grid reaches the far end), so each kind's shapes are built
+    once and translated per element: point bits shifted to its first index,
+    segment bits to its offset, ends to its vertices' bits.  Signatures keep
+    ``_element_configs`` order, which decides the fold's representatives."""
     firsts = list(itertools.accumulate(sizes, initial=0))
     pos = {}
     for (eid, _), m, first in zip(elements, sizes, firsts):
         pos[eid, (m - 1) * h], pos[eid, 0] = first + m - 1, first
     vertex = {v: next((pos[r] for r in g.vertex_representations(v) if r in pos), None)
               for v in g.vertices}
-    per_element = []
-    for (eid, length), m, first, tail_bit in zip(elements, sizes, firsts, _tail_bits(sizes)):
+    kinds, per_element = {}, []
+    for (eid, length), m, first in zip(elements, sizes, firsts):
+        far = m - 1 if (m - 1) * h == length else None
+        if (kind := (m, length is None, far)) not in kinds:
+            kinds[kind] = _kind_shapes(h, max_pieces, *kind)
+        shapes, by_sig = kinds[kind]
         end0, end1 = g.element_end_vertices(eid)
         b0, b1 = bit[end0], bit.get(end1, 0)
-        far = m - 1 if (m - 1) * h == length else None
-        points = [vertex[end0], *range(first + 1, first + m)]
-        if far is not None:
-            points[-1] = vertex[end1]
-        extra, layouts, coord = firsts[-1] + first, {}, [k * h for k in range(m)]
-        for runs, tail, interior in _element_configs(m, max_pieces, length is None, far):
-            key = 0 if tail is None else tail_bit  # segment k at extra + k, then the tail
-            for i, j in runs + (() if tail is None else ((tail, m - 1),)):
-                key |= ((1 << (j - i)) - 1) << (extra + i)
-                for p in points[i : j + 1]:
-                    key |= 1 << p
-            kept = tuple((i, j) for i, j in runs if i < j or 0 < i != far)
-            held = b0 * (tail == 0 or any(i == 0 for i, _ in kept))
-            held |= b1 * any(j == far for _, j in kept)
-            r0 = b0 * (tail == 0 or any(i == 0 for i, _ in runs))
-            r1 = b1 * any(j == far for _, j in runs)
-            groups = (r0 | r1,) if (0, far) in runs else tuple(b for b in (r0, r1) if b)
-            pieces = tuple((coord[i], coord[j]) for i, j in runs)
-            start = None if tail is None else coord[tail]
-            entries = ()
-            if kept or tail is not None:
-                entries = ((eid, kept, -1 if tail is None else tail, tail is None),)
-            layouts.setdefault((interior, groups), []).append(
-                _Layout(key, eid, pieces, start, held, entries))
-        per_element.append(layouts)
+        u0, u1 = 1 << vertex[end0], 0 if far is None else 1 << vertex[end1]
+        at_ends, held, extra = (0, u0, u1, u0 | u1), (0, b0, b1, b0 | b1), firsts[-1] + first
+        lays = [_Layout(inner << first | seg << extra | at_ends[at], eid, pieces, start,
+                        held[hold], ((eid, *entry),) if entry else ())
+                for inner, seg, at, hold, pieces, start, entry in shapes]
+        layouts = {}
+        for (interior, at, whole), idx in by_sig.items():
+            r0, r1 = b0 * (at & 1), b1 * (at >> 1)
+            groups = (r0 | r1,) if whole else tuple(b for b in (r0, r1) if b)
+            layouts.setdefault((interior, groups), []).extend(idx)
+        per_element.append({sig: [lays[k] for k in sorted(idx)] for sig, idx in layouts.items()})
     return per_element
 
 
@@ -316,10 +327,9 @@ def _common_scale(g: RayGraph, denominators: list[int]) -> int:
 
 def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
     vidx = {v: i for i, v in enumerate(g.vertices)}
-    eidx = {el.id: i for i, el in enumerate([*g.edges, *g.rays])}
     ends = [(vidx[e.u], vidx[e.v]) for e in g.edges] + [(vidx[r.attach], None) for r in g.rays]
     lengths = [_scaled(e.length, scale) for e in g.edges] + [None] * len(g.rays)
-    return _ScaledGraph(g, scale, eidx, ends, lengths)
+    return _ScaledGraph(g, scale, g.element_order, ends, lengths)
 
 
 # ---- grid sampling ----------------------------------------------------------
@@ -431,8 +441,9 @@ def oracle_components(
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(found), nbytes)
     masks = np.unpackbits(bits, axis=1, count=size, bitorder="little").view(bool)
 
-    # a set's direction class is its key's tail bits
-    ray_bits = list(zip(_tail_bits(sizes)[len(g.edges) :], g.rays))
+    # a set's direction class is its key's tail bits, each element's last bit past the universe
+    stops = list(itertools.accumulate(sizes))[len(g.edges) :]  # past each ray's last point
+    ray_bits = [(1 << (size + stop - 1), r) for stop, r in zip(stops, g.rays)]
     tail_mask = reduce(or_, [b for b, _ in ray_bits], 0)
     by_tails: dict[int, list[int]] = {}
     for i, (key, _) in enumerate(found):

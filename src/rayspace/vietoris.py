@@ -15,6 +15,7 @@ meets a derived end, at ``HyperPath.critical_times``: the witness checks there.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -90,20 +91,24 @@ def union_regions(regions: Sequence[OpenRegion]) -> OpenRegion:
 def _ball_intervals(
     g: RayGraph, center: GraphPoint, radius: Fraction
 ) -> dict[str, list[DerivedInterval]]:
-    """Each spot s with reach radius - d(s, center) > 0 covers (s - reach, s + reach)."""
-    exits = g.exit_costs(center)
-    reach = {v: radius - min(c + g.vertex_distance(w, v) for w, c in exits) for v in g.vertices}
+    """Each spot s with reach radius - d(s, center) > 0 covers (s - reach, s + reach); the
+    reaches come in ints from the rows the centre leaves through, and spots are built only
+    on the centre's element and the elements at a vertex it reaches, in element order."""
+    D = math.lcm(g.scale, radius.denominator, center.coord.denominator)
+    k, R = D // g.scale, radius.numerator * (D // radius.denominator)
+    exits = [(c.numerator * (D // c.denominator), g.vertex_row(w)) for w, c in g.exit_costs(center)]
+    left = zip(g.vertices, zip(*([R - c - d * k for d in row] for c, row in exits)))
+    reach = {v: Fraction(x, D) for v, xs in left if (x := max(xs)) > 0}
+    near = {eid for v in reach for eid, _ in g.vertex_representations(v)} | {center.element}
     out: dict[str, list[DerivedInterval]] = {}
-    for el in g.edges + g.rays:
-        first, far = g.element_end_vertices(el.id)
-        spots = [(Fraction(0), reach[first])]
+    for eid in sorted(near, key=g.element_order.__getitem__):
+        first, far = g.element_end_vertices(eid)
+        spots = [(Fraction(0), reach.get(first, 0))]
         if far is not None:
-            spots.append((el.length, reach[far]))
-        if center.element == el.id:
+            spots.append((g.element_length(eid), reach.get(far, 0)))
+        if center.element == eid:
             spots.append((center.coord, radius))
-        ivs = [(s - r, s + r) for s, r in spots if r > 0]
-        if ivs:
-            out[el.id] = ivs
+        out[eid] = [(s - r, s + r) for s, r in spots if r > 0]
     return out
 
 

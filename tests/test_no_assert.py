@@ -25,7 +25,9 @@ walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 behind the oracle, which the package and the CLI load only on first use, and
 the kernels build only bool arrays but the label array, so no distance
 reaches numpy;
-``graph.count_classes`` is the package's one Python union-find; and the wedge
+``graph.count_classes`` is the package's one Python union-find; no function
+carries a ``functools.cache`` or ``lru_cache`` decorator, so work is cached
+only on the object it belongs to and goes away with it; and the wedge
 models take nothing from the package but its errors and ``count_classes``, so
 checking them against ray-graphs compares independent computations.
 """
@@ -356,6 +358,20 @@ def _find_owners(node: ast.AST, owner: str | None = None) -> list[str | None]:
         else:
             found += _find_owners(child, owner)
     return found
+
+
+def test_no_function_caches_across_calls():
+    # work is cached only on the graph, set, stage or region it belongs to,
+    # through ``cached_property``, and goes away with that object
+    found = [
+        f"{name}:{node.name}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for deco in node.decorator_list
+        if {"cache", "lru_cache"} & set(_names(deco.func if isinstance(deco, ast.Call) else deco))
+    ]
+    assert found == []
 
 
 def test_count_classes_is_the_only_union_find():

@@ -211,8 +211,18 @@ def _accepted_over_layouts(g, h, T, n, mp):
     return sorted(found, key=ClosedSubset.sort_key)
 
 
+# like elements at different vertices, and loops whose grid reaches the far end:
+# each kind of element has its layouts built once, then moved to each element
+LIKE_ELEMENTS = (
+    "vertex a b c; edge E1 a b; edge E2 b c; edge L1 c c; ray R1 b; ray R2 c",
+    "vertex a b; edge L1 a a length 1/2; edge L2 b b length 1/2; edge E1 b a length 1/2; ray R1 b",
+)
+
+
 def test_enumeration_matches_in_cn_over_the_same_layouts(graphs):
     cases = [(g, F(1, 2), F(1), n, mp) for g in graphs.values() for n, mp in ((1, 1), (2, 2))]
+    cases += [(rayspace.parse_graph(text), h, h, n, 1)
+              for text, h in zip(LIKE_ELEMENTS, (F(1), F(1, 2))) for n in (1, 2, 3)]
     rng = random.Random(1729)
     for _ in range(100):  # about a third of the random graphs fit the cap
         h = rng.choice((F(1), F(1, 2)))
@@ -488,6 +498,32 @@ def test_census_builds_one_set_per_component(graphs, monkeypatch):
     res = oracle_components(graphs["G_LINE"], F(1, 4), F(2), F(3, 5), 2, 1)
     # building every enumerated set made 3004 calls
     assert built[0] == res.count == 4 and res.set_count == 3004
+
+
+@pytest.mark.parametrize(
+    "name, h, T, n, mp, kinds",
+    [
+        ("G_TRIOD", F(1, 2), F(3, 2), 1, 2, 1),
+        ("G_STAR3", F(1, 2), F(2), 2, 1, 1),
+        ("G_LINE", F(1, 4), F(2), 2, 1, 1),
+        # E1's grid reaches its far end, E2's and L1's do not, R1 and R2 are rays
+        ("G_MIXED", F(1, 2), F(1), 1, 1, 3),
+    ],
+)
+def test_census_builds_layouts_once_per_element_kind(graphs, monkeypatch, name, h, T, n, mp, kinds):
+    import rayspace.oracle
+
+    calls = []
+    element_configs = rayspace.oracle._element_configs
+
+    def counting(*args):
+        calls.append(args)
+        return element_configs(*args)
+
+    monkeypatch.setattr(rayspace.oracle, "_element_configs", counting)
+    oracle_components(graphs[name], h, T, F(3, 5), n, mp)
+    # one call per element made 3, 3, 2 and 5
+    assert len(calls) == len(set(calls)) == kinds
 
 
 def test_oracle_components_deterministic(graphs):

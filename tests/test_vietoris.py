@@ -29,6 +29,7 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
+from rayspace.graph import RayGraph
 from rayspace.paths import F0, HyperPath, Motion, Stage
 from rayspace.vietoris import WitnessResult
 
@@ -217,6 +218,32 @@ def test_derived_endpoints_pointwise(graphs):
                 points += [GraphPoint(eid, max(lo, F(0))), GraphPoint(eid, hi)]
         for x in points:
             assert _in_derived(derived, x) == (point_distance(g, x, center) < r)
+
+
+def test_a_ball_reads_only_the_elements_within_its_radius(monkeypatch):
+    # the reaches come in ints from the rows of the centre's end vertices, and
+    # spots are built only on the elements at a vertex the ball reaches
+    n = 3000
+    edges = "\n".join(f"edge E{i} v{i} v{i + 1}" for i in range(n - 1))
+    g = rayspace.parse_graph("vertex " + " ".join(f"v{i}" for i in range(n)) + "\n" + edges
+                             + "\nray R1 v0")
+    read = []
+    end_vertices = RayGraph.element_end_vertices
+
+    def reading(self, eid):
+        read.append(eid)
+        return end_vertices(self, eid)
+
+    def no_distance(*args):
+        raise AssertionError("a ball asked for a vertex distance")
+
+    monkeypatch.setattr(RayGraph, "element_end_vertices", reading)
+    monkeypatch.setattr(RayGraph, "vertex_distance", no_distance)
+    derived = ball(g, GraphPoint("E1500", F(1, 2)), F(3)).derived
+    near = [f"E{i}" for i in range(1497, 1504)]
+    assert list(derived) == read == near
+    assert derived["E1497"] == ((F(1, 2), F(3, 2)),) and derived["E1503"] == ((F(-1, 2), F(1, 2)),)
+    assert derived["E1500"] == ((F(-5, 2), F(7, 2)),)
 
 
 def test_derived_of_whole_space_raises(graphs):
