@@ -15,8 +15,8 @@ the target's elements.  It then sweeps each element once in coordinate
 order, taking the two end costs once per element and the first route from a
 merge pointer that only moves forward.
 The census compares each distance with its threshold in Python ints, so
-numpy holds only booleans and the label array; ``component_labels`` is a
-breadth-first search over sets held as the bits of Python ints.
+numpy holds only booleans and the label array; ``component_labels`` reads
+them into Python-int rows and searches on those alone, with no matmul.
 """
 
 from __future__ import annotations
@@ -105,43 +105,55 @@ def distance_matrix(points, sg, thr: int) -> np.ndarray:
 
 
 def component_labels(masks, links) -> np.ndarray:
-    """Labels over sets (bool masks into a shared point universe) linked
-    whenever each lies within the threshold of the other, given the bool
-    table ``links`` of point pairs within it; each set's label is the least
-    index in its component.
+    """Labels over sets (bool masks into a shared point universe) linked when each lies
+    within the threshold of the other by the bool table ``links`` of point pairs within it;
+    a set's label is the least index in its component.
 
-    With N_j = ``masks @ links`` the points linked to a point of S_j, S_i
-    lies within the threshold of S_j iff S_i is a subset of N_j.  The sets
-    are bits of Python ints: C[p] holds the sets that hold the point p and
-    D[p] those whose N_j holds p, so the unseen sets linked to S_j are
-    ``unseen & AND(~C[p] for p not in N_j) & AND(D[p] for p in S_j)``.  A
-    breadth-first search from the least unseen set reads each set's row
-    once, and stops a row as soon as no candidate is left."""
+    With N_j the points ``links`` reaches from S_j, S_i lies within the
+    threshold of S_j iff S_i is a subset of N_j.  In Python-int bits, C[p]
+    (a row of ``masks.T``) holds the sets that hold p and D[p] (the OR of C[q]
+    over the q with ``links[q][p]``) those whose N_j holds p.  A breadth-first
+    search visits each set once: it ANDs D[p] over S_j into the unseen sets
+    while ORing S_j's ``links`` rows into N_j, then ANDs ~C[p] over the p
+    outside N_j, each loop, and the walk, stopping once no candidate is left."""
     n, u = masks.shape
     labels = np.arange(n, dtype=np.int64)
 
-    def ints(bits):  # each row of a bool table as the bits of one int
-        data, w = np.packbits(bits, axis=1, bitorder="little").tobytes(), -(-bits.shape[1] // 8)
-        return [int.from_bytes(data[k * w : (k + 1) * w], "little") for k in range(len(bits))]
+    def ints(bits):  # each row of a bool table as one int, read off its 64-bit words
+        padded = np.zeros((len(bits), -(-bits.shape[1] // 64) * 64 or 64), dtype=bool)
+        padded[:, : bits.shape[1]] = bits
+        cols = np.packbits(padded, axis=1, bitorder="little").view("<u8").T.tolist()
+        return cols[0] if len(cols) == 1 else [sum(w << 64 * k for k, w in enumerate(ws))
+                                               for ws in zip(*cols)]
 
-    near = masks @ links
-    out = [~c for c in ints(masks.T)]  # out[p]: the sets without the point p
-    D, held, reach = ints(near.T), ints(masks), ints(near)
+    C, rows, held = ints(masks.T), ints(links), ints(masks)
+    out = [~c for c in C]  # out[p]: the sets without the point p
+    D = []  # D[p]: the OR of C[q] over the q with links[q][p], read off the rows of links.T
+    for r in ints(links.T):
+        D.append(0)
+        while r:
+            low = r & -r
+            D[-1] |= C[low.bit_length() - 1]
+            r ^= low
     everywhere, unseen = (1 << u) - 1, (1 << n) - 1
     while unseen:
         root = (unseen & -unseen).bit_length() - 1
         unseen ^= 1 << root
         component = [root]
         for j in component:
-            linked, far, inside = unseen, everywhere ^ reach[j], held[j]
+            if not unseen:
+                break
+            linked, near, inside = unseen, 0, held[j]
+            while inside and linked:
+                low = inside & -inside
+                linked &= D[p := low.bit_length() - 1]
+                near |= rows[p]
+                inside ^= low
+            far = everywhere ^ near
             while far and linked:
                 low = far & -far
                 linked &= out[low.bit_length() - 1]
                 far ^= low
-            while inside and linked:
-                low = inside & -inside
-                linked &= D[low.bit_length() - 1]
-                inside ^= low
             unseen ^= linked
             while linked:
                 low = linked & -linked

@@ -173,9 +173,14 @@ class RayGraph:
         return math.lcm(*(e.length.denominator for e in self.edges))
 
     @cached_property
+    def vertex_index(self) -> dict[str, int]:
+        """Vertex -> its place in ``vertices``, and so in every ``vertex_row``."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @cached_property
     def _dijkstra(self) -> tuple[dict[str, int], list[list[tuple[int, int]]], dict[str, list]]:
         """(vertex -> index, each vertex's (scaled length, neighbour) pairs, rows built so far)."""
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = self.vertex_index
         adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for e in self.edges:
             if not e.is_loop:  # a loop never shortens a path
@@ -203,7 +208,7 @@ class RayGraph:
         return rows[v]
 
     def vertex_distance(self, a: str, b: str) -> Fraction:
-        index = self._dijkstra[0]
+        index = self.vertex_index
         if b not in index:
             raise PreconditionError(f"unknown vertex {b!r}")
         return Fraction(self.vertex_row(a)[index[b]], self.scale)

@@ -38,19 +38,21 @@ def is_infinite(d: ExtendedDistance) -> bool:
 
 def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
     """Exact distance from a vertex to a nonempty closed subset: on each
-    element only B's first start (via end0) and last end (via end1) can be nearest."""
-    best: Fraction | None = None
-    for eid, ep in B.pieces:
+    element only B's first start (via end0) and last end (via end1) can be nearest.  Read
+    off B's ends and v's vertex row in ints over ``B.scale``, a multiple of ``g.scale``."""
+    row, index, k, best = g.vertex_row(v), g.vertex_index, B.scale // g.scale, None
+    for eid, ivs, tail in B.ends:
         end0, end1 = g.element_end_vertices(eid)
-        cand = g.vertex_distance(v, end0) + (ep.intervals[0][0] if ep.intervals else ep.tail)
+        cand = row[index[end0]] * k + (ivs[0][0] if ivs else tail[0])
         if end1 is not None:
-            far = g.element_length(eid) - ep.intervals[-1][1]
-            cand = min(cand, g.vertex_distance(v, end1) + far)
+            length = g.element_length(eid)
+            far = length.numerator * (B.scale // length.denominator) - ivs[-1][1]
+            cand = min(cand, row[index[end1]] * k + far)
         if best is None or cand < best:
             best = cand
     if best is None:
         raise RayspaceError(f"vertex {v} has no distance to an empty set")
-    return best
+    return Fraction(best, B.scale)
 
 
 class DistanceProfile:

@@ -23,9 +23,17 @@ from rayspace import (
     union,
 )
 
-from rayspace.metric import distance_profile
+from rayspace.metric import _vertex_to_set, distance_profile
+from rayspace.paths import vietoris_path
 
-from conftest import _ref_profile, random_point, random_ray_graph, random_subset
+from conftest import (
+    _ref_profile,
+    _ref_vertex_to_set,
+    random_in_c3,
+    random_point,
+    random_ray_graph,
+    random_subset,
+)
 
 
 def test_dist_point_to_set_examples(graphs):
@@ -136,6 +144,23 @@ def test_metric_axioms_on_random_graphs(seed):
     if not is_infinite(dcb):
         assert not is_infinite(dab)
         assert dab <= dac + dcb
+
+
+def test_vertex_to_set_matches_the_reference_on_path_values_and_unions(graphs):
+    # the integer vertex-to-set against the least distance to a piece end;
+    # path values and unions lie on scales other than the graph's
+    rng = random.Random(3131)
+    cases = [*graphs.values()] + [random_ray_graph(rng) for _ in range(200)]
+    off_scale = 0
+    for g in cases:
+        A, B = random_in_c3(g, rng), random_subset(g, rng)
+        P = vietoris_path(g, A, 3)
+        for S in (B, union(A, B), P.at(F(1, 3)), P.at(F(5, 7))):
+            off_scale += S.scale != g.scale
+            for v in g.vertices:
+                d = _vertex_to_set(g, v, S)
+                assert type(d) is F and d == _ref_vertex_to_set(g, v, S)
+    assert off_scale > 2 * len(cases)
 
 
 def test_directed_zero_iff_subset(graphs):

@@ -6,7 +6,8 @@ in ``graph.py`` are the one place that turns a single value into a
 canonicalization in ``sets.py`` builds a ``ClosedSubset`` from raw fields,
 and only its ``pieces`` view builds ``ElementPieces``, so a set's ints
 become ``Fraction``s in one place;
-the per-element distance envelope stays private to ``metric.py``; the brute-force oracle
+the per-element distance envelope stays private to ``metric.py``, which never calls
+``vertex_distance``, so it reads vertex rows as ints; the brute-force oracle
 takes nothing from the metric it cross-checks beyond its value types, and
 nothing from ``sets.py`` beyond ``ClosedSubset``, and never walks the full
 product of its element layouts; neither the oracle nor its kernels name
@@ -72,6 +73,17 @@ def test_distance_envelope_is_private_to_metric():
         for node in ast.walk(tree)
         for ident in _names(node)
         if ident in ("distance_profile", "DistanceProfile")
+    ]
+    assert found == []
+
+
+def test_metric_never_calls_vertex_distance():
+    # the metric reads vertex rows as ints and builds a Fraction only for its
+    # answer; vertex_distance builds one on every call
+    found = [
+        f"metric.py:{node.lineno}"
+        for node in ast.walk(TREES["metric.py"])
+        if isinstance(node, ast.Call) and _names(node.func) == ["vertex_distance"]
     ]
     assert found == []
 

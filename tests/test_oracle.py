@@ -845,12 +845,17 @@ def _pairwise_labels(masks, links):
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 230])
 def test_component_labels_match_a_pairwise_reference(n):
     rng = np.random.default_rng(n)
-    for u, density, band in ((9, 0.0, 1), (20, 0.1, 0), (70, 0.05, 0), (70, 0.0, 3),
-                             (130, 0.02, 2)):
-        # symmetric links with a true diagonal: random pairs, or points within a band
-        idx = np.arange(u)
-        links = (rng.random((u, u)) < density) | (abs(idx[:, None] - idx[None, :]) <= band)
-        links |= links.T
+    # whole 64-bit words at u = 64 and 128; the last links run one way only
+    for u, density, band, symmetric in ((9, 0.0, 1, True), (20, 0.1, 0, True), (70, 0.05, 0, True),
+                                        (70, 0.0, 3, True), (130, 0.02, 2, True), (64, 0.02, 1, True),
+                                        (128, 0.0, 2, True), (40, 0.03, 2, False)):
+        # links with a true diagonal: random pairs, or points within a band,
+        # made symmetric, or else only the band's points above the diagonal
+        gap = np.arange(u)[None, :] - np.arange(u)[:, None]
+        band_links = (abs(gap) <= band) if symmetric else (0 <= gap) & (gap <= band)
+        links = (rng.random((u, u)) < density) | band_links
+        if symmetric:
+            links |= links.T
         masks = np.zeros((n, u), dtype=bool)
         for row in masks:  # one to three runs, up to three points each
             for _ in range(rng.integers(1, 4)):
