@@ -10,9 +10,7 @@ invariant check; its message names the exception type and where it arose).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -62,6 +60,8 @@ def _load_graph(path: str) -> RayGraph:
 
 
 def _graph_from_json(text: str) -> RayGraph:
+    import json  # loads here, not at start-up
+
     try:
         doc = json.loads(text)
     # JSONDecodeError is a ValueError, and so is a number literal past the
@@ -321,6 +321,8 @@ def run(argv: list[str] | None = None) -> int:
     except CapExceededError as exc:
         return _error("cap", 4, str(exc))
     except Exception as exc:  # the one-line error contract holds for bugs too
+        import traceback  # loads here, not at start-up
+
         frame = traceback.extract_tb(exc.__traceback__)[-1]
         where = f"{Path(frame.filename).name}:{frame.lineno}"
         return _error("internal", 5, f"{type(exc).__name__} at {where}: {exc}")

@@ -13,17 +13,17 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
+from ._record import record
 from .errors import InvalidGraphError, ParseError, PreconditionError, RayspaceError
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
 
 
-@dataclass(frozen=True)
+@record
 class Edge:
     id: str
     u: str
@@ -35,13 +35,13 @@ class Edge:
         return self.u == self.v
 
 
-@dataclass(frozen=True)
+@record
 class Ray:
     id: str
     attach: str
 
 
-@dataclass(frozen=True)
+@record
 class GraphPoint:
     """A location on an edge or ray: element id plus a rational coordinate.
 
@@ -56,7 +56,7 @@ class GraphPoint:
         return (self.element, self.coord)
 
 
-@dataclass(frozen=True)
+@record
 class RayGraph:
     """Immutable finite connected ray-graph.
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from operator import itemgetter, or_
@@ -38,6 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import backend, component_labels, directed_maxmin, distance_matrix
+from ._record import record
 from .errors import CapExceededError, PreconditionError
 from .graph import RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
@@ -303,7 +303,7 @@ def enumerate_sets(
 # ---- integer scaling --------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class _ScaledGraph:
     graph: RayGraph                     # row(w): its row for vertex index w, over scale
     scale: int                          # a multiple of graph.scale
@@ -394,7 +394,7 @@ def oracle_hausdorff(
 # ---- component census -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class OracleComponents:
     count: int
     representatives: tuple[ClosedSubset, ...]  # one per component, deterministic

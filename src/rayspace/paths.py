@@ -17,10 +17,10 @@ exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
+from ._record import record
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
@@ -101,7 +101,7 @@ def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
 # ---- stages ----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class Motion:
     """A piece end on one element over the local times [start, stop]: at
     a + b*t, or at t/(1 - t) when ``b`` is None (GAMMA's growing rays, whose
@@ -122,7 +122,7 @@ class Motion:
         return [t] if t is not None and self.start <= t <= self.stop else []
 
 
-@dataclass(frozen=True)
+@record
 class Stage:
     """One path stage: ``base`` united with its ``pieces`` at local time t.
 
@@ -214,12 +214,8 @@ class Stage:
         return {1 - t for t in times} if self.backwards else times
 
     def reversed(self) -> "Stage":
-        return replace(
-            self,
-            kind=self.kind + "~",
-            desc="reversed " + self.desc,
-            backwards=not self.backwards,
-        )
+        return Stage(self.kind + "~", self.graph, self.base, "reversed " + self.desc, self.pieces,
+                     not self.backwards)
 
 
 def _end(end: tuple, p: int, q: int, g: int, D: int) -> tuple[int, Fraction | None] | None:
@@ -287,7 +283,7 @@ def GAMMA(g: RayGraph, delta: frozenset[int]) -> Stage:
 # ---- composite paths -------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class HyperPath:
     """A piecewise path [0,1] -> C_n(X); stages share the parameter equally."""
 
@@ -390,7 +386,7 @@ def gamma_path(g: RayGraph, delta: frozenset[int] | set[int]) -> HyperPath:
     return HyperPath(g, (GAMMA(g, delta),))
 
 
-@dataclass(frozen=True)
+@record
 class ClassifyResult:
     same_component: bool
     delta_a: frozenset[int]

@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
+from ._record import record
 from .errors import ParseError, PreconditionError
 from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, as_text,
                     check_graph, count_classes, parse_fraction, same_graph)
@@ -41,7 +41,7 @@ from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fractio
 Interval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class ElementPieces:
     """Canonical pieces of a closed subset on one graph element."""
 
@@ -49,7 +49,7 @@ class ElementPieces:
     tail: Fraction | None = None  # tail start; rays only
 
 
-@dataclass(frozen=True, eq=False, repr=False)
+@record
 class ClosedSubset:
     """A nonempty closed subset of a ray-graph, in canonical form.
 

@@ -16,12 +16,12 @@ meets a derived end, at ``HyperPath.critical_times``: the witness checks there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
 from typing import Iterable, Sequence
 
+from ._record import record
 from .errors import ParseError, PreconditionError
 from .graph import GraphPoint, RayGraph, as_fraction, as_text, check_graph, parse_fraction
 from .paths import HyperPath
@@ -31,7 +31,7 @@ from .sets import ClosedSubset
 DerivedInterval = tuple[Fraction, Fraction]
 
 
-@dataclass(frozen=True)
+@record
 class OpenRegion:
     """Finite union of open balls, or the distinguished whole space."""
 
@@ -184,7 +184,7 @@ def member_basic(A: ClosedSubset, Us: Sequence[OpenRegion]) -> bool:
 # ---- continuity witnesses ---------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record
 class WitnessResult:
     ok: bool
     delta: Fraction | None = None

@@ -12,9 +12,9 @@ imports nothing of the package but the errors and ``graph.count_classes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
+from ._record import record
 from .errors import CapExceededError, ParseError, PreconditionError
 from .graph import count_classes
 
@@ -25,7 +25,7 @@ MAX_WEDGE_DEPTH = 64
 MAX_LOCUS_PRODUCT = 4096
 
 
-@dataclass(frozen=True)
+@record
 class Cell:
     kind: str
     dim: int
@@ -43,7 +43,7 @@ SEG = Cell("SEG", 1, True)          # compact segment
 PT = Cell("PT", 0, True)            # single point
 
 
-@dataclass(frozen=True)
+@record
 class Piece:
     id: str
     factors: tuple[Cell, ...]
@@ -60,7 +60,7 @@ class Piece:
         return "x".join(c.kind for c in self.factors)
 
 
-@dataclass(frozen=True)
+@record
 class LocusComponent:
     """One connected component of the containment locus, inside one piece.
 
@@ -81,13 +81,13 @@ class LocusComponent:
         return sum(c.dim for c in self.factors)
 
 
-@dataclass(frozen=True)
+@record
 class Gluing:
     left: tuple[str, str]   # (piece id, face description)
     right: tuple[str, str]
 
 
-@dataclass(frozen=True)
+@record
 class HModel:
     name: str
     pieces: tuple[Piece, ...]
@@ -113,7 +113,7 @@ class HModel:
         return next(c for c in self.containment if c.marker is not None)
 
 
-@dataclass(frozen=True)
+@record
 class ModelStats:
     max_dim: int
     dims: tuple[int, ...]             # piece dimension multiset, descending

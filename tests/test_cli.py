@@ -165,6 +165,25 @@ def test_only_the_oracle_command_loads_numpy(graph_file):
     assert out[-1] == "['numpy', 'rayspace.oracle']"
 
 
+def test_a_cli_start_loads_no_heavy_stdlib(graph_file):
+    # under -S, site's own imports do not count; json and traceback load only
+    # for a JSON graph or an internal error, numpy only for the oracle
+    gf = graph_file("G_LINE")
+    script = textwrap.dedent(f"""
+        import sys
+        import rayspace.cli
+
+        rayspace.cli.run(["dist", "--graph", {gf!r}, "--a", "R1:[0,1]", "--b", "R2:{{1}}"])
+        print([m for m in ("dataclasses", "inspect", "json", "traceback", "numpy")
+               if m in sys.modules])
+    """)
+    paths = [str(Path(rayspace.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout.splitlines()
+    assert out == ["2", "[]"]
+
+
 def test_oracle_subcommand(graph_file, capsys):
     gf = graph_file("G_LINE")
     code = run(

@@ -10,7 +10,6 @@ anywhere in a result other than ``INF`` means an exact layer went inexact.
 ``is_infinite``, which takes any value, is left out.
 """
 
-import dataclasses
 from fractions import Fraction as F
 from typing import Callable, NamedTuple
 
@@ -177,8 +176,8 @@ def _floats(value, seen=None) -> list:
         parts = [*value.keys(), *value.values()]
     elif isinstance(value, (list, tuple, set, frozenset)):
         parts = list(value)
-    elif dataclasses.is_dataclass(value):
-        parts = [getattr(value, f.name) for f in dataclasses.fields(value)]
+    elif hasattr(value, "__match_args__"):
+        parts = [getattr(value, name) for name in value.__match_args__]
         if isinstance(value, rs.OpenRegion) and not value.all_space:
             parts.append(value.derived)
         if isinstance(value, rs.HyperPath):

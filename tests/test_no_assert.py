@@ -25,12 +25,14 @@ walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 ``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
 behind the oracle, which the package and the CLI load only on first use, and
 the kernels build only bool arrays but the label array, so no distance
-reaches numpy;
+reaches numpy; no module imports ``dataclasses``, whose import and generated
+methods would slow every CLI start;
 ``graph.count_classes`` is the package's one Python union-find; no function
 carries a ``functools.cache`` or ``lru_cache`` decorator, so work is cached
 only on the object it belongs to and goes away with it; and the wedge
-models take nothing from the package but its errors and ``count_classes``, so
-checking them against ray-graphs compares independent computations.
+models take nothing from the package but its errors, ``count_classes`` and
+the ``record`` decorator, so checking them against ray-graphs compares
+independent computations.
 """
 
 import ast
@@ -297,7 +299,8 @@ def test_wedge_takes_only_errors_and_count_classes():
         for module, name in taken
         if _is(module, "rayspace")
         and module != "rayspace.errors"
-        and (module, name) != ("rayspace.graph", "count_classes")
+        and (module, name) not in {("rayspace.graph", "count_classes"),
+                                   ("rayspace._record", "record")}
     ]
     assert found == []
     assert ("rayspace.graph", "count_classes") in taken
@@ -322,6 +325,18 @@ def test_only_the_oracle_imports_numpy():
         if name not in ("oracle.py", "_kernels.py")
         for node in ast.walk(tree)
         if any(_is(m, "numpy") for m in _imported_modules(node))
+    ]
+    assert found == []
+
+
+def test_no_module_imports_dataclasses():
+    # ``_record.record`` builds the package's value classes: ``dataclasses``
+    # (and the ``inspect`` it loads) would cost every CLI process its import
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in TREES.items()
+        for node in ast.walk(tree)
+        if any(_is(m, "dataclasses") for m in _imported_modules(node))
     ]
     assert found == []
 
