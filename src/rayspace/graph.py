@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable
 
-from ._record import record
+from ._record import record, setfield
 from .errors import InvalidGraphError, ParseError, PreconditionError, RayspaceError
 
 _ID_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.-]*$")
@@ -51,6 +51,10 @@ class GraphPoint:
 
     element: str
     coord: Fraction
+
+    def __init__(self, element: str, coord: Fraction):
+        setfield(self, "element", element)
+        setfield(self, "coord", coord)
 
     def key(self) -> tuple[str, Fraction]:
         return (self.element, self.coord)

@@ -37,7 +37,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._kernels import backend, component_labels, directed_maxmin, distance_matrix
-from ._record import record
+from ._record import record, setfield
 from .errors import CapExceededError, PreconditionError
 from .graph import RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
@@ -310,6 +310,14 @@ class _ScaledGraph:
     elem_index: dict[str, int]
     ends: list[tuple[int, int | None]]  # per element: vertex at 0, far-end vertex or None
     lengths: list[int | None]           # per element: scaled length, None on a ray
+
+    def __init__(self, graph: RayGraph, scale: int, elem_index: dict[str, int],
+                 ends: list[tuple[int, int | None]], lengths: list[int | None]):
+        setfield(self, "graph", graph)
+        setfield(self, "scale", scale)
+        setfield(self, "elem_index", elem_index)
+        setfield(self, "ends", ends)
+        setfield(self, "lengths", lengths)
 
     def row(self, w: int) -> list[int]:
         k = self.scale // self.graph.scale

@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from ._record import record
+from ._record import record, setfield
 from .errors import PreconditionError, RayspaceError
 from .graph import GraphPoint, RayGraph, as_count, as_fraction, check_graph
 from .metric import INF, ExtendedDistance
@@ -110,8 +110,16 @@ class Motion:
     element: str
     a: Fraction
     b: Fraction | None
-    start: Fraction = Fraction(0)
-    stop: Fraction = Fraction(1)
+    start: Fraction
+    stop: Fraction
+
+    def __init__(self, element: str, a: Fraction, b: Fraction | None,
+                 start: Fraction = Fraction(0), stop: Fraction = Fraction(1)):
+        setfield(self, "element", element)
+        setfield(self, "a", a)
+        setfield(self, "b", b)
+        setfield(self, "start", start)
+        setfield(self, "stop", stop)
 
     def solve(self, c: Fraction) -> list[Fraction]:
         """The local times in [start, stop] at which the end sits at c."""
@@ -138,8 +146,17 @@ class Stage:
     graph: RayGraph
     base: ClosedSubset | None
     desc: str
-    pieces: tuple[tuple[Motion, Motion | None], ...] = ()
-    backwards: bool = False
+    pieces: tuple[tuple[Motion, Motion | None], ...]
+    backwards: bool
+
+    def __init__(self, kind: str, graph: RayGraph, base: ClosedSubset | None, desc: str,
+                 pieces: tuple[tuple[Motion, Motion | None], ...] = (), backwards: bool = False):
+        setfield(self, "kind", kind)
+        setfield(self, "graph", graph)
+        setfield(self, "base", base)
+        setfield(self, "desc", desc)
+        setfield(self, "pieces", pieces)
+        setfield(self, "backwards", backwards)
 
     @property
     def motions(self) -> tuple[Motion, ...]:

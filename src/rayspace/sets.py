@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
-from ._record import record
+from ._record import record, setfield
 from .errors import ParseError, PreconditionError
 from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, as_text,
                     check_graph, count_classes, parse_fraction, same_graph)
@@ -46,7 +46,11 @@ class ElementPieces:
     """Canonical pieces of a closed subset on one graph element."""
 
     intervals: tuple[Interval, ...]
-    tail: Fraction | None = None  # tail start; rays only
+    tail: Fraction | None  # tail start; rays only
+
+    def __init__(self, intervals: tuple[Interval, ...], tail: Fraction | None = None):
+        setfield(self, "intervals", intervals)
+        setfield(self, "tail", tail)
 
 
 @record
@@ -72,6 +76,14 @@ class ClosedSubset:
     scale: int
     vertices: frozenset[str]
     components: int
+
+    def __init__(self, graph: RayGraph, ends: tuple, scale: int, vertices: frozenset[str],
+                 components: int):
+        setfield(self, "graph", graph)
+        setfield(self, "ends", ends)
+        setfield(self, "scale", scale)
+        setfield(self, "vertices", vertices)
+        setfield(self, "components", components)
 
     # ---- construction --------------------------------------------------
 

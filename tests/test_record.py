@@ -5,6 +5,8 @@ by position or keyword with the same refusals as a generated ``__init__``,
 and keep the reprs they had as frozen dataclasses.
 """
 
+import importlib
+import inspect
 import pickle
 from fractions import Fraction as F
 from functools import cached_property
@@ -86,6 +88,26 @@ def test_arguments_are_bound_like_a_generated_init():
         Ray(attach="v")  # missing, by keyword
     with pytest.raises(TypeError):
         Counted(tag="y")  # a default does not fill an earlier field
+
+
+def test_an_own_init_takes_the_fields_in_order():
+    # records built several times per evaluation define their own __init__;
+    # repr, equality and __match_args__ still read the annotations
+    own = {}
+    for name in ("graph", "sets", "paths", "vietoris", "wedge", "oracle"):
+        for cls in vars(importlib.import_module(f"rayspace.{name}")).values():
+            if (isinstance(cls, type) and "__match_args__" in vars(cls)
+                    and cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"):
+                own[cls.__name__] = cls
+    assert sorted(own) == ["ClosedSubset", "ElementPieces", "GraphPoint", "Motion", "Stage",
+                           "_ScaledGraph"]
+    for cls in own.values():
+        assert tuple(inspect.signature(cls).parameters) == cls.__match_args__
+    m = Motion(element="E1", a=F(0), b=None, stop=F(2))
+    assert (m.start, m.stop) == (0, 2) and m == Motion("E1", F(0), None, F(0), F(2))
+    assert ElementPieces(()).tail is None
+    with pytest.raises(TypeError):
+        GraphPoint("E1")
 
 
 def test_post_init_runs_after_the_fields_are_set():
