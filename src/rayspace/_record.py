@@ -10,13 +10,13 @@ compiled at import, and neither the dataclass module nor the ``inspect`` it
 loads is imported, so a CLI process starts sooner.  Instances keep their
 ``__dict__``, which holds the fields and any ``cached_property``.
 
-The generic ``__init__`` binds its arguments in Python, which costs about
-0.3 µs a call more than a generated one.  A record built several times per
-evaluation (``ClosedSubset``, ``ElementPieces``, ``GraphPoint``, ``Motion``,
-``Stage``, the oracle's ``_ScaledGraph``) defines its own ``__init__``,
-taking its fields in order and storing each with ``setfield``; that is
-faster than the generated one.  Such an ``__init__`` calls
-``__post_init__`` itself, if the class has one.
+The generic ``__init__`` binds its arguments in Python: a call costs about
+0.25 µs more than a generated one by position, and 0.5 µs with keywords.
+A record built several times per evaluation (``ClosedSubset``,
+``ElementPieces``, ``GraphPoint``, ``Motion``, ``Stage``, the oracle's
+``_ScaledGraph``) defines its own ``__init__``, taking its fields in order
+and storing each with ``setfield``; that is faster than the generated one.
+Such an ``__init__`` calls ``__post_init__`` itself, if the class has one.
 """
 
 from operator import attrgetter
