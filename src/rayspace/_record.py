@@ -12,7 +12,7 @@ loads is imported, so a CLI process starts sooner.  Instances keep their
 
 The generic ``__init__`` binds its arguments in Python: a call costs about
 0.25 µs more than a generated one by position, and 0.5 µs with keywords.
-A record built several times per evaluation (``ClosedSubset``,
+A record built several times per operation (``ClosedSubset``,
 ``ElementPieces``, ``GraphPoint``, ``Motion``, ``Stage``, the oracle's
 ``_ScaledGraph``) defines its own ``__init__``, taking its fields in order
 and storing each with ``setfield``; that is faster than the generated one.
