@@ -10,23 +10,15 @@ invariant check; its message names the exception type and where it arose).
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 from .errors import CapExceededError, InvalidGraphError, ParseError, PreconditionError
 from .graph import RayGraph, _check_id, graph_from_parts, parse_fraction, parse_graph
-from .metric import directed_hausdorff, hausdorff, is_infinite
-from .paths import (
-    HyperPath,
-    eval_path,
-    path_to_canonical,
-    same_component_hausdorff,
-    vietoris_path,
-)
-from .sets import component_count, parse_set
-from .vietoris import continuity_witness, member_lower, member_upper, parse_region, union_regions
-from .wedge import model_report, parse_wedge_expr
+
+# every other module is imported by the commands that run it, so a process
+# loads no more of the package than its command needs
 
 
 # Hard limit on --samples: one path evaluation and one output line per sample.
@@ -49,12 +41,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_graph(path: str) -> RayGraph:
-    p = Path(path)
     try:
-        text = p.read_text()
-    except OSError as exc:
+        with open(path, encoding="utf-8") as f:
+            text = f.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read graph file {path!r}: {exc}") from None
-    if p.suffix == ".json":
+    if os.path.splitext(path)[1] == ".json":
         return _graph_from_json(text)
     return parse_graph(text)
 
@@ -87,6 +79,8 @@ def _graph_from_json(text: str) -> RayGraph:
 
 
 def _fmt(value) -> str:
+    from .metric import is_infinite
+
     if is_infinite(value):
         return "inf"
     big, limit = max(abs(value.numerator), value.denominator), sys.get_int_max_str_digits()
@@ -102,7 +96,9 @@ def _fmt_dirs(ds: frozenset[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(ds)) + "}"
 
 
-def _emit_path(P: HyperPath, out: str, samples: int) -> None:
+def _emit_path(P, out: str, samples: int) -> None:
+    from .paths import eval_path
+
     if samples < 1:
         raise PreconditionError("--samples must be at least 1")
     if samples > MAX_PATH_SAMPLES:
@@ -115,7 +111,8 @@ def _emit_path(P: HyperPath, out: str, samples: int) -> None:
         t = Fraction(j, samples)
         lines.append(f"{t}\t{eval_path(P, t).render()}")
     try:
-        Path(out).write_text("\n".join(lines) + "\n")
+        with open(out, "w", encoding="utf-8") as f:
+            f.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise PreconditionError(f"cannot write path file {out!r}: {exc}") from None
 
@@ -175,6 +172,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_dist(args) -> int:
+    from .metric import directed_hausdorff, hausdorff
+    from .sets import parse_set
+
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
     B = parse_set(args.b, g)
@@ -184,6 +184,9 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .paths import same_component_hausdorff
+    from .sets import parse_set
+
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
     B = parse_set(args.b, g)
@@ -203,7 +206,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _print_path(P: HyperPath) -> None:
+def _print_path(P) -> None:
     print(f"stages={len(P.stages)}")
     for i, (lo, hi, stage) in enumerate(P.stage_spans(), start=1):
         print(
@@ -215,6 +218,9 @@ def _print_path(P: HyperPath) -> None:
 
 
 def _cmd_path(args) -> int:
+    from .paths import path_to_canonical, vietoris_path
+    from .sets import parse_set
+
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
     P = vietoris_path(g, A, args.n) if args.vietoris else path_to_canonical(g, A, args.n)
@@ -227,6 +233,10 @@ def _cmd_path(args) -> int:
 
 
 def _cmd_vietoris(args) -> int:
+    from .paths import vietoris_path
+    from .sets import component_count, parse_set
+    from .vietoris import continuity_witness, member_lower, member_upper, parse_region, union_regions
+
     g = _load_graph(args.graph)
     A = parse_set(args.a, g)
     regions = [parse_region(spec, g) for spec in args.open]
@@ -251,6 +261,8 @@ def _cmd_vietoris(args) -> int:
 
 
 def _cmd_wedge(args) -> int:
+    from .wedge import model_report, parse_wedge_expr
+
     print(model_report(parse_wedge_expr(args.expr)))
     return 0
 
@@ -324,7 +336,7 @@ def run(argv: list[str] | None = None) -> int:
         import traceback  # loads here, not at start-up
 
         frame = traceback.extract_tb(exc.__traceback__)[-1]
-        where = f"{Path(frame.filename).name}:{frame.lineno}"
+        where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
         return _error("internal", 5, f"{type(exc).__name__} at {where}: {exc}")
 
 

@@ -13,9 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 import re
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 from ._record import record, setfield
 from .errors import InvalidGraphError, ParseError, PreconditionError, RayspaceError

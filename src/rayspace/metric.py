@@ -22,14 +22,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
-from typing import Union
 
 from .errors import RayspaceError
 from .graph import GraphPoint, RayGraph, check_graph
 from .sets import ClosedSubset
 
 INF = float("inf")
-ExtendedDistance = Union[Fraction, float]
+ExtendedDistance = Fraction | float
 
 
 def is_infinite(d: ExtendedDistance) -> bool:

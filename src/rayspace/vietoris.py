@@ -16,10 +16,10 @@ meets a derived end, at ``HyperPath.critical_times``: the witness checks there.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from fractions import Fraction
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Sequence
 
 from ._record import record
 from .errors import ParseError, PreconditionError

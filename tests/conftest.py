@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 
+import rayspace
 from rayspace import (
     ClosedSubset,
     RayGraph,
@@ -43,6 +45,12 @@ GRAPH_TEXTS = {
 @pytest.fixture(scope="session")
 def graphs() -> dict[str, RayGraph]:
     return {name: parse_graph(text) for name, text in GRAPH_TEXTS.items()}
+
+
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this copy of the package."""
+    paths = [os.path.dirname(os.path.dirname(rayspace.__file__)), os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
 
 
 def rational(rng: random.Random, lo, hi, denoms=(1, 2, 3, 4, 6, 8, 12)) -> Fraction:

@@ -1,18 +1,15 @@
 import json
-import os
 import subprocess
 import sys
 import textwrap
 import time
-from pathlib import Path
 
 import pytest
 
-import rayspace
 from rayspace import RayspaceError, cli
 from rayspace.cli import MAX_PATH_SAMPLES, run
 
-from conftest import GRAPH_TEXTS
+from conftest import GRAPH_TEXTS, child_env
 
 
 @pytest.fixture
@@ -139,30 +136,41 @@ def test_vietoris_bad_ball_radius_or_rational_has_position(graph_file, capsys, a
     assert err.startswith("error kind=parse") and msg in err
 
 
-def test_only_the_oracle_command_loads_numpy(graph_file):
+# Each command on G_LINE, with the package modules it loads besides the CLI and
+# what ``import rayspace`` loads (errors, graph, wedge and the record helper).
+_COMMAND_MODULES = [
+    (["validate"], set()),
+    (["wedge", "--expr", "(circle ∨ ray)"], set()),
+    (["dist", "--a", "R1:[0,1]", "--b", "R2:{1}"], {"sets", "metric"}),
+    (["classify", "--a", "R1:[0,1]", "--b", "R1:[0,2]", "-n", "1"], {"sets", "metric", "paths"}),
+    (["path", "--a", "R1:[0,1]", "-n", "1"], {"sets", "metric", "paths"}),
+    (["vietoris", "--a", "R1:[0,1]", "--open", "all"], {"sets", "metric", "paths", "vietoris"}),
+    (["oracle", "--step", "1/2", "--trunc", "1", "--delta", "3/5", "-n", "1"],
+     {"sets", "metric", "oracle", "_kernels"}),
+]
+
+
+def test_each_command_loads_only_the_modules_it_runs(graph_file):
     gf = graph_file("G_LINE")
-    script = textwrap.dedent(f"""
+    script = textwrap.dedent("""
         import sys
-        import rayspace
         import rayspace.cli
 
-        def loaded():
-            return [m for m in ("numpy", "rayspace.oracle") if m in sys.modules]
-
-        print(loaded())
-        rayspace.cli.run(["dist", "--graph", {gf!r}, "--a", "R1:[0,1]", "--b", "R2:{{1}}"])
-        print(loaded())
-        rayspace.cli.run(["oracle", "--graph", {gf!r}, "--step", "1/2", "--trunc", "1",
-                          "--delta", "3/5", "-n", "1"])
-        print(loaded())
+        code = rayspace.cli.run(sys.argv[1:])
+        print(code, *sorted(m for m in sys.modules if m.startswith("rayspace.") or m == "numpy"))
     """)
-    paths = [str(Path(rayspace.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
-                         check=True).stdout.splitlines()
-    assert out[0] == out[2] == "[]"
-    assert out[1] == "2"  # the dist answer
-    assert out[-1] == "['numpy', 'rayspace.oracle']"
+    base = {"rayspace._record", "rayspace.cli", "rayspace.errors", "rayspace.graph",
+            "rayspace.wedge"}
+    for argv, modules in _COMMAND_MODULES:
+        if argv[0] != "wedge":
+            argv = [argv[0], "--graph", gf, *argv[1:]]
+        out = subprocess.run([sys.executable, "-c", script, *argv], env=child_env(),
+                             capture_output=True, text=True, check=True).stdout.splitlines()
+        code, *loaded = out[-1].split()
+        expected = base | {f"rayspace.{m}" for m in modules}
+        if argv[0] == "oracle":  # numpy loads with the oracle and with nothing else
+            expected.add("numpy")
+        assert (argv[0], code, set(loaded)) == (argv[0], "0", expected)
 
 
 def test_a_cli_start_loads_no_heavy_stdlib(graph_file):
@@ -174,14 +182,23 @@ def test_a_cli_start_loads_no_heavy_stdlib(graph_file):
         import rayspace.cli
 
         rayspace.cli.run(["dist", "--graph", {gf!r}, "--a", "R1:[0,1]", "--b", "R2:{{1}}"])
-        print([m for m in ("dataclasses", "inspect", "json", "traceback", "numpy")
+        print([m for m in ("dataclasses", "inspect", "json", "traceback", "numpy", "pathlib",
+                           "typing")
                if m in sys.modules])
     """)
-    paths = [str(Path(rayspace.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    out = subprocess.run([sys.executable, "-S", "-c", script], env=env, capture_output=True,
-                         text=True, check=True).stdout.splitlines()
+    out = subprocess.run([sys.executable, "-S", "-c", script], env=child_env(),
+                         capture_output=True, text=True, check=True).stdout.splitlines()
     assert out == ["2", "[]"]
+
+
+@pytest.mark.parametrize("suffix", [".graph", ".json"])
+def test_a_graph_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys, suffix):
+    p = tmp_path / f"g{suffix}"
+    p.write_bytes(b'{"vertices": ["v\xff"]}' if suffix == ".json" else b"vertex v\xff\n")
+    assert run(["validate", "--graph", str(p)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error kind=parse")
+    assert "cannot read graph file" in err[0] and "can't decode byte 0xff" in err[0]
 
 
 def test_oracle_subcommand(graph_file, capsys):

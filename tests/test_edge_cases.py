@@ -1,14 +1,19 @@
 """Adversarial canonicalization cases, cross-module consistency, concurrency smoke,
-and the public refusals no other test reaches."""
+the public refusals no other test reaches, and the package's public names."""
 
+import pkgutil
 import random
+import subprocess
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction as F
+from types import ModuleType
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rayspace
 from rayspace import (
     CapExceededError,
     ClosedSubset,
@@ -53,7 +58,7 @@ from rayspace.cli import run
 from rayspace.graph import GraphPoint
 from rayspace.paths import F2, covering_walk
 
-from conftest import GRAPH_TEXTS, random_ray_graph, random_subset
+from conftest import GRAPH_TEXTS, child_env, random_ray_graph, random_subset
 
 
 def test_loop_degenerate_aliases(graphs):
@@ -294,3 +299,30 @@ def test_cli_refusals(tmp_path, capsys, argv, code, fragment):
     assert run([a.format(dir=tmp_path, graph=graph) for a in argv]) == code
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error kind=") and fragment in err[0]
+
+
+def test_a_star_import_gives_every_public_name():
+    # in a fresh process, where no module outside the three loaded at import is bound yet
+    script = "import rayspace\nfrom rayspace import *\n" \
+             "print([n for n in rayspace.__all__ if n not in globals()])"
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["[]"]
+
+
+def test_each_public_name_is_its_defining_modules():
+    assert len(rayspace.__all__) == len(set(rayspace.__all__))
+    assert set(rayspace.__all__) <= set(dir(rayspace))
+    for name in rayspace.__all__:
+        value = getattr(rayspace, name)
+        owner = getattr(value, "__module__", "")
+        if not owner.startswith("rayspace."):  # INF and ExtendedDistance name no module of ours
+            owner = f"rayspace.{rayspace._MODULE_OF[name]}"
+        assert getattr(sys.modules[owner], name) is value, name
+
+
+def test_the_public_names_hold_no_submodule():
+    # ``wedge`` names a submodule and a public function; the package binds the function
+    submodules = {m.name for m in pkgutil.iter_modules(rayspace.__path__)}
+    assert submodules & set(rayspace.__all__) == {"wedge"}
+    assert [n for n in rayspace.__all__ if isinstance(getattr(rayspace, n), ModuleType)] == []

@@ -23,9 +23,10 @@ move and when they cross a given point stays in one module; stages are plain dat
 with no callable field and no ``Callable`` in ``paths.py``, and a covering
 walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 ``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
-behind the oracle, which the package and the CLI load only on first use, and
-the kernels build only bool arrays but the label array, so no distance
-reaches numpy; no module imports ``dataclasses``, whose import and generated
+behind the oracle, which the package loads on the first use of one of its
+names, as it does every module but the errors, the graph and the wedge
+models, and the CLI only in the command that runs it, and the kernels build
+only bool arrays but the label array, so no distance reaches numpy; no module imports ``dataclasses``, whose import and generated
 methods would slow every CLI start;
 ``graph.count_classes`` is the package's one Python union-find; no function
 carries a ``functools.cache`` or ``lru_cache`` decorator, so work is cached
