@@ -348,13 +348,15 @@ def as_direction_set(g: RayGraph, delta) -> frozenset[int]:
 
 # ---- parsing -----------------------------------------------------------
 
+DIGIT_FORM = r"(-?[0-9]+)(?:/(0*[1-9][0-9]*))?"  # ASCII [-]p or p/q, q > 0; groups p, q
+
 
 def parse_fraction(tok: str, where: str) -> Fraction:
     """Rational text, ``p/q`` or a decimal, as an exact Fraction.
 
-    Every rational the package reads from text comes through here.  Exponent
-    notation is refused: it is the one form whose value grows exponentially
-    with its length, so ``1e10000000`` would stall the conversion.
+    Every rational the package reads from text comes through here but a set literal's
+    coordinates in the digit form ``DIGIT_FORM`` above, which ``sets.parse_set`` reads as
+    ints.  Exponent notation is refused: ``1e10000000``'s value would stall the conversion.
     """
     if "e" not in tok and "E" not in tok:
         try:

@@ -16,27 +16,27 @@ aliasing or connectivity.  Only ``_canonicalize`` builds a ``ClosedSubset``
 from raw fields, and each set value goes through it once.
 
 The pass compares ints only: each coordinate comes as an int over one scale
-with its ``Fraction``, if one exists, and the set keeps both.  An end that
-has none gets one when read: ``ClosedSubset.pieces`` is a view built on
-first read, and the one place that builds ``ElementPieces``, so a value that
-is only asked ``in_cn`` builds no ``Fraction``.  Equality and hashing read
-the ints over their least scale.  Raw ``Fraction`` data comes onto a scale
-through ``scale_pieces``; unions and path stages read sets' ints through
-``scale_sets``.
+with its ``Fraction``, if one exists, and the set keeps both; ``pieces``, the
+one place that builds ``ElementPieces``, fills in the rest on first read, so
+a value only asked ``in_cn`` builds no ``Fraction``.  Equality and hashing
+read the ints over their least scale.  ``parse_set`` reads text onto ints
+itself, ``from_pieces`` brings ``Fraction`` data onto a scale through
+``scale_pieces``, and unions and path stages read sets' ints through ``scale_sets``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import re
 from fractions import Fraction
 from functools import cached_property
 from operator import itemgetter
 
 from ._record import record, setfield
 from .errors import ParseError, PreconditionError
-from .graph import (GraphPoint, RayGraph, as_count, as_direction_set, as_fraction, as_text,
-                    check_graph, count_classes, parse_fraction, same_graph)
+from .graph import (DIGIT_FORM, GraphPoint, RayGraph, as_count, as_direction_set, as_fraction,
+                    as_text, check_graph, count_classes, parse_fraction, same_graph)
 
 Interval = tuple[Fraction, Fraction]
 
@@ -190,8 +190,7 @@ def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> Clos
     for eid in sorted(intervals.keys() | tails.keys()):
         ivs = intervals.get(eid, ())
         tail = tails.get(eid)
-        length = g.element_length(eid)  # raises for unknown ids
-        end0, end1 = g.element_end_vertices(eid)
+        _, end0, end1, length = g._shape(eid)  # raises for unknown ids
         if tail is not None and length is not None:
             raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
         top = None if length is None else length.numerator * (scale // length.denominator)
@@ -249,43 +248,68 @@ def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> Clos
 # ---- parsing ------------------------------------------------------------
 
 
+# ELEM:{a}, ELEM:[a,inf) or ELEM:[a,b] with a and b in the digit form; group 2 holds "{"
+_ATOM = re.compile(rf"([^:]*):(?:(\{{)|\[){DIGIT_FORM}(?(2)\}}|,(?:inf\)|{DIGIT_FORM}\]))")
+
+
+def _read_atom(atom: str, i: int) -> tuple:
+    """Atom i as (eid, a, b), b None on a tail: by ``_ATOM`` if it can, else ``parse_fraction``."""
+    if m := _ATOM.fullmatch(atom):
+        eid, point, p, q, pb, qb = m.groups()
+        try:
+            a = Fraction(int(p), int(q or 1))
+            return eid, a, a if point else pb and Fraction(int(pb), int(qb or 1))
+        except ValueError:  # past int's digit limit
+            pass
+    where = f"atom {i} ({atom!r})"
+    if ":" not in atom:
+        raise ParseError("atom must look like ELEM:[a,b], ELEM:[a,inf) or ELEM:{a}", where)
+    eid, body = atom.split(":", 1)
+    if body.startswith("{") and body.endswith("}"):
+        a = b = parse_fraction(body[1:-1], where)
+    elif body.startswith("[") and body.endswith(")"):
+        parts = body[1:-1].split(",")
+        if len(parts) != 2 or parts[1].strip() != "inf":
+            raise ParseError("half-open atom must be ELEM:[a,inf)", where)
+        a, b = parse_fraction(parts[0], where), None
+    elif body.startswith("[") and body.endswith("]"):
+        parts = body[1:-1].split(",")
+        if len(parts) != 2:
+            raise ParseError("interval atom must be ELEM:[a,b]", where)
+        a, b = parse_fraction(parts[0], where), parse_fraction(parts[1], where)
+    else:
+        raise ParseError(f"unrecognized atom {atom!r}", where)
+    return eid, a, b
+
+
 def parse_set(text: str, g: RayGraph) -> ClosedSubset:
-    """Parse a set literal: whitespace-separated ``ELEM:[a,b]``, ``ELEM:[a,inf)``, ``ELEM:{a}``."""
-    intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    tails: dict[str, Fraction] = {}
+    """Parse a set literal: whitespace-separated ``ELEM:[a,b]``, ``ELEM:[a,inf)``, ``ELEM:{a}``.
+
+    One pass to ``_canonicalize``'s ints; ``p`` or ``p/q`` (``graph.DIGIT_FORM``) read by regex."""
     atoms = as_text(text, "a set literal").split()
     if not atoms:
         raise ParseError("empty set literal; elements of CL(X) are nonempty")
+    intervals, tails = {}, {}  # eid -> [(a, b), ...] and eid -> least tail start
     for i, atom in enumerate(atoms, start=1):
-        where = f"atom {i} ({atom!r})"
-        if ":" not in atom:
-            raise ParseError("atom must look like ELEM:[a,b], ELEM:[a,inf) or ELEM:{a}", where)
-        eid, body = atom.split(":", 1)
-        if body.startswith("{") and body.endswith("}"):
-            a = b = parse_fraction(body[1:-1], where)
-        elif body.startswith("[") and body.endswith(")"):
-            inner = body[1:-1]
-            parts = inner.split(",")
-            if len(parts) != 2 or parts[1].strip() != "inf":
-                raise ParseError("half-open atom must be ELEM:[a,inf)", where)
-            a, b = parse_fraction(parts[0], where), None
-        elif body.startswith("[") and body.endswith("]"):
-            parts = body[1:-1].split(",")
-            if len(parts) != 2:
-                raise ParseError("interval atom must be ELEM:[a,b]", where)
-            a, b = parse_fraction(parts[0], where), parse_fraction(parts[1], where)
-            if a > b:
-                raise ParseError(f"malformed interval (a > b) in {atom!r}", where)
-        else:
-            raise ParseError(f"unrecognized atom {atom!r}", where)
-        if a < 0:  # a <= b, so a is the least coordinate of the atom
-            raise ParseError(f"negative coordinate {a}", where)
-        if b is None:
-            tails[eid] = min(a, tails[eid]) if eid in tails else a
-        else:
+        eid, fa, fb = _read_atom(atom, i)  # each coordinate as (numerator, denominator, itself)
+        a = fa.numerator, fa.denominator, fa
+        b = None if fb is None else (fb.numerator, fb.denominator, fb)
+        if b is not None and a[0] * b[1] > b[0] * a[1]:
+            raise ParseError(f"malformed interval (a > b) in {atom!r}", f"atom {i} ({atom!r})")
+        if a[0] < 0:  # a <= b, so a is the least coordinate of the atom
+            raise ParseError(f"negative coordinate {a[2]}", f"atom {i} ({atom!r})")
+        if b is not None:
             intervals.setdefault(eid, []).append((a, b))
+        elif eid not in tails or a[0] * tails[eid][1] < tails[eid][0] * a[1]:
+            tails[eid] = a
     try:
-        return ClosedSubset.from_pieces(g, intervals, tails)
+        check_graph(g)
+        scale = math.lcm(g.scale, *{x[1] for ivs in intervals.values() for iv in ivs for x in iv},
+                         *{s[1] for s in tails.values()})
+        return _canonicalize(
+            g, {eid: [(na * (scale // da), nb * (scale // db), fa, fb)
+                      for (na, da, fa), (nb, db, fb) in ivs] for eid, ivs in intervals.items()},
+            {eid: (n * (scale // d), f) for eid, (n, d, f) in tails.items()}, scale)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from None
 
@@ -293,12 +317,11 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
 # ---- set operations -----------------------------------------------------
 
 
-def scale_pieces(
-    g: RayGraph, intervals: dict[str, list[Interval]], tails: dict[str, Fraction], *fracs: Fraction
-) -> tuple[dict, dict, int]:
-    """Raw ``from_pieces`` data as ``_canonicalize`` takes it: over the lcm of the
-    denominators of its coordinates and of ``fracs``, and of ``g.scale``, which comes last."""
-    scale = math.lcm(g.scale, *(x.denominator for x in (*fracs, *tails.values())),
+def scale_pieces(g: RayGraph, intervals: dict[str, list[Interval]],
+                 tails: dict[str, Fraction]) -> tuple[dict, dict, int]:
+    """``from_pieces``' raw data as ``_canonicalize`` takes it: over the lcm of ``g.scale``
+    and the denominators of its coordinates."""
+    scale = math.lcm(g.scale, *(x.denominator for x in tails.values()),
                      *(x.denominator for ivs in intervals.values() for iv in ivs for x in iv))
 
     def up(x: Fraction) -> int:

@@ -1,4 +1,6 @@
 import random
+import re
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
@@ -20,7 +22,8 @@ from rayspace import (
     union,
     whole_space,
 )
-from rayspace.graph import GraphPoint
+from rayspace.cli import run
+from rayspace.graph import DIGIT_FORM, GraphPoint, parse_fraction
 
 from conftest import random_ray_graph, random_subset, rational
 
@@ -308,3 +311,120 @@ def test_component_count_matches_reference_on_random_graphs(seed):
         assert component_count(g, A) == _ref_component_count(g, A), A
     for A in (whole_space(g), canonical_element(g, frozenset())):
         assert component_count(g, A) == _ref_component_count(g, A) == 1
+
+
+# ---- reading set literals ------------------------------------------------
+#
+# parse_set reads coordinates in graph.DIGIT_FORM off one pattern's ints and
+# every other token through parse_fraction.  Both must give Fraction(tok)'s
+# value, refuse what it refuses with the same message, and hand _canonicalize
+# what from_pieces would.
+
+_READ_AS_FRACTION = {  # token -> whether it is in the digit form
+    "2/4": True, "007": True, "003/08": True, "0/5": True, "-0": True, "-0/3": True,
+    "0.75": False, "+1/2": False, "1_0/20": False, "٣/4": False,
+}
+_REFUSED = ["1/0", "1/00", "1e3", "", "1//2",
+            "1" * 4301, "1/" + "1" * 4301]  # one past int's default digit limit
+_SHAPES = ["R1:{{{}}}", "R1:[{},inf)", "R1:[0,{}]"]
+
+
+@pytest.mark.parametrize("tok, digits", _READ_AS_FRACTION.items())
+def test_both_rational_readers_give_fractions_value(graphs, tok, digits):
+    g, want = graphs["G_R"], F(tok)
+    assert (re.fullmatch(DIGIT_FORM, tok) is not None) == digits
+    assert parse_fraction(tok, "nowhere") == want
+    for text, ivs, tails in [(f"R1:{{{tok}}}", [(want, want)], {}),
+                             (f"R1:[{tok},{tok}] R1:[{tok},9]", [(want, want), (want, 9)], {}),
+                             (f"R1:[{tok},inf)", [], {"R1": want})]:
+        A = parse_set(text, g)
+        R = ClosedSubset.from_pieces(g, {"R1": ivs} if ivs else {}, tails)
+        assert (A.ends, A.scale) == (R.ends, R.scale), text
+
+
+@pytest.mark.parametrize("shape", _SHAPES)
+@pytest.mark.parametrize("tok", _REFUSED, ids=lambda tok: tok[:8] or "empty")
+def test_refused_rationals_keep_their_error_in_the_library_and_the_cli(
+        graphs, tmp_path, capsys, tok, shape):
+    atom = shape.format(tok)
+    msg = f"bad rational {tok!r} (at atom 1 ({atom!r}))"
+    with pytest.raises(ParseError) as exc:
+        parse_set(atom, graphs["G_R"])
+    assert str(exc.value) == msg
+    with pytest.raises(ParseError, match="bad rational"):
+        parse_fraction(tok, "nowhere")
+    gf = tmp_path / "g.graph"
+    gf.write_text("vertex v\nray R1 v\n")
+    assert run(["dist", "--graph", str(gf), "--a", atom, "--b", "R1:{0}"]) == 2
+    assert capsys.readouterr().err.splitlines() == [f'error kind=parse msg="{msg}"']
+
+
+def test_parse_set_refuses_in_order(graphs):
+    # the atoms first, one by one, then the graph, then the elements
+    with pytest.raises(ParseError, match=r"^atom must look like .* \(at atom 1 \('garbage'\)\)$"):
+        parse_set("garbage", 5)
+    with pytest.raises(ParseError, match="^expected a RayGraph, got int$"):
+        parse_set("E1:[0,1]", 5)
+    with pytest.raises(ParseError, match="^unknown element id ''$"):
+        parse_set(":[0,1]", graphs["G_R"])
+    with pytest.raises(ParseError) as exc:
+        parse_set("R1:[0,1]]", graphs["G_R"])
+    assert str(exc.value) == "bad rational '1]' (at atom 1 ('R1:[0,1]]'))"
+    with pytest.raises(ParseError, match=r"a > b\) in 'R1:\[2,1\]' \(at atom 2"):
+        parse_set("R1:[0,1] R1:[2,1] junk", graphs["G_R"])
+    with pytest.raises(ParseError, match=r"^negative coordinate -1/2 \(at atom 1"):
+        parse_set("R1:[-1/2,inf) junk", graphs["G_R"])
+
+
+def _spell(x: F, rng: random.Random) -> str:
+    """A token that Fraction reads as x: a digit form, unreduced or zero-padded, or not."""
+    k, pad = rng.choice((1, 1, 2, 3)), "0" * rng.randint(0, 2)
+    num, den = x.numerator * k, x.denominator * k
+    forms = [f"{num}/{den}", f"{pad}{num}/{pad}{den}", f"+{num}/{den}", f"{num}_0/{den}0"]
+    if x.denominator == 1:
+        forms += [f"{pad}{x.numerator}", f"-{x.numerator}" if x == 0 else str(x)]
+    if 10**6 % x.denominator == 0:  # a finite decimal
+        forms.append(format(Decimal(x.numerator) / Decimal(x.denominator), "f"))
+    return rng.choice(forms)
+
+
+def _random_literal(g, rng: random.Random) -> tuple[str, dict, dict]:
+    """A valid set literal on g, and the from_pieces data its tokens stand for: repeated
+    elements, touching and overlapping intervals, points at vertices, repeated tails."""
+    elements = [(e.id, e.length) for e in g.edges] + [(r.id, None) for r in g.rays]
+    atoms, intervals, tails = [], {}, {}
+    for _ in range(rng.randint(1, 7)):
+        eid, length = rng.choice(elements)
+        top = length if length is not None else F(4)
+        a, b = sorted((rational(rng, 0, top, (1, 2, 3, 4, 5, 8, 10)), rational(rng, 0, top)))
+        if rng.random() < 0.3 and intervals.get(eid):
+            a = intervals[eid][-1][1]  # touching the last interval on eid, or inside it
+            b = max(a, b)
+        kind = rng.choice(("interval", "point", "vertex") + ("tail",) * (length is None))
+        if kind == "vertex":
+            a = b = rng.choice((F(0), length or F(0)))
+        if kind == "tail":
+            atoms.append(f"{eid}:[{_spell(a, rng)},inf)")
+            tails[eid] = min(a, tails.get(eid, a))
+        elif kind == "interval" and a < b:
+            atoms.append(f"{eid}:[{_spell(a, rng)},{_spell(b, rng)}]")
+            intervals.setdefault(eid, []).append((a, b))
+        else:
+            atoms.append(f"{eid}:{{{_spell(a, rng)}}}")
+            intervals.setdefault(eid, []).append((a, a))
+    return " ".join(atoms), intervals, tails
+
+
+def test_parse_set_matches_from_pieces_on_random_literals(graphs):
+    rng = random.Random(7)
+    draws = [*graphs.values(), *(random_ray_graph(random.Random(s)) for s in range(240))]
+    for g in draws:
+        for _ in range(4):
+            text, intervals, tails = _random_literal(g, rng)
+            A = parse_set(text, g)
+            R = ClosedSubset.from_pieces(g, intervals, tails)
+            assert (A.ends, A.scale) == (R.ends, R.scale), text
+            # every Fraction slot is filled, so the first pieces read builds none
+            assert all(fa is not None and fb is not None
+                       for _, ivs, _ in A.ends for _, _, fa, fb in ivs), text
+            assert all(tail[1] is not None for _, _, tail in A.ends if tail), text
