@@ -42,7 +42,7 @@ def _vertex_to_set(g: RayGraph, v: str, B: ClosedSubset) -> Fraction:
     row, index, k, best = g.vertex_row(v), g.vertex_index, B.scale // g.scale, None
     for eid, ivs, tail in B.ends:
         end0, end1 = g.element_end_vertices(eid)
-        cand = row[index[end0]] * k + (ivs[0][0] if ivs else tail[0])
+        cand = row[index[end0]] * k + (ivs[0][0] if ivs else tail)
         if end1 is not None:
             length = g.element_length(eid)
             far = length.numerator * (B.scale // length.denominator) - ivs[-1][1]

@@ -171,8 +171,8 @@ class Stage:
     @cached_property
     def _scaled(self) -> tuple:
         """The stage over one integer scale D (see ``scale_sets``): pieces as (element,
-        start, lower end, upper end), each end (a, b, stop, rest) over D, then a and rest
-        as ``Fraction``s; the base's pieces; D; and whether an end grows as t/(1-t)."""
+        start, lower end, upper end), each end (a, b, stop, rest) in ints over D; the
+        base's intervals and tails; D; and whether an end grows as t/(1-t)."""
         # each motion paired with where it rests, by position: keying the rests
         # by Motion would hash its five Fractions
         rested = [[m and (m, None if m.b is None else m.a + m.b * m.stop) for m in piece]
@@ -189,7 +189,7 @@ class Stage:
             if mr is None:
                 return None
             m, rest = mr
-            return up(m.a), up(m.b), up(m.stop), up(rest), m.a, rest
+            return up(m.a), up(m.b), up(m.stop), up(rest)
 
         pieces = tuple((lo[0].element, up(lo[0].start), end(lo), end(hi)) for lo, hi in rested)
         return pieces, *base, D, any(m.b is None for m in self.motions)
@@ -207,19 +207,18 @@ class Stage:
         # at t = p/q each end a + b t is an int over D q, and t/(1 - t) over D q (q - p)
         g = q - p if grows and p < q else 1
         f = q * g
-        intervals = {eid: [(a * f, b * f, fa, fb) for a, b, fa, fb in ivs]
-                     for eid, ivs in base_intervals.items()}
-        tails = {eid: (s * f, fs) for eid, (s, fs) in base_tails.items()}
+        intervals = {eid: [(a * f, b * f) for a, b in ivs] for eid, ivs in base_intervals.items()}
+        tails = {eid: s * f for eid, s in base_tails.items()}
         for eid, start, lower, upper in pieces:
             if p * D < start * q:
                 break
             lo = _end(lower, p, q, g, D)
             hi = None if upper is None else _end(upper, p, q, g, D)
             if hi is None:
-                if eid not in tails or lo[0] < tails[eid][0]:
+                if eid not in tails or lo < tails[eid]:
                     tails[eid] = lo
             else:
-                intervals.setdefault(eid, []).append((lo[0], hi[0], lo[1], hi[1]))
+                intervals.setdefault(eid, []).append((lo, hi))
         return ClosedSubset._from_scaled(self.graph, intervals, tails, D * f)
 
     def critical_times(self, ends: dict[str, set[Fraction]]) -> set[Fraction]:
@@ -235,14 +234,14 @@ class Stage:
                      not self.backwards)
 
 
-def _end(end: tuple, p: int, q: int, g: int, D: int) -> tuple[int, Fraction | None] | None:
-    """An end at t = p/q, as an int over D q g and its ``Fraction`` if one exists."""
-    a, b, stop, rest, fa, frest = end
+def _end(end: tuple, p: int, q: int, g: int, D: int) -> int | None:
+    """An end at t = p/q as an int over D q g, or None once it has grown unbounded."""
+    a, b, stop, rest = end
     if p * D >= stop * q:
-        return None if rest is None else (rest * q * g, frest)
+        return None if rest is None else rest * q * g
     if b is None:
-        return p * D * q, None
-    return (a * q + b * p) * g, fa if b == 0 else None
+        return p * D * q
+    return (a * q + b * p) * g
 
 
 def F0(g: RayGraph, A: ClosedSubset, grows: tuple[tuple[str, Fraction], ...]) -> Stage:
@@ -363,23 +362,24 @@ def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stag
     f0 = F0(g, A, grows)
     a1 = f0.at(1)
 
-    delta = direction_set(g, A)
+    # a1's ints stay on its scale, less its stray rays; only those become Fractions
+    delta, D = direction_set(g, A), a1.scale
     moving = []
-    keep_intervals: dict[str, list[tuple[Fraction, Fraction]]] = {}
-    keep_tails: dict[str, Fraction] = {}
-    for eid, ep in a1.pieces:
+    keep_intervals: dict[str, tuple[tuple[int, int], ...]] = {}
+    keep_tails: dict[str, int] = {}
+    for eid, ivs, s in a1.ends:
         if g.is_ray(eid) and g.ray_index[eid] not in delta:
-            moving.extend((eid, a, b) for a, b in ep.intervals)
-            if ep.tail is not None:
+            if s is not None:
                 raise RayspaceError(f"F0 left a tail on {eid}, outside the direction set")
+            moving.extend((eid, Fraction(a, D), Fraction(b, D)) for a, b in ivs)
             continue
-        if ep.intervals:
-            keep_intervals[eid] = list(ep.intervals)
-        if ep.tail is not None:
-            keep_tails[eid] = ep.tail
+        if ivs:
+            keep_intervals[eid] = ivs
+        if s is not None:
+            keep_tails[eid] = s
     base1 = None
     if keep_intervals or keep_tails:
-        base1 = ClosedSubset.from_pieces(g, keep_intervals, keep_tails)
+        base1 = ClosedSubset._from_scaled(g, keep_intervals, keep_tails, D)
     f1 = F1(g, base1, tuple(moving))
     a2 = f1.at(1)
 

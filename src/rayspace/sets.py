@@ -15,13 +15,13 @@ components as ``ClosedSubset.components``, so no other code decides vertex
 aliasing or connectivity.  Only ``_canonicalize`` builds a ``ClosedSubset``
 from raw fields, and each set value goes through it once.
 
-The pass compares ints only: each coordinate comes as an int over one scale
-with its ``Fraction``, if one exists, and the set keeps both; ``pieces``, the
-one place that builds ``ElementPieces``, fills in the rest on first read, so
-a value only asked ``in_cn`` builds no ``Fraction``.  Equality and hashing
-read the ints over their least scale.  ``parse_set`` reads text onto ints
-itself, ``from_pieces`` brings ``Fraction`` data onto a scale through
-``scale_pieces``, and unions and path stages read sets' ints through ``scale_sets``.
+The pass compares ints only: each coordinate comes as an int over one scale,
+and the set keeps those ints and nothing else.  ``pieces``, the one place that
+builds ``ElementPieces``, makes their ``Fraction``s on first read, so a value
+only asked ``in_cn`` builds no ``Fraction``.  Equality and hashing read the
+ints over their least scale.  ``parse_set`` reads text onto ints itself,
+``from_pieces`` brings ``Fraction`` data onto a scale, and unions and path
+stages read sets' ints through ``scale_sets``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from operator import itemgetter
 
 from ._record import record, setfield
 from .errors import ParseError, PreconditionError
@@ -60,19 +59,16 @@ class ClosedSubset:
     Construct through :meth:`from_pieces`, :func:`parse_set` or the set
     operations; only ``_canonicalize`` calls the raw constructor.  ``ends``
     is the canonical pass's merged data: per element, in element id order,
-    its id, its intervals as ``(a, b, fa, fb)`` and its tail as ``(s, fs)``
-    or None, with a, b and s ints over ``scale`` and fa, fb and fs the
-    ``Fraction``s they stand for, or None where none was built.  ``pieces``
-    is the ``Fraction`` view of ``ends``, built on first read.  Equality and
-    hashing read only the ints, over the least scale they lie on, so a set
-    reached on any scale equals itself.  ``vertices`` (the vertices the set
-    holds as points) and ``components`` are derived, so equality, hashing
-    and ``repr`` ignore them.
+    its id, its intervals as ``(a, b)`` and its tail start s or None, with
+    a, b and s ints over ``scale``.  ``pieces`` is the ``Fraction`` view of
+    ``ends``, built on first read.  Equality and hashing read only the ints,
+    over the least scale they lie on, so a set reached on any scale equals
+    itself.  ``vertices`` (the vertices the set holds as points) and
+    ``components`` are derived, so equality, hashing and ``repr`` ignore them.
     """
 
     graph: RayGraph
-    ends: tuple[tuple[str, tuple[tuple[int, int, Fraction | None, Fraction | None], ...],
-                      tuple[int, Fraction | None] | None], ...]
+    ends: tuple[tuple[str, tuple[tuple[int, int], ...], int | None], ...]
     scale: int
     vertices: frozenset[str]
     components: int
@@ -93,14 +89,22 @@ class ClosedSubset:
         intervals: dict[str, list[tuple[Fraction, Fraction]]] | None = None,
         tails: dict[str, Fraction] | None = None,
     ) -> "ClosedSubset":
-        """Build and canonicalize a subset from raw per-element data."""
+        """Build and canonicalize a subset from raw per-element data, over the lcm of
+        ``g.scale`` and the coordinates' denominators."""
         check_graph(g)
         raw = {
             eid: [(as_fraction(a), as_fraction(b)) for a, b in ivs]
             for eid, ivs in (intervals or {}).items()
         }
         raw_tails = {eid: as_fraction(s) for eid, s in (tails or {}).items()}
-        return _canonicalize(g, *scale_pieces(g, raw, raw_tails))
+        scale = math.lcm(g.scale, *(x.denominator for x in raw_tails.values()),
+                         *(x.denominator for ivs in raw.values() for iv in ivs for x in iv))
+
+        def up(x: Fraction) -> int:
+            return x.numerator * (scale // x.denominator)
+
+        return _canonicalize(g, {eid: [(up(a), up(b)) for a, b in ivs] for eid, ivs in raw.items()},
+                             {eid: up(s) for eid, s in raw_tails.items()}, scale)
 
     @staticmethod
     def _from_scaled(g: RayGraph, intervals: dict, tails: dict, scale: int) -> "ClosedSubset":
@@ -113,22 +117,19 @@ class ClosedSubset:
         """Per element, in element id order, its canonical pieces as ``Fraction``s."""
         d = self.scale
         return tuple([
-            (eid, ElementPieces(
-                tuple([(Fraction(a, d) if fa is None else fa, Fraction(b, d) if fb is None else fb)
-                       for a, b, fa, fb in ivs]),
-                tail and (Fraction(tail[0], d) if tail[1] is None else tail[1])))
-            for eid, ivs, tail in self.ends
+            (eid, ElementPieces(tuple([(Fraction(a, d), Fraction(b, d)) for a, b in ivs]),
+                                None if s is None else Fraction(s, d)))
+            for eid, ivs, s in self.ends
         ])
 
     def _value(self) -> tuple:
         """The least scale the ints lie on, and per element its id, interval ends
         and tail start over that scale: on one graph, equal exactly for equal sets."""
         ends = self.ends
-        d = math.gcd(self.scale, *[x for _, ivs, _ in ends for iv in ivs for x in iv[:2]],
-                     *[tail[0] for _, _, tail in ends if tail])
+        d = math.gcd(self.scale, *[x for _, ivs, _ in ends for iv in ivs for x in iv],
+                     *[s for _, _, s in ends if s])
         return self.scale // d, tuple([
-            (eid, tuple([(a // d, b // d) for a, b, _, _ in ivs]), tail and tail[0] // d)
-            for eid, ivs, tail in ends])
+            (eid, tuple([(a // d, b // d) for a, b in ivs]), s and s // d) for eid, ivs, s in ends])
 
     def __eq__(self, other):
         if not isinstance(other, ClosedSubset):
@@ -180,10 +181,9 @@ class ClosedSubset:
 
 
 def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> ClosedSubset:
-    """Canonical form of ``(a, b, fa, fb)`` intervals and ``(s, fs)`` tails: a, b and s
-    ints over ``scale`` (a multiple of ``g.scale``), each with
-    the ``Fraction`` it stands for, or None where none was built."""
-    per: dict[str, tuple[list, tuple | None]] = {}
+    """Canonical form of ``(a, b)`` intervals and tail starts s, all ints over ``scale``
+    (a multiple of ``g.scale``)."""
+    per: dict[str, tuple[list, int | None]] = {}
     points: set[str] = set()  # vertices given as single points [c, c]
     held: set[str] = set()  # vertices some longer piece or a tail at 0 reaches
     loose, links = 0, []  # pieces that reach no vertex; whole edges' end pairs
@@ -194,46 +194,47 @@ def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> Clos
         if tail is not None and length is not None:
             raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
         top = None if length is None else length.numerator * (scale // length.denominator)
-        for a, b, _, _ in ivs:
+        for a, b in ivs:
             if a > b or a < 0 or (top is not None and b > top):
                 iv = f"[{Fraction(a, scale)},{Fraction(b, scale)}]"
                 raise PreconditionError(f"malformed interval {iv} on {eid}" if a > b
                                         else f"interval {iv} out of range on {eid}")
-        if tail is not None and tail[0] < 0:
-            raise PreconditionError(f"tail start {Fraction(tail[0], scale)} out of range on {eid}")
+        if tail is not None and tail < 0:
+            raise PreconditionError(f"tail start {Fraction(tail, scale)} out of range on {eid}")
         merged: list = []
-        for iv in sorted(ivs, key=itemgetter(0)):
-            if iv[0] == iv[1] and (iv[0] == 0 or iv[0] == top):
-                points.add(end0 if iv[0] == 0 else end1)
-            elif merged and iv[0] <= merged[-1][1]:
-                if iv[1] > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], iv[1], merged[-1][2], iv[3])
+        for iv in sorted(ivs):
+            a, b = iv
+            if a == b and (a == 0 or a == top):
+                points.add(end0 if a == 0 else end1)
+            elif merged and a <= merged[-1][1]:
+                if b > merged[-1][1]:
+                    merged[-1] = (merged[-1][0], b)
             else:
                 merged.append(iv)
         if tail is not None:
-            while merged and merged[-1][1] >= tail[0]:
-                tail = min(tail, merged.pop()[::2], key=itemgetter(0))
+            while merged and merged[-1][1] >= tail:
+                tail = min(tail, merged.pop()[0])
         if not merged and tail is None:
             continue
         # merged pieces are disjoint and a tail lies past them, so only the
         # first piece (or the tail) can start at 0 and only the last can end at length
-        if (merged[0] if merged else tail)[0] == 0:
+        if (merged[0][0] if merged else tail) == 0:
             held.add(end0)
         if merged and merged[-1][1] == top:
             held.add(end1)
-        for a, b, _, _ in merged:
+        for a, b in merged:
             if a == 0 and b == top:
                 links.append((end0, end1))
             elif a > 0 and b != top:
                 loose += 1
-        loose += tail is not None and tail[0] > 0
+        loose += tail is not None and tail > 0
         per[eid] = (merged, tail)
 
     # a vertex no longer piece holds is stored once, at its least representation
     for v in points - held:
         eid, c = g.vertex_representations(v)[0]
-        c_int = c.numerator * (scale // c.denominator)
-        bisect.insort(per.setdefault(eid, ([], None))[0], (c_int, c_int, c, c), key=itemgetter(0))
+        c = c.numerator * (scale // c.denominator)
+        bisect.insort(per.setdefault(eid, ([], None))[0], (c, c))
 
     if not per:
         raise PreconditionError("empty set: elements of CL(X) are nonempty")
@@ -285,19 +286,20 @@ def _read_atom(atom: str, i: int) -> tuple:
 def parse_set(text: str, g: RayGraph) -> ClosedSubset:
     """Parse a set literal: whitespace-separated ``ELEM:[a,b]``, ``ELEM:[a,inf)``, ``ELEM:{a}``.
 
-    One pass to ``_canonicalize``'s ints; ``p`` or ``p/q`` (``graph.DIGIT_FORM``) read by regex."""
+    One pass to ``_canonicalize``'s ints, each coordinate carried as its reduced (numerator,
+    denominator); ``p`` or ``p/q`` (``graph.DIGIT_FORM``) read by regex."""
     atoms = as_text(text, "a set literal").split()
     if not atoms:
         raise ParseError("empty set literal; elements of CL(X) are nonempty")
     intervals, tails = {}, {}  # eid -> [(a, b), ...] and eid -> least tail start
     for i, atom in enumerate(atoms, start=1):
-        eid, fa, fb = _read_atom(atom, i)  # each coordinate as (numerator, denominator, itself)
-        a = fa.numerator, fa.denominator, fa
-        b = None if fb is None else (fb.numerator, fb.denominator, fb)
+        eid, lo, hi = _read_atom(atom, i)
+        a = lo.numerator, lo.denominator
+        b = None if hi is None else (hi.numerator, hi.denominator)
         if b is not None and a[0] * b[1] > b[0] * a[1]:
             raise ParseError(f"malformed interval (a > b) in {atom!r}", f"atom {i} ({atom!r})")
         if a[0] < 0:  # a <= b, so a is the least coordinate of the atom
-            raise ParseError(f"negative coordinate {a[2]}", f"atom {i} ({atom!r})")
+            raise ParseError(f"negative coordinate {lo}", f"atom {i} ({atom!r})")
         if b is not None:
             intervals.setdefault(eid, []).append((a, b))
         elif eid not in tails or a[0] * tails[eid][1] < tails[eid][0] * a[1]:
@@ -307,9 +309,9 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
         scale = math.lcm(g.scale, *{x[1] for ivs in intervals.values() for iv in ivs for x in iv},
                          *{s[1] for s in tails.values()})
         return _canonicalize(
-            g, {eid: [(na * (scale // da), nb * (scale // db), fa, fb)
-                      for (na, da, fa), (nb, db, fb) in ivs] for eid, ivs in intervals.items()},
-            {eid: (n * (scale // d), f) for eid, (n, d, f) in tails.items()}, scale)
+            g, {eid: [(na * (scale // da), nb * (scale // db)) for (na, da), (nb, db) in ivs]
+                for eid, ivs in intervals.items()},
+            {eid: n * (scale // d) for eid, (n, d) in tails.items()}, scale)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from None
 
@@ -317,37 +319,24 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
 # ---- set operations -----------------------------------------------------
 
 
-def scale_pieces(g: RayGraph, intervals: dict[str, list[Interval]],
-                 tails: dict[str, Fraction]) -> tuple[dict, dict, int]:
-    """``from_pieces``' raw data as ``_canonicalize`` takes it: over the lcm of ``g.scale``
-    and the denominators of its coordinates."""
-    scale = math.lcm(g.scale, *(x.denominator for x in tails.values()),
-                     *(x.denominator for ivs in intervals.values() for iv in ivs for x in iv))
-
-    def up(x: Fraction) -> int:
-        return x.numerator * (scale // x.denominator)
-
-    return ({eid: [(up(a), up(b), a, b) for a, b in ivs] for eid, ivs in intervals.items()},
-            {eid: (up(x), x) for eid, x in tails.items()}, scale)
-
-
 def scale_sets(
     g: RayGraph, sets: tuple[ClosedSubset, ...], *fracs: Fraction
 ) -> tuple[dict, dict, int]:
-    """The sets' ends together as ``_canonicalize`` takes them, read off their ints
-    with no ``Fraction`` arithmetic: over the lcm of their scales, of ``g.scale`` and
-    of the denominators of ``fracs``, which comes last.  A tail keeps the lower start."""
+    """The sets' ends together as ``_canonicalize`` takes them, ``(a, b)`` pairs and tail
+    starts read off their ints with no ``Fraction`` arithmetic: over the lcm of their
+    scales, of ``g.scale`` and of the denominators of ``fracs``, which comes last.  A tail
+    keeps the lower start."""
     scale = math.lcm(g.scale, *(x.denominator for x in fracs), *(S.scale for S in sets))
     intervals: dict[str, list] = {}
-    tails: dict[str, tuple] = {}
+    tails: dict[str, int] = {}
     for S in sets:
         k = scale // S.scale
-        for eid, ivs, tail in S.ends:
+        for eid, ivs, s in S.ends:
             if ivs:
                 intervals.setdefault(eid, []).extend(
-                    [(a * k, b * k, fa, fb) for a, b, fa, fb in ivs] if k > 1 else ivs)
-            if tail is not None and (eid not in tails or tail[0] * k < tails[eid][0]):
-                tails[eid] = (tail[0] * k, tail[1])
+                    [(a * k, b * k) for a, b in ivs] if k > 1 else ivs)
+            if s is not None and (eid not in tails or s * k < tails[eid]):
+                tails[eid] = s * k
     return intervals, tails, scale
 
 

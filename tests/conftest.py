@@ -130,6 +130,11 @@ def random_subset(
     return ClosedSubset.from_pieces(g, intervals, tails)
 
 
+def ints_only(A: ClosedSubset) -> bool:
+    """Every interval end and tail start in ``A.ends`` is a plain int."""
+    return all(type(x) is int for _, ivs, s in A.ends for x in (*sum(ivs, ()), s) if x is not None)
+
+
 def random_in_c3(g: RayGraph, rng: random.Random) -> ClosedSubset:
     """A random subset with at most three components: one piece per element
     at most, redrawn until it fits, else the rayless core."""

@@ -20,9 +20,9 @@ import rayspace.sets
 from rayspace import ClosedSubset, PreconditionError, eval_path, in_cn, parse_set, union
 from rayspace.paths import (GAMMA, _canonical_stages, path_to_canonical, same_component_hausdorff,
                             vietoris_path)
-from rayspace.sets import ElementPieces, component_count, direction_set
+from rayspace.sets import ElementPieces, canonical_element, component_count, direction_set
 
-from conftest import random_ray_graph, random_subset
+from conftest import ints_only, random_ray_graph, random_subset
 
 
 # ---- the two-pass reference ---------------------------------------------
@@ -313,6 +313,8 @@ def test_values_asked_only_in_cn_build_no_fraction_view(graphs, monkeypatch):
                 in_cn(g, v, n)
                 component_count(g, v)
             assert built == []
+            assert all(ints_only(S) for S in (*values, union(A, values[50]),
+                                               canonical_element(g, direction_set(g, A))))
             # a constant stage hands back its base, whose view the path's build read
             bases = {id(s.base) for s in P.stages if not s.pieces}
             values = [v for v in values if id(v) not in bases]
