@@ -117,57 +117,64 @@ def _emit_path(P, out: str, samples: int) -> None:
         raise PreconditionError(f"cannot write path file {out!r}: {exc}") from None
 
 
-def _build_parser() -> _Parser:
+def _build_parser(command: str | None = None) -> _Parser:
+    """The CLI parser, with only ``command``'s subparser when it names one, else with all."""
     top = _Parser(prog="rayspace", description=__doc__)
     sub = top.add_subparsers(dest="command", required=True)
+
+    def add(name: str, help_line: str) -> _Parser | None:
+        if command in _COMMANDS and name != command:
+            return None
+        return sub.add_parser(name, help=help_line)
 
     def add_graph(p):
         p.add_argument("--graph", required=True, help="graph file (text grammar or .json)")
 
-    p = sub.add_parser("dist", help="Hausdorff distance between two sets")
-    add_graph(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--directed", action="store_true", help="directed distance a -> b only")
+    if p := add("dist", "Hausdorff distance between two sets"):
+        add_graph(p)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--directed", action="store_true", help="directed distance a -> b only")
 
-    p = sub.add_parser("classify", help="same-component test with optional path dump")
-    add_graph(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--emit-path", metavar="OUT")
-    p.add_argument("--samples", type=int, default=20)
+    if p := add("classify", "same-component test with optional path dump"):
+        add_graph(p)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("--emit-path", metavar="OUT")
+        p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("path", help="path to the canonical element (or to X)")
-    add_graph(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--vietoris", action="store_true", help="continue out to the whole space")
-    p.add_argument("--emit-path", metavar="OUT")
-    p.add_argument("--samples", type=int, default=20)
+    if p := add("path", "path to the canonical element (or to X)"):
+        add_graph(p)
+        p.add_argument("--a", required=True)
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("--vietoris", action="store_true", help="continue out to the whole space")
+        p.add_argument("--emit-path", metavar="OUT")
+        p.add_argument("--samples", type=int, default=20)
 
-    p = sub.add_parser("vietoris", help="membership in basic Vietoris opens")
-    add_graph(p)
-    p.add_argument("--a", required=True)
-    p.add_argument("--open", action="append", required=True, metavar="SPEC",
-                   help="open region: 'all' or 'ball ELEM:coord radius ...' (repeatable)")
-    p.add_argument("--witness", metavar="T0", help="certify continuity of the growth path at t0")
-    p.add_argument("--res", default="1/1000", help="smallest delta the witness reports")
+    if p := add("vietoris", "membership in basic Vietoris opens"):
+        add_graph(p)
+        p.add_argument("--a", required=True)
+        p.add_argument("--open", action="append", required=True, metavar="SPEC",
+                       help="open region: 'all' or 'ball ELEM:coord radius ...' (repeatable)")
+        p.add_argument("--witness", metavar="T0",
+                       help="certify continuity of the growth path at t0")
+        p.add_argument("--res", default="1/1000", help="smallest delta the witness reports")
 
-    p = sub.add_parser("wedge", help="hyperspace model of a wedge expression")
-    p.add_argument("--expr", required=True, help="e.g. '(circle ∨ ray)'")
+    if p := add("wedge", "hyperspace model of a wedge expression"):
+        p.add_argument("--expr", required=True, help="e.g. '(circle ∨ ray)'")
 
-    p = sub.add_parser("oracle", help="brute-force component census")
-    add_graph(p)
-    p.add_argument("--step", required=True, help="grid step h")
-    p.add_argument("--trunc", required=True, help="truncation radius T")
-    p.add_argument("--delta", required=True, help="linking distance")
-    p.add_argument("-n", type=int, required=True)
-    p.add_argument("--max-pieces", type=int, default=1)
-    p.add_argument("--cap", type=int, default=200_000)
+    if p := add("oracle", "brute-force component census"):
+        add_graph(p)
+        p.add_argument("--step", required=True, help="grid step h")
+        p.add_argument("--trunc", required=True, help="truncation radius T")
+        p.add_argument("--delta", required=True, help="linking distance")
+        p.add_argument("-n", type=int, required=True)
+        p.add_argument("--max-pieces", type=int, default=1)
+        p.add_argument("--cap", type=int, default=200_000)
 
-    p = sub.add_parser("validate", help="graph well-formedness report")
-    add_graph(p)
+    if p := add("validate", "graph well-formedness report"):
+        add_graph(p)
     return top
 
 
@@ -320,9 +327,9 @@ def _error(kind: str, code: int, msg: str) -> int:
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser(argv[0] if argv else None).parse_args(argv)
         return _COMMANDS[args.command](args)
     except _UsageError as exc:
         return _error("usage", 1, str(exc))

@@ -177,6 +177,21 @@ class RayGraph:
         return math.lcm(*(e.length.denominator for e in self.edges))
 
     @cached_property
+    def _scaled_shapes(self) -> dict[str, tuple[str, str | None, int | None]]:
+        """Id -> (vertex at 0, far-end vertex, length as an int over ``scale``); a ray's last
+        two are None."""
+        s = self.scale
+        return {eid: (first, far, length and length.numerator * (s // length.denominator))
+                for eid, (_, first, far, length) in self._elements.items()}
+
+    @cached_property
+    def _scaled_least_reps(self) -> dict[str, tuple[str, int]]:
+        """Vertex -> its least (element, coord) representation, the coord an int over ``scale``."""
+        shapes = self._scaled_shapes
+        return {v: (eid, 0 if c == 0 else shapes[eid][2])
+                for v, ((eid, c), *_) in self._vertex_reps.items()}
+
+    @cached_property
     def vertex_index(self) -> dict[str, int]:
         """Vertex -> its place in ``vertices``, and so in every ``vertex_row``."""
         return {v: i for i, v in enumerate(self.vertices)}
@@ -184,11 +199,11 @@ class RayGraph:
     @cached_property
     def _dijkstra(self) -> tuple[dict[str, int], list[list[tuple[int, int]]], dict[str, list]]:
         """(vertex -> index, each vertex's (scaled length, neighbour) pairs, rows built so far)."""
-        index = self.vertex_index
+        index, shapes = self.vertex_index, self._scaled_shapes
         adj: list[list[tuple[int, int]]] = [[] for _ in self.vertices]
         for e in self.edges:
             if not e.is_loop:  # a loop never shortens a path
-                w = e.length.numerator * (self.scale // e.length.denominator)
+                w = shapes[e.id][2]
                 adj[index[e.u]].append((w, index[e.v]))
                 adj[index[e.v]].append((w, index[e.u]))
         return index, adj, {}

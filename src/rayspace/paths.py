@@ -12,11 +12,15 @@ once; a fixed end is a motion of speed 0.  The motions alone give the stage's
 value at t, its Lipschitz bound (their top speed) and its critical times (where
 they meet given coordinates), which :class:`HyperPath` maps into global time.
 Values chain exactly (checked at construction), and at t = p/q each end is an
-exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).
+exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).  The
+builders and each stage's integer plan work in ints too: they read their sets'
+``ends``, never the ``Fraction`` pieces, and build a ``Motion``'s ``Fraction``s
+once, from ints (F2 sums its walk's legs and arcs on one integer scale).
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -82,20 +86,18 @@ def covering_walk(g: RayGraph, start: GraphPoint) -> tuple[tuple[str, Fraction, 
 
 
 def _least_core_point(g: RayGraph, A: ClosedSubset) -> GraphPoint:
-    """Normalization-least point of A intersected with the rayless subgraph."""
+    """Normalization-least point of A intersected with the rayless subgraph, found among
+    A's ints and the graph's least vertex representations, with one ``Fraction`` built."""
     # a vertex's least representation sorts before its others, so piece ends
-    # need no normalizing once every held vertex is a candidate as well
-    candidates = [
-        GraphPoint(eid, c)
-        for eid, ep in A.pieces
-        if not g.is_ray(eid)
-        for iv in ep.intervals
-        for c in iv
-    ]
-    candidates += [GraphPoint(*g.vertex_representations(v)[0]) for v in A.vertices]
+    # need no normalizing once every held vertex is a candidate as well; the
+    # least piece end of A is the first start on its first edge with pieces
+    reps, k = g._scaled_least_reps, A.scale // g.scale
+    candidates = [(reps[v][0], reps[v][1] * k) for v in A.vertices]
+    candidates += [(eid, ivs[0][0]) for eid, ivs, _ in A.ends if ivs and not g.is_ray(eid)][:1]
     if not candidates:
         raise PreconditionError("set does not meet the rayless subgraph")
-    return min(candidates, key=GraphPoint.key)
+    eid, c = min(candidates)
+    return GraphPoint(eid, Fraction(c, A.scale))
 
 
 # ---- stages ----------------------------------------------------------------
@@ -170,29 +172,24 @@ class Stage:
 
     @cached_property
     def _scaled(self) -> tuple:
-        """The stage over one integer scale D (see ``scale_sets``): pieces as (element,
-        start, lower end, upper end), each end (a, b, stop, rest) in ints over D; the
-        base's intervals and tails; D; and whether an end grows as t/(1-t)."""
-        # each motion paired with where it rests, by position: keying the rests
-        # by Motion would hash its five Fractions
-        rested = [[m and (m, None if m.b is None else m.a + m.b * m.stop) for m in piece]
-                  for piece in self.pieces]
-        # None and 0 add nothing to the lcm
-        fracs = (x for piece in rested for mr in piece if mr
-                 for x in (mr[0].a, mr[0].b, mr[0].start, mr[0].stop, mr[1]) if x)
-        *base, D = scale_sets(self.graph, () if self.base is None else (self.base,), *fracs)
+        """The stage's integer plan over one scale D (see ``scale_sets``): pieces as
+        (element, start, lower end, upper end), each end (a, b, stop, rest) in ints over D;
+        the base's intervals and tails; D; and whether an end grows as t/(1-t).  The
+        motions' data comes from ``_ratios``, with no ``Fraction`` arithmetic."""
+        ratios = [[m and _ratios(m) for m in piece] for piece in self.pieces]
+        dens = {x[1] for piece in ratios for r in piece if r for x in r if x}
+        *base, D = scale_sets(self.graph, () if self.base is None else (self.base,), *dens)
 
-        def up(x: Fraction | None) -> int | None:
-            return None if x is None else x.numerator * (D // x.denominator)
+        def up(x: tuple[int, int] | None) -> int | None:
+            return None if x is None else x[0] * (D // x[1])
 
-        def end(mr: tuple[Motion, Fraction | None] | None) -> tuple | None:
-            if mr is None:
-                return None
-            m, rest = mr
-            return up(m.a), up(m.b), up(m.stop), up(rest)
+        def end(r: tuple | None) -> tuple | None:
+            return r and (up(r[1]), up(r[2]), up(r[3]), up(r[4]))
 
-        pieces = tuple((lo[0].element, up(lo[0].start), end(lo), end(hi)) for lo, hi in rested)
-        return pieces, *base, D, any(m.b is None for m in self.motions)
+        pieces = tuple((lo.element, up(rlo[0]), end(rlo), end(rhi))
+                       for (lo, _), (rlo, rhi) in zip(self.pieces, ratios))
+        grows = any(r[2] is None for piece in ratios for r in piece if r)
+        return pieces, *base, D, grows
 
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
@@ -234,6 +231,18 @@ class Stage:
                      not self.backwards)
 
 
+def _ratios(m: Motion) -> tuple:
+    """m's start, a, b, stop and rest a + b stop, each as its (numerator, denominator);
+    b and the rest are None for an end growing as t/(1-t)."""
+    start, a, stop = m.start.as_integer_ratio(), m.a.as_integer_ratio(), m.stop.as_integer_ratio()
+    if m.b is None:
+        return start, a, None, stop, None
+    b = m.b.as_integer_ratio()
+    n, d = a[0] * b[1] * stop[1] + b[0] * stop[0] * a[1], a[1] * b[1] * stop[1]
+    c = math.gcd(n, d)
+    return start, a, b, stop, (n // c, d // c)
+
+
 def _end(end: tuple, p: int, q: int, g: int, D: int) -> int | None:
     """An end at t = p/q as an int over D q g, or None once it has grown unbounded."""
     a, b, stop, rest = end
@@ -266,20 +275,27 @@ def F1(
 
 
 def F2(g: RayGraph, base: ClosedSubset, legs: tuple[tuple[str, Fraction, Fraction], ...]) -> Stage:
-    """Grow along the legs of a covering walk until the whole rayless subgraph is included."""
-    length = sum((abs(b - a) for _, a, b in legs), Fraction(0))
-    desc = f"F2 covering walk of length {length} ({len(legs)} legs)"
+    """Grow along the legs of a covering walk until the whole rayless subgraph is included.
+
+    The legs go onto one integer scale K, the walk's length L and each leg's arc are
+    summed there in ints, and each ``Motion``'s ``Fraction``s are built once from them."""
+    K = math.lcm(*(x.denominator for _, a, b in legs for x in (a, b)))
+    walk = [(eid, a.numerator * (K // a.denominator), b.numerator * (K // b.denominator))
+            for eid, a, b in legs]
+    L = sum(abs(b - a) for _, a, b in walk)
+    desc = f"F2 covering walk of length {Fraction(L, K)} ({len(legs)} legs)"
     # each leg runs over the arcs [arc, arc + |b - a|] of the walk's length L:
     # its far end sits at a + sign * (t * L - arc), its near end stays at a,
     # and the lower of the two comes first
-    pieces, arc = [], Fraction(0)
-    for eid, a, b in legs:
+    speed = {1: Fraction(L, K), -1: Fraction(-L, K)}
+    pieces, arc, start = [], 0, Fraction(0)
+    for (eid, fa, _), (_, a, b) in zip(legs, walk):
         sign = 1 if b >= a else -1
-        span = (arc / length, (arc + abs(b - a)) / length)
-        near = Motion(eid, a, Fraction(0), *span)
-        far = Motion(eid, a - sign * arc, sign * length, *span)
+        stop = Fraction(arc + abs(b - a), L)
+        near = Motion(eid, fa, Fraction(0), start, stop)
+        far = Motion(eid, Fraction(a - sign * arc, K), speed[sign], start, stop)
         pieces.append((near, far) if sign > 0 else (far, near))
-        arc += abs(b - a)
+        arc, start = arc + abs(b - a), stop
     return Stage("F2", g, base, desc, tuple(pieces))
 
 
@@ -358,7 +374,7 @@ def _canonical_stages(g: RayGraph, A: ClosedSubset, n: int) -> tuple[Stage, Stag
     """F0, F1 and F2 from A to the canonical element of its direction class."""
     if not in_cn(g, A, n):
         raise PreconditionError(f"set has more than {n} components")
-    grows = tuple((eid, ep.tail) for eid, ep in A.pieces if ep.tail is not None and ep.tail > 0)
+    grows = tuple((eid, Fraction(s, A.scale)) for eid, _, s in A.ends if s)
     f0 = F0(g, A, grows)
     a1 = f0.at(1)
 

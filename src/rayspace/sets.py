@@ -16,12 +16,15 @@ aliasing or connectivity.  Only ``_canonicalize`` builds a ``ClosedSubset``
 from raw fields, and each set value goes through it once.
 
 The pass compares ints only: each coordinate comes as an int over one scale,
-and the set keeps those ints and nothing else.  ``pieces``, the one place that
-builds ``ElementPieces``, makes their ``Fraction``s on first read, so a value
-only asked ``in_cn`` builds no ``Fraction``.  Equality and hashing read the
-ints over their least scale.  ``parse_set`` reads text onto ints itself,
-``from_pieces`` brings ``Fraction`` data onto a scale, and unions and path
-stages read sets' ints through ``scale_sets``.
+and the set keeps those ints and nothing else.  It reads each element's end
+vertices and length, an int over ``g.scale``, from a table the graph builds
+once, and ``canonical_element`` builds its ints from the same table.
+``pieces``, the one place that builds ``ElementPieces``, makes their
+``Fraction``s on first read, so a value only asked ``in_cn`` builds no
+``Fraction``.  Equality and hashing read the ints over their least scale.
+``parse_set`` reads text onto ints itself, ``from_pieces`` brings ``Fraction``
+data onto a scale, and unions and path stages read sets' ints through
+``scale_sets``.
 """
 
 from __future__ import annotations
@@ -182,18 +185,27 @@ class ClosedSubset:
 
 def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> ClosedSubset:
     """Canonical form of ``(a, b)`` intervals and tail starts s, all ints over ``scale``
-    (a multiple of ``g.scale``)."""
-    per: dict[str, tuple[list, int | None]] = {}
+    (a multiple of ``g.scale``).
+
+    Each element's end vertices and length come from the graph's table of ints over
+    ``g.scale``; the element ids are walked once, in order, building ``ends`` as they go.
+    """
+    shapes, k = g._scaled_shapes, scale // g.scale
+    ends: list = []
     points: set[str] = set()  # vertices given as single points [c, c]
     held: set[str] = set()  # vertices some longer piece or a tail at 0 reaches
     loose, links = 0, []  # pieces that reach no vertex; whole edges' end pairs
     for eid in sorted(intervals.keys() | tails.keys()):
+        try:
+            end0, end1, top = shapes[eid]
+        except KeyError:
+            g._shape(eid)  # raises for unknown ids
         ivs = intervals.get(eid, ())
         tail = tails.get(eid)
-        _, end0, end1, length = g._shape(eid)  # raises for unknown ids
-        if tail is not None and length is not None:
-            raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
-        top = None if length is None else length.numerator * (scale // length.denominator)
+        if top is not None:
+            if tail is not None:
+                raise PreconditionError(f"tail on edge {eid}; tails only exist on rays")
+            top *= k
         for a, b in ivs:
             if a > b or a < 0 or (top is not None and b > top):
                 iv = f"[{Fraction(a, scale)},{Fraction(b, scale)}]"
@@ -228,21 +240,25 @@ def _canonicalize(g: RayGraph, intervals: dict, tails: dict, scale: int) -> Clos
             elif a > 0 and b != top:
                 loose += 1
         loose += tail is not None and tail > 0
-        per[eid] = (merged, tail)
+        ends.append((eid, tuple(merged), tail))
 
     # a vertex no longer piece holds is stored once, at its least representation
-    for v in points - held:
-        eid, c = g.vertex_representations(v)[0]
-        c = c.numerator * (scale // c.denominator)
-        bisect.insort(per.setdefault(eid, ([], None))[0], (c, c))
+    aside = points - held
+    if aside:
+        per = {eid: (list(ivs), tail) for eid, ivs, tail in ends}
+        reps = g._scaled_least_reps
+        for v in aside:
+            eid, c = reps[v]
+            bisect.insort(per.setdefault(eid, ([], None))[0], (c * k, c * k))
+        ends = [(eid, tuple(ivs), tail) for eid, (ivs, tail) in
+                (sorted(per.items()) if len(per) > len(ends) else per.items())]
 
-    if not per:
+    if not ends:
         raise PreconditionError("empty set: elements of CL(X) are nonempty")
 
     vertices = frozenset(points | held)
     # loose pieces are components; vertices join only along whole edges [0, length]
-    ends = tuple([(eid, tuple(ivs), tail) for eid, (ivs, tail) in sorted(per.items())])
-    return ClosedSubset(g, ends, scale, vertices,
+    return ClosedSubset(g, tuple(ends), scale, vertices,
                         loose + (count_classes(vertices, links) if links else len(vertices)))
 
 
@@ -320,13 +336,12 @@ def parse_set(text: str, g: RayGraph) -> ClosedSubset:
 
 
 def scale_sets(
-    g: RayGraph, sets: tuple[ClosedSubset, ...], *fracs: Fraction
+    g: RayGraph, sets: tuple[ClosedSubset, ...], *dens: int
 ) -> tuple[dict, dict, int]:
     """The sets' ends together as ``_canonicalize`` takes them, ``(a, b)`` pairs and tail
     starts read off their ints with no ``Fraction`` arithmetic: over the lcm of their
-    scales, of ``g.scale`` and of the denominators of ``fracs``, which comes last.  A tail
-    keeps the lower start."""
-    scale = math.lcm(g.scale, *(x.denominator for x in fracs), *(S.scale for S in sets))
+    scales, of ``g.scale`` and of ``dens``, which comes last.  A tail keeps the lower start."""
+    scale = math.lcm(g.scale, *dens, *(S.scale for S in sets))
     intervals: dict[str, list] = {}
     tails: dict[str, int] = {}
     for S in sets:
@@ -366,15 +381,16 @@ def direction_set(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
 
 def canonical_element(g: RayGraph, delta: frozenset[int] | set[int]) -> ClosedSubset:
     """The connected default element of a direction class: every edge and
-    vertex of the rayless subgraph, plus the full rays indexed by delta."""
+    vertex of the rayless subgraph, plus the full rays indexed by delta, built
+    from the graph's ints over ``g.scale``."""
     delta = as_direction_set(g, delta)
-    intervals = {e.id: [(Fraction(0), e.length)] for e in g.edges}
-    tails = {g.ray_by_index[i].id: Fraction(0) for i in delta}
+    shapes = g._scaled_shapes
+    intervals = {e.id: [(0, shapes[e.id][2])] for e in g.edges}
+    tails = {g.ray_by_index[i].id: 0 for i in delta}
     # vertices not covered by an edge or chosen ray still belong to the set
-    for v in g.vertices:
-        eid, c = g.vertex_representations(v)[0]
+    for eid, c in g._scaled_least_reps.values():
         intervals.setdefault(eid, []).append((c, c))
-    return ClosedSubset.from_pieces(g, intervals, tails)
+    return ClosedSubset._from_scaled(g, intervals, tails, g.scale)
 
 
 def whole_space(g: RayGraph) -> ClosedSubset:

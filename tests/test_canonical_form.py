@@ -306,8 +306,11 @@ def test_values_asked_only_in_cn_build_no_fraction_view(graphs, monkeypatch):
     for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(12)]:
         A = random_subset(g, rng, max_pieces=1)
         n = component_count(g, A)
-        for P in (path_to_canonical(g, A, n), vietoris_path(g, A, n)):
+        for build in (path_to_canonical, vietoris_path):
+            # built from a fresh set, the path reads its ints and never its view
             built.clear()
+            P = build(g, union(A, A), n)
+            assert built == []
             values = [eval_path(P, t) for t in ts]
             for v in values:
                 in_cn(g, v, n)

@@ -511,3 +511,42 @@ def test_result_past_the_int_string_limit_is_a_cap_error(tmp_path, capsys):
     a, b = (f"R1:{{1/{10**2149 + k}}}" for k in (1, 3))
     assert run(["dist", "--graph", str(gf), "--a", a, "--b", b]) == 0
     assert len(capsys.readouterr().out.strip()) == 1 + 1 + 4299
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one CLI run; ``--help`` leaves through SystemExit."""
+    try:
+        code = run(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_a_run_builds_only_its_commands_parser_and_answers_as_the_full_one(
+        graph_file, capsys, monkeypatch):
+    gf = graph_file("G_I")
+    argvs = [["--help"], [], ["frobnicate"], ["frobnicate", "--help"], ["-h", "dist"],
+             ["dist", "--graph", gf], ["path", "--graph", gf, "--a", "E1:{0}"],
+             ["dist", "--graph", gf, "--a", "E1:{0}", "--b", "E1:{1}", "extra"]]
+    argvs += [[name, "--help"] for name in cli._COMMANDS] + [[name] for name in cli._COMMANDS]
+    commands = []
+    build = cli._build_parser
+
+    def recording(command=None):
+        commands.append(command)
+        return build(command)
+
+    monkeypatch.setattr(cli, "_build_parser", recording)
+    partial = [_outcome(argv, capsys) for argv in argvs]
+    assert commands == [argv[0] if argv else None for argv in argvs]
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    full = [_outcome(argv, capsys) for argv in argvs]
+    assert partial == full
+    assert {code for code, _, _ in full} == {0, 1}
+    assert all(out.startswith("usage: rayspace") or err.startswith("error kind=usage")
+               for _, out, err in full)
+    # a named command gets its subparser alone; any other first argument gets them all
+    assert "{dist} ..." in build("dist").format_usage()
+    every = "{" + ",".join(cli._COMMANDS) + "}"
+    assert every in build("frobnicate").format_usage() == build().format_usage()

@@ -19,7 +19,9 @@ worked out once; the Vietoris layer reads its regions' derived intervals,
 never names ``point_distance`` and takes nothing from the metric beyond its
 value types either, and it takes only ``HyperPath`` from ``paths.py`` and
 never names its stages, their spans or pieces or a ``Motion``, so how stages
-move and when they cross a given point stays in one module; stages are plain data,
+move and when they cross a given point stays in one module; the path builders
+read no ``Fraction`` view (``pieces``, ``by_element``, ``intervals_on``,
+``tail_on``) off a set argument, only its ints; stages are plain data,
 with no callable field and no ``Callable`` in ``paths.py``, and a covering
 walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 ``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
@@ -226,6 +228,20 @@ def test_vietoris_never_names_point_distance():
     assert found == []
 
 
+def _reads_off_set_arguments(tree: ast.AST, attrs: set[str]) -> list[ast.Attribute]:
+    """Each ``arg.attr`` read, attr in ``attrs``, off a function argument annotated
+    ``ClosedSubset``."""
+    return [
+        n
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef)
+        for n in ast.walk(fn)
+        if isinstance(n, ast.Attribute) and n.attr in attrs and isinstance(n.value, ast.Name)
+        and n.value.id in {a.arg for a in fn.args.args
+                           if a.annotation and ast.unparse(a.annotation) == "ClosedSubset"}
+    ]
+
+
 def test_vietoris_takes_only_hyperpath_from_paths():
     tree = TREES["vietoris.py"]
     assert _taken_from(tree, "paths") == ["HyperPath"]
@@ -236,16 +252,19 @@ def test_vietoris_takes_only_hyperpath_from_paths():
     assert not named & (helpers | {"motions", "Motion", "solve", "stage_spans", "stages"})
     # sets have pieces too: each ``.pieces`` it reads must be off a ClosedSubset argument
     reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "pieces"]
-    off_sets = {
-        id(n)
-        for fn in ast.walk(tree)
-        if isinstance(fn, ast.FunctionDef)
-        for n in ast.walk(fn)
-        if isinstance(n, ast.Attribute) and n.attr == "pieces" and isinstance(n.value, ast.Name)
-        and n.value.id in {a.arg for a in fn.args.args
-                           if a.annotation and ast.unparse(a.annotation) == "ClosedSubset"}
-    }
+    off_sets = {id(n) for n in _reads_off_set_arguments(tree, {"pieces"})}
     assert reads and all(id(n) in off_sets for n in reads)
+
+
+def test_paths_build_from_ints_only():
+    # the path builders read a set's ints, never its Fraction views; a
+    # stage's own ``pieces`` are its motions
+    tree = TREES["paths.py"]
+    views = {"pieces", "by_element", "intervals_on", "tail_on"}
+    found = [f"paths.py:{n.lineno} .{n.attr}" for n in _reads_off_set_arguments(tree, views)]
+    assert found == []
+    assert any(isinstance(n, ast.Attribute) and n.attr == "pieces" for n in ast.walk(tree))
+    assert _reads_off_set_arguments(tree, {"ends"})
 
 
 def test_stages_are_plain_data():

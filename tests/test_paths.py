@@ -28,7 +28,7 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
-from rayspace.paths import F0, F2, Stage, covering_walk, HyperPath
+from rayspace.paths import F0, F2, HyperPath, Motion, Stage, covering_walk
 from rayspace.graph import GraphPoint, as_fraction
 
 from conftest import rational, random_in_c3, random_ray_graph, random_subset
@@ -237,6 +237,26 @@ def test_each_stage_join_checked_once(graphs, monkeypatch):
     assert P.start() == A and P.end() == B
 
 
+def test_gamma_and_vietoris_paths_make_no_from_pieces_call(graphs, monkeypatch):
+    # their stages, bases and values are read off ints, canonical_element's too
+    rng = random.Random(4409)
+    cases = [(g, random_in_c3(g, rng))
+             for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(20)]]
+    calls = []
+    from_pieces = ClosedSubset.from_pieces
+
+    def counting(*args):
+        calls.append(args)
+        return from_pieces(*args)
+
+    monkeypatch.setattr(ClosedSubset, "from_pieces", staticmethod(counting))
+    for g, A in cases:
+        for P in (vietoris_path(g, A, 3), gamma_path(g, direction_set(g, A))):
+            for k in range(17):
+                eval_path(P, F(k, 16))
+    assert calls == []
+
+
 def test_path_membership_and_monotone_components(graphs):
     rng = random.Random(1999)
     for name in ("G_LINE", "G_NOOSE", "G_MIXED"):
@@ -390,10 +410,25 @@ def _walk_image(legs, arc):
     return out
 
 
+def _ref_f2_pieces(legs):
+    """Reference: F2's motions worked out in ``Fraction`` arithmetic, leg by leg."""
+    length, arc, pieces = sum(abs(b - a) for _, a, b in legs), F(0), []
+    for eid, a, b in legs:
+        sign = 1 if b >= a else -1
+        span = (arc / length, (arc + abs(b - a)) / length)
+        near, far = Motion(eid, a, F(0), *span), Motion(eid, a - sign * arc, sign * length, *span)
+        pieces.append((near, far) if sign > 0 else (far, near))
+        arc += abs(b - a)
+    return tuple(pieces)
+
+
 def _check_f2_against_walk(g, base, legs):
-    """F2 and its reversal at each leg's start, midpoint and stop are the base
-    united with the walk's image up to that share of its length."""
+    """F2's motions are the ``Fraction`` reference's, and F2 and its reversal at
+    each leg's start, midpoint and stop are the base united with the walk's
+    image up to that share of its length."""
     stage, length, arc = F2(g, base, legs), sum(abs(b - a) for _, a, b in legs), F(0)
+    assert stage.pieces == _ref_f2_pieces(legs)
+    assert stage.desc == f"F2 covering walk of length {length} ({len(legs)} legs)"
     times = set()
     for _, a, b in legs:
         step = abs(b - a)

@@ -135,6 +135,36 @@ def test_canonical_element_properties(graphs):
             assert in_cn(g, a, 1)
 
 
+def _ref_canonical_element(g, delta):
+    """The canonical element handed to ``from_pieces`` as ``Fraction``s."""
+    intervals = {e.id: [(F(0), e.length)] for e in g.edges}
+    tails = {g.ray_by_index[i].id: F(0) for i in delta}
+    for v in g.vertices:
+        eid, c = g.vertex_representations(v)[0]
+        intervals.setdefault(eid, []).append((c, c))
+    return ClosedSubset.from_pieces(g, intervals, tails)
+
+
+def test_canonical_element_matches_the_from_pieces_construction(graphs):
+    # canonical_element reads the graph's ints over g.scale; from_pieces takes
+    # the same element as Fractions and brings them onto a scale itself
+    rng = random.Random(3607)
+    checked = 0
+    for g in list(graphs.values()) + [random_ray_graph(rng) for _ in range(60)]:
+        rays = sorted(g.ray_by_index)
+        deltas = {frozenset(), frozenset(rays)}
+        deltas |= {frozenset(rng.sample(rays, rng.randint(0, len(rays)))) for _ in range(6)}
+        for delta in deltas:
+            A, R = canonical_element(g, delta), _ref_canonical_element(g, delta)
+            assert (A.ends, A.scale, A.vertices, A.components) == (
+                R.ends, R.scale, R.vertices, R.components)
+            assert A == R and ints_only(A)
+            checked += 1
+        X = whole_space(g)
+        assert (X.ends, X.scale) == (_ref_canonical_element(g, rays).ends, g.scale)
+    assert checked > 150
+
+
 def test_in_cn_examples(graphs):
     g = graphs["G_TRIOD"]
     leaves = parse_set("E1:{1} E2:{1} E3:{1}", g)
