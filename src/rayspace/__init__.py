@@ -11,9 +11,10 @@ __version__ = "0.1.0"
 
 # Each module's public names.  Importing the package loads errors, graph and
 # wedge; any other module loads on the first use of one of its names, which
-# binds all of its names here, so a CLI command loads only the modules it runs
-# and numpy stays behind the oracle.  ``wedge`` loads at once: its function
-# shares the submodule's name and must be bound after the submodule is.
+# binds those of its names not bound yet (a name the caller set stays), so a
+# CLI command loads only the modules it runs and numpy stays behind the oracle.
+# ``wedge`` loads at once: its function shares the submodule's name, which the
+# import binds first, so the function is bound over it after.
 _PUBLIC = {
     "errors": ("CapExceededError", "InvalidGraphError", "ParseError", "PreconditionError",
                "RayspaceError"),
@@ -38,12 +39,14 @@ __all__ = list(_MODULE_OF)
 
 def _bind(module: str) -> None:
     mod = import_module(f".{module}", __name__)
-    globals().update({name: getattr(mod, name) for name in _PUBLIC[module]})
+    for name in _PUBLIC[module]:
+        globals().setdefault(name, getattr(mod, name))
 
 
 for _module in ("errors", "graph", "wedge"):
     _bind(_module)
 del _module
+wedge = wedge.wedge
 
 
 def __getattr__(name: str):

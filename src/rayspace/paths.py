@@ -12,7 +12,10 @@ once; a fixed end is a motion of speed 0.  The motions alone give the stage's
 value at t, its Lipschitz bound (their top speed) and its critical times (where
 they meet given coordinates), which :class:`HyperPath` maps into global time.
 Values chain exactly (checked at construction), and at t = p/q each end is an
-exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).  The
+exact int over D q, or D q (q - p) for t/(1-t) (``Stage._scaled``).  A path
+value is one step from t: ``HyperPath.at`` checks t once, finds the stage and
+its local time p/q in ints and calls that stage's ``_at(p, q)``, the evaluator
+``Stage.at`` calls too, with no ``Fraction`` in between.  The
 builders and each stage's integer plan work in ints too: they read their sets'
 ``ends``, never the ``Fraction`` pieces, and build a ``Motion``'s ``Fraction``s
 once, from ints (F2 sums its walk's legs and arcs on one integer scale).
@@ -193,12 +196,16 @@ class Stage:
 
     def at(self, t) -> ClosedSubset:
         t = _check_t(t)
+        return self._at(t.numerator, t.denominator)
+
+    def _at(self, p: int, q: int) -> ClosedSubset:
+        """The value at the local time p/q, given checked and in lowest terms: the one
+        evaluator, which ``at`` and ``HyperPath.at`` both call."""
         if not self.pieces:
             if self.base is None:
                 raise RayspaceError(f"{self.kind} stage has neither a base nor pieces")
             return self.base
         pieces, base_intervals, base_tails, D, grows = self._scaled
-        p, q = t.numerator, t.denominator
         if self.backwards:
             p = q - p
         # at t = p/q each end a + b t is an int over D q, and t/(1 - t) over D q (q - p)
@@ -333,11 +340,14 @@ class HyperPath:
                 raise PreconditionError(f"stage {i} does not end where stage {i + 1} starts")
 
     def at(self, t) -> ClosedSubset:
+        """The value at t: one check, the stage and its local time found in ints."""
         t = _check_t(t)
         k = len(self.stages)
         p, q = t.numerator * k, t.denominator
         idx = min(p // q, k - 1)
-        return self.stages[idx].at(Fraction(p - idx * q, q))
+        p -= idx * q
+        c = math.gcd(p, q)
+        return self.stages[idx]._at(p // c, q // c)
 
     def start(self) -> ClosedSubset:
         return self.stages[0].at(0)

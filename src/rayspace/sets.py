@@ -399,16 +399,16 @@ def whole_space(g: RayGraph) -> ClosedSubset:
 
 
 def contains_point(g: RayGraph, A: ClosedSubset, p: GraphPoint) -> bool:
-    """Exact membership of a point in A (vertex aliases resolved)."""
+    """Exact membership of a point in A (vertex aliases resolved), on A's ints."""
     check_graph(g, A, p)
     v = g.vertex_at(p.element, p.coord)
     if v is not None:
         return v in A.vertices
-    ep = A.by_element.get(p.element)
-    if ep is None:
-        return False
-    c = p.coord
-    return any(a <= c <= b for a, b in ep.intervals) or (ep.tail is not None and c >= ep.tail)
+    x, d = p.coord.numerator * A.scale, p.coord.denominator  # the point is at x / d over A.scale
+    for eid, ivs, s in A.ends:
+        if eid == p.element:
+            return any(a * d <= x <= b * d for a, b in ivs) or (s is not None and x >= s * d)
+    return False
 
 
 def is_subset(g: RayGraph, A: ClosedSubset, B: ClosedSubset) -> bool:

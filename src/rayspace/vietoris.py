@@ -6,9 +6,11 @@ most three spots s: the first end, the far end (edges only) and the centre c
 itself when it lies on the element.  So on [0, L] a ball is the union of the
 open intervals (s - reach, s + reach) with reach = r - d(s, c) > 0.  They are
 not cut to the element, so their ends may lie below 0 or past L.  Merged,
-they are the region's derived form, which both membership tests read with
-strict comparisons: upper membership is interval containment, and lower
-membership is an overlap of the set's pieces with the derived intervals.  So
+they are the region's derived form, kept also as ints over one scale.  Both
+membership tests put a set's ``ends`` and those ints onto the lcm of the two
+scales once per call and compare ints, strictly: upper membership is interval
+containment, and lower membership is an overlap of the set's pieces with the
+derived intervals.  So
 along a path, membership in a basic open changes only where a moving piece end
 meets a derived end, at ``HyperPath.critical_times``: the witness checks there.
 """
@@ -55,11 +57,23 @@ class OpenRegion:
             raise PreconditionError("the whole space has no derived ball intervals")
         return _merged(_ball_intervals(self.graph, c, r) for c, r in self.balls)
 
+    @cached_property
+    def _scaled(self) -> tuple[int, dict[str, tuple[tuple[int, int], ...]]]:
+        """``derived`` over the lcm S of its ends' denominators: S, and per element its
+        intervals as (lo, hi) ints over S."""
+        derived = self.derived
+        S = math.lcm(*(x.denominator for ivs in derived.values() for iv in ivs for x in iv))
+        return S, {eid: tuple([(lo.numerator * (S // lo.denominator),
+                                hi.numerator * (S // hi.denominator)) for lo, hi in ivs])
+                   for eid, ivs in derived.items()}
+
     def contains_point(self, p: GraphPoint) -> bool:
         self.graph.validate_point(p)
         if self.all_space:
             return True
-        return any(lo < p.coord < hi for lo, hi in self.derived.get(p.element, ()))
+        S, derived = self._scaled
+        x, d = p.coord.numerator * S, p.coord.denominator  # the point is at x / d over S
+        return any(lo * d < x < hi * d for lo, hi in derived.get(p.element, ()))
 
 
 def ball(g: RayGraph, p: GraphPoint, r: Fraction) -> OpenRegion:
@@ -141,13 +155,16 @@ def member_upper(A: ClosedSubset, U: OpenRegion) -> bool:
     check_graph(getattr(U, "graph", None), A)
     if U.all_space:
         return True
-    derived = U.derived
-    for eid, ep in A.pieces:
-        if ep.tail is not None:
+    S, derived = U._scaled
+    m = math.lcm(S, A.scale)
+    ka, ku = m // A.scale, m // S
+    for eid, ivs, s in A.ends:
+        if s is not None:
             return False  # finite ball unions are bounded
-        ivs = derived.get(eid, ())
-        for a, b in ep.intervals:
-            if not any(lo < a and b < hi for lo, hi in ivs):
+        region = [(lo * ku, hi * ku) for lo, hi in derived.get(eid, ())]
+        for a, b in ivs:
+            a, b = a * ka, b * ka
+            if not any(lo < a and b < hi for lo, hi in region):
                 return False
     return True
 
@@ -156,20 +173,23 @@ def member_lower(A: ClosedSubset, V: OpenRegion) -> bool:
     """A meets the open region (the lower Vietoris condition).
 
     Exact overlap of A's pieces with V's derived intervals, element by
-    element.  A vertex point needs no alias lookup: when the vertex lies in
-    V, every incident element's derived form holds that vertex end.
+    element, in ints over the lcm of their scales.  A vertex point needs no
+    alias lookup: when the vertex lies in V, every incident element's derived
+    form holds that vertex end.
     """
     check_graph(getattr(V, "graph", None), A)
     if V.all_space:
         return True
-    derived = V.derived
-    for eid, ep in A.pieces:
-        ivs = derived.get(eid)
-        if ivs is None:
+    S, derived = V._scaled
+    m = math.lcm(S, A.scale)
+    ka, kv = m // A.scale, m // S
+    for eid, ivs, s in A.ends:
+        region = derived.get(eid)
+        if region is None:
             continue
-        if ep.tail is not None and ep.tail < ivs[-1][1]:
+        if s is not None and s * ka < region[-1][1] * kv:
             return True
-        if any(a < hi and lo < b for a, b in ep.intervals for lo, hi in ivs):
+        if any(a * ka < hi * kv and lo * kv < b * ka for a, b in ivs for lo, hi in region):
             return True
     return False
 

@@ -310,6 +310,18 @@ def test_a_star_import_gives_every_public_name():
     assert out.split() == ["[]"]
 
 
+def test_a_name_set_on_the_package_stays_when_its_module_loads():
+    # in a fresh process metric is not loaded yet; reading one of its names loads it
+    # and binds its other names, but not over the one the caller set
+    script = ("import sys, rayspace\nprint('rayspace.metric' in sys.modules)\n"
+              "f = object()\nrayspace.hausdorff = f\nrayspace.is_infinite\n"
+              "print('rayspace.metric' in sys.modules, rayspace.hausdorff is f,\n"
+              "      rayspace.is_infinite is sys.modules['rayspace.metric'].is_infinite)")
+    out = subprocess.run([sys.executable, "-c", script], env=child_env(), capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == ["False", "True", "True", "True"]
+
+
 def test_each_public_name_is_its_defining_modules():
     assert len(rayspace.__all__) == len(set(rayspace.__all__))
     assert set(rayspace.__all__) <= set(dir(rayspace))

@@ -20,8 +20,9 @@ never names ``point_distance`` and takes nothing from the metric beyond its
 value types either, and it takes only ``HyperPath`` from ``paths.py`` and
 never names its stages, their spans or pieces or a ``Motion``, so how stages
 move and when they cross a given point stays in one module; the path builders
-read no ``Fraction`` view (``pieces``, ``by_element``, ``intervals_on``,
-``tail_on``) off a set argument, only its ints; stages are plain data,
+and the Vietoris membership tests read no ``Fraction`` view (``pieces``,
+``by_element``, ``intervals_on``, ``tail_on``) off a set argument, only its
+ints; stages are plain data,
 with no callable field and no ``Callable`` in ``paths.py``, and a covering
 walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 ``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
@@ -250,10 +251,11 @@ def test_vietoris_takes_only_hyperpath_from_paths():
     named = {ident for node in ast.walk(tree) for ident in _names(node)}
     # it reads the path's critical times, never its stages or their spans
     assert not named & (helpers | {"motions", "Motion", "solve", "stage_spans", "stages"})
-    # sets have pieces too: each ``.pieces`` it reads must be off a ClosedSubset argument
-    reads = [n for n in ast.walk(tree) if isinstance(n, ast.Attribute) and n.attr == "pieces"]
-    off_sets = {id(n) for n in _reads_off_set_arguments(tree, {"pieces"})}
-    assert reads and all(id(n) in off_sets for n in reads)
+    # membership reads a set's ints, never its Fraction views
+    views = {"pieces", "by_element", "intervals_on", "tail_on"}
+    found = [f"vietoris.py:{n.lineno} .{n.attr}" for n in _reads_off_set_arguments(tree, views)]
+    assert found == []
+    assert _reads_off_set_arguments(tree, {"ends"})
 
 
 def test_paths_build_from_ints_only():

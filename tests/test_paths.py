@@ -28,6 +28,7 @@ from rayspace import (
     vietoris_path,
     whole_space,
 )
+import rayspace.paths
 from rayspace.paths import F0, F2, HyperPath, Motion, Stage, covering_walk
 from rayspace.graph import GraphPoint, as_fraction
 
@@ -476,3 +477,64 @@ def test_exact_values_pass_through_unwrapped(graphs):
     for inexact in ("1/6", 1 / 6, False):
         with pytest.raises(PreconditionError):
             eval_path(P, inexact)
+
+
+# ---- one step from t to a stage value ----------------------------------------
+
+
+def _drawn_paths(g, rng):
+    """path_to_canonical, vietoris_path and same_component_hausdorff paths from a
+    drawn set; the last runs to a second draw of the same direction set, or to
+    the canonical element when none is drawn."""
+    A = random_in_c3(g, rng)
+    delta = direction_set(g, A)
+    B = next((B for B in (random_in_c3(g, rng) for _ in range(5)) if direction_set(g, B) == delta),
+             canonical_element(g, delta))
+    return [path_to_canonical(g, A, 3), vietoris_path(g, A, 3),
+            same_component_hausdorff(g, A, B, 3).path]
+
+
+def _check_one_step(P):
+    k = len(P.stages)
+    for t in sorted({F(j, 97) for j in range(98)} | {F(i, k) for i in range(k + 1)}):
+        idx = min(int(t * k), k - 1)
+        value, ref = P.at(t), P.stages[idx].at(t * k - idx)
+        assert (value.ends, value.scale, value.vertices, value.components) == \
+            (ref.ends, ref.scale, ref.vertices, ref.components), (t, P.stages[idx].desc)
+
+
+def test_path_value_is_the_stage_value_at_the_local_fraction(graphs):
+    rng = random.Random(9797)
+    for g in graphs.values():
+        for P in _drawn_paths(g, rng):
+            _check_one_step(P)
+
+
+def test_path_value_is_the_stage_value_on_random_graphs():
+    rng = random.Random(97)
+    for _ in range(60):
+        for P in _drawn_paths(random_ray_graph(rng), rng):
+            _check_one_step(P)
+
+
+def test_a_path_value_checks_its_parameter_once(graphs, monkeypatch):
+    g = graphs["G_MIXED"]
+    P = vietoris_path(g, parse_set("R1:[2,inf) R2:[1,2] E2:[1/2,1]", g), 3)
+    calls = []
+    check_t = rayspace.paths._check_t
+    monkeypatch.setattr(rayspace.paths, "_check_t", lambda t: calls.append(t) or check_t(t))
+    for t in (F(0), F(3, 8), F(1, 2), F(1)):
+        calls.clear()
+        P.at(t)
+        assert calls == [t]
+
+
+def test_path_parameter_messages(graphs):
+    g = graphs["G_LINE"]
+    P = vietoris_path(g, parse_set("R1:[0,1]", g), 1)
+    for read, msg in ((lambda: P.at(F(3, 2)), "path parameter 3/2 outside [0,1]"),
+                      (lambda: P.at(-1), "path parameter -1 outside [0,1]"),
+                      (lambda: P.stages[0].at(2), "path parameter 2 outside [0,1]")):
+        with pytest.raises(PreconditionError) as info:
+            read()
+        assert str(info.value) == msg

@@ -390,6 +390,75 @@ def test_member_upper_matches_distance_reference(graphs):
                 assert member_upper(A, U) == (not is_infinite(far) and far < r), (A, c, r)
 
 
+# ---- reference: membership on the sets' Fraction pieces ----------------------
+
+
+def _ref_member_upper(A, U) -> bool:
+    """The upper test on A's Fraction pieces and U's derived Fraction intervals."""
+    if U.all_space:
+        return True
+    derived = U.derived
+    for eid, ep in A.pieces:
+        if ep.tail is not None:
+            return False
+        ivs = derived.get(eid, ())
+        for a, b in ep.intervals:
+            if not any(lo < a and b < hi for lo, hi in ivs):
+                return False
+    return True
+
+
+def _ref_member_lower(A, V) -> bool:
+    """The lower test on A's Fraction pieces and V's derived Fraction intervals."""
+    if V.all_space:
+        return True
+    derived = V.derived
+    for eid, ep in A.pieces:
+        ivs = derived.get(eid)
+        if ivs is None:
+            continue
+        if ep.tail is not None and ep.tail < ivs[-1][1]:
+            return True
+        if any(a < hi and lo < b for a, b in ep.intervals for lo, hi in ivs):
+            return True
+    return False
+
+
+def _tie_ball(g, A, rng):
+    """A ball whose derived interval ends exactly at a piece end of A: centred on
+    that piece's element, with radius the distance along it to the end."""
+    eid, ep = rng.choice(A.pieces)
+    x = rng.choice([c for iv in ep.intervals for c in iv] + [ep.tail] * (ep.tail is not None))
+    length = g.element_length(eid)
+    c = x + 1 if length is None and rng.random() < 0.5 else F(rng.randint(0, 4), 4) * (length or x)
+    return ball(g, GraphPoint(eid, c), abs(x - c) or F(1, 2))
+
+
+def test_membership_matches_the_fraction_reference_on_random_graphs():
+    rng = random.Random(1951)
+    ties = 0
+    for _ in range(70):
+        g = random_ray_graph(rng)
+        for _ in range(3):  # 210 draws
+            A = random_in_c3(g, rng)
+            balls = [ball(g, random_point(g, rng), F(rng.randint(1, 12), rng.choice((1, 2, 3, 4))))
+                     for _ in range(rng.randint(1, 3))] + [_tie_ball(g, A, rng)]
+            everything = OpenRegion(g, (), all_space=True)
+            for U in balls + [union_regions(balls), everything]:
+                sets = [A] if U.all_space else [A] + _boundary_sets(g, U)
+                for S in sets:
+                    assert member_upper(S, U) == _ref_member_upper(S, U), (S, U.balls)
+                    assert member_lower(S, U) == _ref_member_lower(S, U), (S, U.balls)
+                if not U.all_space:  # the boundary sets meet those ends by construction
+                    ties += any(c == d for eid, ep in A.pieces for c in sum(ep.intervals, ())
+                                for d in sum(U.derived.get(eid, ()), ()))
+                points = [GraphPoint(eid, c) for eid, ep in A.pieces for iv in ep.intervals
+                          for c in (iv[0], (iv[0] + iv[1]) / 2)]
+                for x in points:
+                    assert U.contains_point(x) == (U.all_space or _in_derived(U.derived, x))
+    assert ties > 150  # A itself has a piece end on a derived end: the strict tests decide
+
+
 def test_member_lower_boundary_examples(graphs):
     g = graphs["G_LINE"]
     V = ball(g, GraphPoint("R1", F(1)), F(1, 2))  # R1 (1/2, 3/2)
@@ -575,20 +644,20 @@ def test_witness_path_work_does_not_depend_on_resolution(graphs, monkeypatch):
     # F1 slides R2:[1,2] down through the ball for t in (5/16, 15/32)
     Us = [OpenRegion(g, (), all_space=True), parse_region("ball R2:1/2 1/4", g)]
     calls = []
-    stage_at = Stage.at
+    stage_at = Stage._at
 
-    def counting(self, t):
-        calls.append(t)
-        return stage_at(self, t)
+    def counting(self, p, q):
+        calls.append((p, q))
+        return stage_at(self, p, q)
 
-    monkeypatch.setattr(Stage, "at", counting)
+    monkeypatch.setattr(Stage, "_at", counting)
     counts, answers = [], []
     for res in (F(1, 100), F(1, 10**6)):
         calls.clear()
         answers.append(continuity_witness(P, F(3, 8), Us, res))
         counts.append(len(calls))
     assert counts[0] == counts[1]
-    assert counts[0] > 0  # every path value goes through Stage.at
+    assert counts[0] > 0  # every path value goes through Stage._at
     assert answers == [WitnessResult(True, delta=F(5, 128))] * 2
 
 
@@ -647,8 +716,8 @@ def test_witness_failure_reported(graphs):
 class _Jump(Stage):
     """R1:[0,1] up to t = 1/4, then R1:[0,3]: a path that is not continuous."""
 
-    def at(self, t):
-        return parse_set("R1:[0,1]" if t <= F(1, 4) else "R1:[0,3]", self.graph)
+    def _at(self, p, q):
+        return parse_set("R1:[0,1]" if 4 * p <= q else "R1:[0,3]", self.graph)
 
 
 def test_witness_does_not_assume_a_continuous_path(graphs):
