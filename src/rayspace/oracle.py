@@ -11,18 +11,18 @@ per element kind, then translated per element, and combined one element at a
 time, in element-id order, each distinct key so far extended once and
 carrying its classes of reached vertices, as bitmasks joined along whole
 edges; a key is dropped once its components are bound to pass n.  The join
-and the bound read only a layout's signature (its interior pieces and vertex
-groups), so they run once per key and signature.  Each key also carries its
-``ClosedSubset.sort_key`` entries in index space, reading each coordinate
-k*h as k, so no set is built to order the accepted keys; only a key with a
-vertex set aside as a single point is patched.
-``enumerate_sets`` then builds one set per key; the census reads a key's
-point bits as its mask and its tail bits as its direction class, and
-builds a set only for each component's representative.  Only
-``ClosedSubset`` comes from :mod:`rayspace.sets`, the code this checks.
-Distances run through the kernels in :mod:`rayspace._kernels` in Python
-ints, on coordinates scaled by one common denominator, so grid values are
-exact at any scale; numpy holds only the census's booleans.
+and the bound read only a key's state (interior pieces, vertex classes) and
+a layout's signature, so they run once per state and signature.  Each key
+also carries its ``ClosedSubset.sort_key`` entries in index space, reading
+each coordinate k*h as k; only a key with a vertex set aside as a single
+point is patched.  ``enumerate_sets`` sorts the keys by them and builds one
+set per key; the census reads a key's point bits as its mask and its tail
+bits as its direction class, and builds and sorts only each component's
+least key.  Only ``ClosedSubset`` comes from :mod:`rayspace.sets`, the code
+this checks, and only its ints are read.  Distances run through the kernels
+in :mod:`rayspace._kernels` in Python ints, on coordinates scaled by one
+common denominator, so grid values are exact at any scale; numpy holds only
+the census's booleans.
 """
 
 from __future__ import annotations
@@ -174,11 +174,36 @@ def _set_aside(entries: tuple, stored: list[tuple[str, int]]) -> tuple:
     return tuple((eid, *per[eid]) for eid in sorted(per))
 
 
+def _live_signatures(interior: int, classes: tuple, signatures: dict, unfolded: int, n: int):
+    """Each signature of the next element whose join with one frontier state
+    keeps the bound within n, in order, as (the joined state, the vertices
+    its groups add, its layouts)."""
+    live = []
+    for (extra, groups), layouts in signatures.items():
+        joined, adds = classes, 0
+        for group in groups:  # OR in every class the group meets
+            adds |= group
+            apart = []
+            for c in joined:
+                if c & group:
+                    group |= c
+                else:
+                    apart.append(c)
+            joined = (*apart, group)
+        # each piece touching no element end, and each class of closed
+        # vertices, is a component; the open classes make at least one
+        count, shut = interior + extra, len([c for c in joined if not c & unfolded])
+        if count + shut + (shut < len(joined)) <= n:
+            live.append(((count, joined), adds, layouts))
+    return live
+
+
 def _enumerate_keys(
     g: RayGraph, h: Fraction, T: Fraction, n: int, max_pieces: int, cap: int
-) -> tuple[list[int], list[tuple[int, tuple[_Layout, ...]]]]:
-    """(grid size per element, every accepted (key, layouts)) in the order
-    ``ClosedSubset.sort_key`` gives their sets, none of them built.
+) -> tuple[list[int], list[tuple[tuple, int, tuple[_Layout, ...]]]]:
+    """(grid size per element, every accepted (sort entries, key, layouts))
+    in fold order, none of them built; sorting by the entries gives the
+    ``ClosedSubset.sort_key`` order of their sets.
 
     The number of layout combinations is counted exactly, and checked against
     ``cap``, before any layout is built.  Layouts are combined one element at
@@ -190,13 +215,14 @@ def _enumerate_keys(
     a class of closed vertices joins no other.  So the pieces that reach no
     element end, the closed classes and one more for any open class bound
     the component count from below, and a key whose bound passes n is
-    dropped.  The bound is a function of the key, and the join and the bound
-    read only a layout's signature (interior pieces, vertex groups), so
-    they run once per key and signature, and every layout of a dead
-    signature is dropped with it.  After the last element every vertex is
-    closed, so the bound is the count and the keys left are those accepted.
+    dropped.  The join and the bound read only the key's frontier state
+    (interior pieces, vertex classes) and a layout's signature, so
+    ``_live_signatures`` runs once per state at each step for all its keys,
+    and every layout of a dead signature is dropped with it.  After the last
+    element every vertex is closed, so the bound is the count and the keys
+    left are those accepted.
 
-    The order is read in index space.  The fold takes the elements in id
+    The entries are read in index space.  The fold takes the elements in id
     order, whatever their declaration order, so each key carries its sort
     entries in order along with the vertices it reaches and holds; the keys,
     the universe and ``sizes`` stay in declaration order.  Only a key with a
@@ -228,33 +254,22 @@ def _enumerate_keys(
     ends = [bit[u] | bit.get(v, 0) for u, v in (g.element_end_vertices(e) for e, _ in elements)]
     per_element = _element_layouts(g, h, elements, sizes, max_pieces, bit)
     fold = sorted(range(len(elements)), key=lambda e: elements[e][0])
-    # key -> (interior pieces, vertex classes, vertices reached, vertices held,
+    # key -> ((interior pieces, vertex classes), vertices reached, vertices held,
     # sort entries, first layouts)
-    first: dict[int, tuple] = {0: (0, (), 0, 0, (), ())}
+    first: dict[int, tuple] = {0: ((0, ()), 0, 0, (), ())}
     for s, e in enumerate(fold):
         unfolded = reduce(or_, [ends[f] for f in fold[s + 1 :]], 0)  # the vertices not closed yet
         grown: dict[int, tuple] = {}
-        for key, (interior, classes, reached, held, entries, combo) in first.items():
-            for (extra, groups), layouts in per_element[e].items():
-                joined, reach = classes, reached
-                for group in groups:  # OR in every class the group meets
-                    apart = []
-                    for c in joined:
-                        if c & group:
-                            group |= c
-                        else:
-                            apart.append(c)
-                    joined = (*apart, group)
-                    reach |= group
-                # each piece touching no element end, and each class of closed
-                # vertices, is a component; the open classes make at least one
-                count, shut = interior + extra, len([c for c in joined if not c & unfolded])
-                if count + shut + (shut < len(joined)) > n:
-                    continue
+        live: dict[tuple, list] = {}  # state -> _live_signatures
+        for key, (state, reached, held, entries, combo) in first.items():
+            if state not in live:
+                live[state] = _live_signatures(*state, per_element[e], unfolded, n)
+            for grown_state, adds, layouts in live[state]:
+                reach = reached | adds
                 for lay in layouts:
                     grown_key = key | lay.key
                     if grown_key not in grown:
-                        grown[grown_key] = (count, joined, reach, held | lay.held,
+                        grown[grown_key] = (grown_state, reach, held | lay.held,
                                             entries + lay.entries, (*combo, lay))
         first = grown
     first.pop(0, None)  # no piece anywhere: CL(X) has no empty set
@@ -266,13 +281,12 @@ def _enumerate_keys(
         m = grid[eid]
         stored_at.append((bit[v], (eid, 0 if c == 0 else m - 1 if (m - 1) * h == c else m)))
     found = []
-    for key, (_, _, reached, held, entries, combo) in first.items():
+    for key, (_, reached, held, entries, combo) in first.items():
         aside = reached & ~held
         if aside:
             entries = _set_aside(entries, [at for b, at in stored_at if b & aside])
         found.append((entries, key, combo))
-    found.sort(key=itemgetter(0))
-    return sizes, [(key, combo) for _, key, combo in found]
+    return sizes, found
 
 
 def _build(g: RayGraph, combo: tuple[_Layout, ...]) -> ClosedSubset:
@@ -293,11 +307,12 @@ def enumerate_sets(
     ``ClosedSubset.sort_key`` order.
 
     The layout combinations are counted exactly, and checked against ``cap``,
-    before any layout is built.  The sets are enumerated and ordered as keys;
-    each accepted key then becomes one ``ClosedSubset``.
+    before any layout is built.  The sets are enumerated as keys and sorted
+    by their carried entries; each key then becomes one ``ClosedSubset``.
     """
     _, found = _enumerate_keys(g, h, T, n, max_pieces, cap)
-    return [_build(g, combo) for _, combo in found]
+    found.sort(key=itemgetter(0))
+    return [_build(g, combo) for _, _, combo in found]
 
 
 # ---- integer scaling --------------------------------------------------------
@@ -344,25 +359,27 @@ def _scaled_graph(g: RayGraph, scale: int) -> _ScaledGraph:
 
 
 def _directions(g: RayGraph, A: ClosedSubset) -> frozenset[int]:
-    return frozenset(g.ray_index[eid] for eid, ep in A.pieces if ep.tail is not None)
+    return frozenset(g.ray_index[eid] for eid, _, s in A.ends if s is not None)
 
 
 def _grid_samples(g: RayGraph, A: ClosedSubset, B: ClosedSubset, h: Fraction, T: Fraction):
     """(scaled graph, samples of A, samples of B).  Each side's samples map
     an element index to coordinates times scale, strictly increasing: each
     piece gives its ends and every multiple of h between them, and a tail
-    runs to the larger of T and the tail starts on its ray.  The sample count
-    is bounded in ints, and checked against ``MAX_GRID_SAMPLES``, before any
-    sample is built."""
-    caps = {eid: max(T, A.tail_on(eid) or 0, B.tail_on(eid) or 0)
-            for S in (A, B) for eid, ep in S.pieces if ep.tail is not None}
-    spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
-             + [(eid, ep.tail, caps[eid]) for eid, ep in S.pieces if ep.tail is not None]
-             for S in (A, B)]
-    ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
-    scale = _common_scale(g, [h.denominator, T.denominator, *ends])
-    H = _scaled(h, scale)
-    spans = [[(eid, _scaled(a, scale), _scaled(b, scale)) for eid, a, b in sp] for sp in spans]
+    runs to the larger of T and the tail starts on its ray.  They are read off
+    the sets' ``ends``, over the lcm of their scales and h's and T's
+    denominators.  The sample count is bounded in ints, and checked against
+    ``MAX_GRID_SAMPLES``, before any sample is built."""
+    scale = _common_scale(g, [h.denominator, T.denominator, A.scale, B.scale])
+    H, sides = _scaled(h, scale), [(S.ends, scale // S.scale) for S in (A, B)]
+    caps: dict[str, int] = {}
+    for ends, k in sides:
+        for eid, _, s in ends:
+            if s is not None:
+                caps[eid] = max(caps.get(eid, _scaled(T, scale)), s * k)
+    spans = [[(eid, a * k, b * k) for eid, ivs, _ in ends for a, b in ivs]
+             + [(eid, s * k, caps[eid]) for eid, _, s in ends if s is not None]
+             for ends, k in sides]
     # the sum of (b - a)/h + 2 over the spans, times H
     if sum(hi - lo + 2 * H for sp in spans for _, lo, hi in sp) > MAX_GRID_SAMPLES * H:
         raise CapExceededError(f"grid Hausdorff would take over {MAX_GRID_SAMPLES} samples")
@@ -427,7 +444,8 @@ def oracle_components(
     direction-class distances are infinite, so classes are processed
     independently.  The census works on the enumeration's keys: a key's
     point bits are its set's mask, its tail bits its direction class, and
-    a ``ClosedSubset`` is built only for the first key of each component.
+    a ``ClosedSubset`` is built, and sorted, only for each component's key
+    with the least sort entries, whatever order the keys come in.
     Distances are compared with the scaled delta in Python ints, so no scale
     is refused; a delta below the margin is refused before enumerating."""
     h, T, delta = as_fraction(h), as_fraction(T), as_fraction(delta)
@@ -445,7 +463,7 @@ def oracle_components(
     # a set's mask row is its key's point bits
     size = sum(sizes)
     nbytes, low = -(-size // 8), (1 << size) - 1
-    rows = b"".join((key & low).to_bytes(nbytes, "little") for key, _ in found)
+    rows = b"".join((key & low).to_bytes(nbytes, "little") for _, key, _ in found)
     bits = np.frombuffer(rows, dtype=np.uint8).reshape(len(found), nbytes)
     masks = np.unpackbits(bits, axis=1, count=size, bitorder="little").view(bool)
 
@@ -454,7 +472,7 @@ def oracle_components(
     ray_bits = [(1 << (size + stop - 1), r) for stop, r in zip(stops, g.rays)]
     tail_mask = reduce(or_, [b for b, _ in ray_bits], 0)
     by_tails: dict[int, list[int]] = {}
-    for i, (key, _) in enumerate(found):
+    for i, (_, key, _) in enumerate(found):
         by_tails.setdefault(key & tail_mask, []).append(i)
     groups = {frozenset(g.ray_index[r.id] for b, r in ray_bits if tails & b): idx
               for tails, idx in by_tails.items()}
@@ -464,12 +482,13 @@ def oracle_components(
     group_counts: dict[frozenset[int], int] = {}
     for dset in sorted(groups, key=lambda s: (len(s), sorted(s))):
         idx = groups[dset]
-        first_of: dict[int, int] = {}
+        least: dict[int, tuple] = {}  # label -> its key with the least sort entries
         for i, lab in zip(idx, component_labels(masks[idx], links).tolist()):
-            first_of.setdefault(lab, i)
-        group_counts[dset] = len(first_of)
-        for global_i in sorted(first_of.values()):
-            reps.append(_build(g, found[global_i][1]))
+            if lab not in least or found[i][0] < least[lab][0]:
+                least[lab] = found[i]
+        group_counts[dset] = len(least)
+        for _, _, combo in sorted(least.values(), key=itemgetter(0)):
+            reps.append(_build(g, combo))
             dirs.append(dset)
     return OracleComponents(
         count=sum(group_counts.values()),

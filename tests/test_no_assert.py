@@ -20,9 +20,9 @@ never names ``point_distance`` and takes nothing from the metric beyond its
 value types either, and it takes only ``HyperPath`` from ``paths.py`` and
 never names its stages, their spans or pieces or a ``Motion``, so how stages
 move and when they cross a given point stays in one module; the path builders
-and the Vietoris membership tests read no ``Fraction`` view (``pieces``,
-``by_element``, ``intervals_on``, ``tail_on``) off a set argument, only its
-ints; stages are plain data,
+the Vietoris membership tests and the oracle read no ``Fraction`` view
+(``pieces``, ``by_element``, ``intervals_on``, ``tail_on``) off a set
+argument, only its ints; stages are plain data,
 with no callable field and no ``Callable`` in ``paths.py``, and a covering
 walk is a plain tuple of legs; no module calls ``isinstance`` on ``Edge`` or
 ``Ray``, since ``graph.py``'s element table tells them apart; numpy stays
@@ -266,6 +266,16 @@ def test_paths_build_from_ints_only():
     found = [f"paths.py:{n.lineno} .{n.attr}" for n in _reads_off_set_arguments(tree, views)]
     assert found == []
     assert any(isinstance(n, ast.Attribute) and n.attr == "pieces" for n in ast.walk(tree))
+    assert _reads_off_set_arguments(tree, {"ends"})
+
+
+def test_oracle_reads_sets_from_ints_only():
+    # the grid samples and direction classes read a set's ints, never its
+    # Fraction views; a layout's own ``pieces`` are its coordinates
+    tree = TREES["oracle.py"]
+    views = {"pieces", "by_element", "intervals_on", "tail_on"}
+    found = [f"oracle.py:{n.lineno} .{n.attr}" for n in _reads_off_set_arguments(tree, views)]
+    assert found == []
     assert _reads_off_set_arguments(tree, {"ends"})
 
 

@@ -25,15 +25,19 @@ from rayspace import (
     oracle_components,
     oracle_hausdorff,
     parse_set,
+    path_to_canonical,
+    union,
 )
 from rayspace._kernels import component_labels, directed_maxmin, distance_matrix
 from rayspace.cli import run
 from rayspace.graph import GraphPoint, point_distance
 from rayspace.oracle import (
+    MAX_GRID_SAMPLES,
     _common_scale,
     _element_configs,
     _grid_samples,
     _layout_count,
+    _scaled,
     _scaled_graph,
 )
 
@@ -526,6 +530,69 @@ def test_census_builds_layouts_once_per_element_kind(graphs, monkeypatch, name, 
     assert len(calls) == len(set(calls)) == kinds
 
 
+@pytest.mark.parametrize(
+    "name, h, T, n, mp, joins, per_key",
+    [
+        ("G_LINE", F(1, 4), F(2), 2, 1, 12, 168),
+        ("G_STAR3", F(1, 2), F(2), 2, 1, 27, 1353),
+        ("G_TRIOD", F(1, 2), F(3, 2), 1, 2, 112, 192),
+        ("G_MIXED", F(1, 2), F(1), 1, 1, 74, 497),
+    ],
+)
+def test_fold_joins_once_per_frontier_state(graphs, monkeypatch, name, h, T, n, mp, joins,
+                                            per_key):
+    # keys with the same interior pieces and vertex classes share one join and
+    # bound per signature of the next element
+    import rayspace.oracle
+
+    evaluations = [0]
+    live_signatures = rayspace.oracle._live_signatures
+
+    def counting(interior, classes, signatures, unfolded, n):
+        evaluations[0] += len(signatures)
+        return live_signatures(interior, classes, signatures, unfolded, n)
+
+    monkeypatch.setattr(rayspace.oracle, "_live_signatures", counting)
+    oracle_components(graphs[name], h, T, F(3, 5), n, mp)
+    # one join and bound per key and signature made per_key evaluations
+    assert evaluations[0] == joins < per_key
+
+
+def test_census_does_not_depend_on_the_order_of_the_keys(graphs, monkeypatch):
+    # each component's representative is its set least in sort_key order, so
+    # the census is the same whatever order the enumeration yields its keys in
+    import rayspace.oracle
+
+    rng = random.Random(3301)
+    enumerate_keys = rayspace.oracle._enumerate_keys
+
+    def shuffled(*args):
+        sizes, found = enumerate_keys(*args)
+        found = list(found)
+        rng.shuffle(found)
+        return sizes, found
+
+    def check(g, h, n):
+        try:
+            want = oracle_components(g, h, h, 6 * h / 5, n, 1, cap=2500)
+        except CapExceededError:
+            return None
+        with monkeypatch.context() as m:
+            m.setattr(rayspace.oracle, "_enumerate_keys", shuffled)
+            assert oracle_components(g, h, h, 6 * h / 5, n, 1, cap=2500) == want
+        return want.set_count > want.count  # some component holds more than one set
+
+    merged = [check(g, F(1, 2), n) for g in graphs.values() for n in (1, 2)]
+    assert None not in merged
+    drawn = []
+    for _ in range(400):  # about one draw in three fits the cap
+        if (c := check(_relabelled_ray_graph(rng), F(1), rng.randint(1, 2))) is not None:
+            drawn.append(c)
+        if len(drawn) == 40:
+            break
+    assert len(drawn) == 40 and sum(merged + drawn) >= 40
+
+
 def test_oracle_components_deterministic(graphs):
     g = graphs["G_LINE"]
     r1 = oracle_components(g, F(1, 2), F(2), F(3, 5), 2, 1)
@@ -783,6 +850,64 @@ def test_grid_samples_are_the_set_reference_per_element(graphs):
                     assert all(a < b for a, b in zip(cs, cs[1:]))
                 assert samples == _reference_samples(S, caps, T, sg, int(h * sg.scale), kinds)
     assert kinds == {"point", "no multiple", "tail at T"}
+
+
+def _ref_grid_samples(g, A, B, h, T):
+    """``_grid_samples`` on the sets' ``Fraction`` views: spans read off
+    ``pieces`` and ``tail_on``, over the lcm of their coordinates' least
+    denominators."""
+    caps = {eid: max(T, A.tail_on(eid) or 0, B.tail_on(eid) or 0)
+            for S in (A, B) for eid, ep in S.pieces if ep.tail is not None}
+    spans = [[(eid, a, b) for eid, ep in S.pieces for a, b in ep.intervals]
+             + [(eid, ep.tail, caps[eid]) for eid, ep in S.pieces if ep.tail is not None]
+             for S in (A, B)]
+    ends = [c.denominator for sp in spans for _, *ab in sp for c in ab]
+    scale = _common_scale(g, [h.denominator, T.denominator, *ends])
+    H = _scaled(h, scale)
+    spans = [[(eid, _scaled(a, scale), _scaled(b, scale)) for eid, a, b in sp] for sp in spans]
+    if sum(hi - lo + 2 * H for sp in spans for _, lo, hi in sp) > MAX_GRID_SAMPLES * H:
+        raise CapExceededError(f"grid Hausdorff would take over {MAX_GRID_SAMPLES} samples")
+    sg = _scaled_graph(g, scale)
+    samples = [{} for _ in spans]
+    for on, sp in zip(samples, spans):
+        for eid, lo, hi in sp:
+            cs = on.setdefault(sg.elem_index[eid], [])
+            if lo < hi:
+                cs.append(lo)
+            cs.extend(range(lo // H * H + H, hi, H))
+            cs.append(hi)
+    return sg, *samples
+
+
+def _sample_points(sg, samples):
+    return {e: [F(c, sg.scale) for c in cs] for e, cs in samples.items()}
+
+
+def test_grid_samples_on_ints_match_the_fraction_reference(graphs):
+    # the samples read off the sets' ints are the points the Fraction views
+    # gave, and so is the grid Hausdorff distance, also for sets whose scale
+    # is not their least one: unions and path stage values
+    rng = random.Random(2718)
+    draws = [random_ray_graph(random.Random(seed)) for seed in range(200)]
+    off_least = 0
+    for g in [*graphs.values(), *draws]:
+        h, T = rng.choice((F(1, 4), F(1, 5), F(2, 5))), rng.choice((F(1), F(2)))
+        A = random_subset(g, rng, span=F(3))
+        B = random_subset(g, rng, tails_on=direction_set(g, A), span=F(3))
+        P = path_to_canonical(g, A, component_count(g, A))
+        value = rng.choice(P.stages).at(F(rng.randint(1, 96), 97))
+        joined = union(A, B)
+        off_least += sum(S.scale != S._value()[0] for S in (value, joined))
+        for X, Y in ((A, B), (joined, A), (value, B), (B, value), (value, joined)):
+            sg, *got = _grid_samples(g, X, Y, h, T)
+            rsg, *want = _ref_grid_samples(g, X, Y, h, T)
+            assert [_sample_points(sg, s) for s in got] == [_sample_points(rsg, s) for s in want]
+            if direction_set(g, X) != direction_set(g, Y):
+                assert oracle_hausdorff(g, X, Y, h, T) == float("inf")
+                continue
+            d = max(directed_maxmin(want[0], want[1], rsg), directed_maxmin(want[1], want[0], rsg))
+            assert oracle_hausdorff(g, X, Y, h, T) == F(d, rsg.scale)
+    assert off_least >= 100, off_least
 
 
 def _check_labels(g, kpts, sg, masks, deltas):
